@@ -15,7 +15,8 @@ import sys
 from repro.analysis.experiments import (clear_cache,
                                         fig01_latency_breakdown,
                                         fig02_dependent_misses,
-                                        fig06_chain_lengths, mix_run)
+                                        fig06_chain_lengths, run_all)
+from repro.analysis.parallel import RunJob
 from repro.analysis.report import format_table, percent
 
 
@@ -64,8 +65,8 @@ def main() -> None:
     # The mix measurement needs the reference scale to be meaningful:
     # below ~4k instructions per core interference phases dominate.
     n_mix = max(n, int(5000 * scale))
-    base = mix_run("H3", "none", False, n_mix)
-    emc = mix_run("H3", "none", True, n_mix)
+    base, emc = run_all(RunJob(workload=("mix", "H3"), n_instrs=n_mix,
+                               emc=emc) for emc in (False, True))
     stats = emc.stats
     print(f"performance:      {base.aggregate_ipc:.3f} -> "
           f"{emc.aggregate_ipc:.3f} "

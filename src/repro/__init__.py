@@ -14,18 +14,24 @@ Quickstart::
     workload = build_mix("H4", n_instrs=20_000)
     result = run_system(cfg, workload)
     print(result.aggregate_ipc, result.stats.emc_miss_fraction())
+
+A run described by value (picklable, cacheable, what the CLI, sweeps,
+figure drivers and the farm all use)::
+
+    from repro import RunJob, execute_job
+    job = RunJob(workload=("mix", "H4"), n_instrs=20_000,
+                 prefetcher="ghb", emc=True)
+    result = execute_job(job)
 """
 
 from .sim.runner import (PREFETCHER_CONFIGS, RunResult,
-                         apply_config_overrides, run_eight_mix,
-                         run_homogeneous, run_quad_mix, run_quad_named,
-                         run_system, speedup)
+                         apply_config_overrides, run_system, speedup)
 from .sim.stats import SimStats
 from .sim.system import DeadlockError, SimTimeoutError, System
 from .trace import (LatencyAttribution, NullTracer, RequestTrace, Stage,
                     TraceError, Tracer)
-from .analysis.parallel import (RunJob, eight_job, homog_job, mix_job,
-                                named_job, run_jobs, solo_job)
+from .analysis.parallel import (RunJob, build_job_config,
+                                build_job_workload, execute_job, run_jobs)
 from .uarch.params import (DRAMConfig, EMCConfig, PrefetchConfig,
                            SystemConfig, eight_core_config, quad_core_config,
                            with_dram_geometry)
@@ -41,11 +47,9 @@ __all__ = [
     "SimTimeoutError",
     "quad_core_config", "eight_core_config", "with_dram_geometry",
     "DRAMConfig", "EMCConfig", "PrefetchConfig",
-    "run_system", "run_quad_mix", "run_quad_named", "run_homogeneous",
-    "run_eight_mix", "speedup", "PREFETCHER_CONFIGS",
-    "apply_config_overrides",
-    "RunJob", "run_jobs", "mix_job", "homog_job", "eight_job", "named_job",
-    "solo_job",
+    "run_system", "speedup", "PREFETCHER_CONFIGS", "apply_config_overrides",
+    "RunJob", "build_job_config", "build_job_workload", "execute_job",
+    "run_jobs",
     "Tracer", "NullTracer", "LatencyAttribution", "RequestTrace", "Stage",
     "TraceError",
     "MIXES", "MIX_NAMES", "build_mix", "build_named", "build_homogeneous",

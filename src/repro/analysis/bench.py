@@ -23,7 +23,9 @@ import os
 import subprocess
 import time
 from dataclasses import asdict, dataclass
-from typing import Optional, Tuple
+from typing import Final, Optional, Tuple
+
+from .parallel import RunJob, build_job_config, build_job_workload
 
 #: the pinned bench configuration — change it and historical artifacts
 #: stop being comparable, so don't
@@ -33,6 +35,12 @@ BENCH_WARMUP = 2000
 BENCH_PREFETCHER = "stream"
 BENCH_SEED = 1
 BENCH_REPEATS = 3
+
+#: the pinned bench run, as the one run description
+BENCH_JOB: Final[RunJob] = RunJob(
+    workload=("mix", BENCH_MIX), n_instrs=BENCH_N_INSTRS,
+    prefetcher=BENCH_PREFETCHER, emc=True, seed=BENCH_SEED,
+    warmup_instrs=BENCH_WARMUP)
 
 #: CI trend gate: fail when ``instrs_per_s`` drops more than this
 #: fraction below the previous revision's artifact
@@ -96,7 +104,7 @@ def run_bench(repeats: int = BENCH_REPEATS,
     Raises :class:`ValueError` for ``repeats < 1`` — silently clamping
     would report a measurement that never happened.
     """
-    from ..sim.runner import run_quad_mix
+    from ..sim.runner import run_system
 
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
@@ -104,9 +112,11 @@ def run_bench(repeats: int = BENCH_REPEATS,
     result = None
     for _ in range(repeats):
         start = time.perf_counter()
-        run = run_quad_mix(BENCH_MIX, BENCH_N_INSTRS,
-                           prefetcher=BENCH_PREFETCHER, emc=True,
-                           seed=BENCH_SEED, warmup_instrs=BENCH_WARMUP)
+        # Warm under the target config, not a shared-warmup fork: the
+        # pinned simulated counts must stay comparable across revisions.
+        run = run_system(build_job_config(BENCH_JOB),
+                         build_job_workload(BENCH_JOB),
+                         warmup_instrs=BENCH_JOB.warmup_instrs)
         wall = time.perf_counter() - start
         if wall < best_wall:
             best_wall = wall

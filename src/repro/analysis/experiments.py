@@ -8,11 +8,11 @@ simulations (e.g. the H1–H10 EMC runs feed Figures 12, 15, 16, 17, 18, 19,
 
 Execution routes through the parallel experiment layer
 (:mod:`repro.analysis.parallel`): every memoized run is a :class:`RunJob`,
-each driver *prewarms* the full set of jobs it needs in one
-:func:`run_jobs` fan-out before assembling rows, and the worker count /
+each driver hands the full set of jobs it needs to :func:`run_all` (one
+:func:`run_jobs` fan-out) before assembling rows, and the worker count /
 on-disk cache come from :func:`set_parallelism` (or the ``REPRO_JOBS`` and
 ``REPRO_CACHE_DIR`` environment variables).  With ``jobs=1`` everything
-runs in-process exactly as before.
+runs in-process.
 
 Scale: instruction counts default to laptop-friendly sizes and can be
 scaled with the ``REPRO_BENCH_SCALE`` environment variable (a float
@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Final, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Final, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 from ..sim.runner import RunResult
 from ..workloads.mixes import MIX_NAMES
 from ..workloads.spec import HIGH_INTENSITY, PROFILES
-from .parallel import (RunJob, default_cache_dir, default_jobs, eight_job,
-                       homog_job, mix_job, run_jobs, solo_job)
+from .parallel import (Overrides, RunJob, default_cache_dir, default_jobs,
+                       run_jobs)
 
 
 def _scale() -> float:
@@ -45,8 +46,13 @@ N_MIX = 5000         # multiprogrammed mixes (most figures)
 N_SINGLE = 4000      # per-benchmark characterization figures
 N_SWEEP = 3000       # many-configuration sweeps
 
-PREFETCHERS: Final[Tuple[str, ...]] = (
-    "none", "ghb", "stream", "markov+stream")
+#: Figure 2's oracle: every dependent miss becomes an LLC hit
+ORACLE: Final[Overrides] = (("oracle_dependent_hits", True),)
+
+
+def _n(n_instrs: Optional[int], default: int) -> int:
+    """An explicit per-core instruction count, else the scaled default."""
+    return n_instrs if n_instrs is not None else scaled(default)
 
 
 # ---------------------------------------------------------------------------
@@ -72,9 +78,9 @@ def set_parallelism(jobs: Optional[int] = None,
                     cache_dir: Optional[str] = None) -> None:
     """Configure how the drivers execute their simulations.
 
-    ``jobs`` worker processes fan each driver's prewarm batch out across
-    cores; ``cache_dir`` persists results between processes.  Pass ``None``
-    to fall back to the ``REPRO_JOBS`` / ``REPRO_CACHE_DIR`` environment
+    ``jobs`` worker processes fan each driver's batch out across cores;
+    ``cache_dir`` persists results between processes.  Pass ``None`` to
+    fall back to the ``REPRO_JOBS`` / ``REPRO_CACHE_DIR`` environment
     variables.
     """
     global _JOBS, _CACHE_DIR
@@ -90,12 +96,14 @@ def _cache_dir() -> Optional[str]:
     return _CACHE_DIR if _CACHE_DIR is not None else default_cache_dir()
 
 
-def prewarm(jobs_list: Iterable[RunJob]) -> None:
-    """Execute every not-yet-memoized job in one parallel fan-out.
+def run_all(jobs_list: Iterable[RunJob]) -> List[RunResult]:
+    """Memoized results of ``jobs_list``, in order.
 
-    Deduplicates against both the batch itself and the in-process memo, so
-    drivers can list their full working set unconditionally.
+    Every job not yet in the in-process memo runs in one parallel
+    fan-out (deduplicated against the batch itself), so drivers can list
+    their full working set unconditionally.
     """
+    jobs_list = list(jobs_list)
     missing: List[RunJob] = []
     seen = set()
     for job in jobs_list:
@@ -103,93 +111,30 @@ def prewarm(jobs_list: Iterable[RunJob]) -> None:
         if key not in _CACHE and key not in seen:
             seen.add(key)
             missing.append(job)
-    if not missing:
-        return
-    results = run_jobs(missing, jobs=_jobs(), cache_dir=_cache_dir())
-    for job, result in zip(missing, results):
-        _CACHE[job.key()] = result
+    if missing:
+        results = run_jobs(missing, jobs=_jobs(), cache_dir=_cache_dir())
+        for job, result in zip(missing, results):
+            _CACHE[job.key()] = result
+    return [_CACHE[job.key()] for job in jobs_list]
 
 
-def _run(job: RunJob) -> RunResult:
-    key = job.key()
-    if key not in _CACHE:
-        _CACHE[key] = run_jobs([job], jobs=1, cache_dir=_cache_dir())[0]
-    return _CACHE[key]
-
-
-def _oracle_overrides(oracle: bool) -> Optional[Dict[str, bool]]:
-    return {"oracle_dependent_hits": True} if oracle else None
-
-
-def _mix_job(mix: str, prefetcher: str = "none", emc: bool = False,
-             n_instrs: Optional[int] = None, seed: int = 1,
-             oracle: bool = False, trace: bool = False) -> RunJob:
-    n = n_instrs if n_instrs is not None else scaled(N_MIX)
-    return mix_job(mix, n, prefetcher=prefetcher, emc=emc, seed=seed,
-                   overrides=_oracle_overrides(oracle), trace=trace)
-
-
-def _homog_job(name: str, prefetcher: str = "none", emc: bool = False,
-               n_instrs: Optional[int] = None, seed: int = 1,
-               oracle: bool = False, trace: bool = False) -> RunJob:
-    n = n_instrs if n_instrs is not None else scaled(N_SINGLE)
-    return homog_job(name, 4, n, prefetcher=prefetcher, emc=emc, seed=seed,
-                     overrides=_oracle_overrides(oracle), trace=trace)
-
-
-def _eight_job(mix: str, prefetcher: str = "none", emc: bool = False,
-               num_mcs: int = 1, n_instrs: Optional[int] = None,
-               seed: int = 1) -> RunJob:
-    n = n_instrs if n_instrs is not None else scaled(N_SWEEP)
-    return eight_job(mix, n, prefetcher=prefetcher, emc=emc,
-                     num_mcs=num_mcs, seed=seed)
-
-
-def _solo_job(name: str, n_instrs: Optional[int] = None,
-              seed: int = 1) -> RunJob:
-    n = n_instrs if n_instrs is not None else scaled(N_MIX)
-    return solo_job(name, n, seed=seed)
-
-
-def mix_run(mix: str, prefetcher: str = "none", emc: bool = False,
-            n_instrs: Optional[int] = None, seed: int = 1,
-            oracle: bool = False, trace: bool = False) -> RunResult:
-    """Memoized quad-core run of a Table 3 mix."""
-    return _run(_mix_job(mix, prefetcher, emc, n_instrs, seed, oracle,
-                         trace))
-
-
-def homog_run(name: str, prefetcher: str = "none", emc: bool = False,
-              n_instrs: Optional[int] = None, seed: int = 1,
-              oracle: bool = False, trace: bool = False) -> RunResult:
-    """Memoized quad-core run of four copies of one benchmark."""
-    return _run(_homog_job(name, prefetcher, emc, n_instrs, seed, oracle,
-                           trace))
-
-
-def eight_run(mix: str, prefetcher: str = "none", emc: bool = False,
-              num_mcs: int = 1, n_instrs: Optional[int] = None,
-              seed: int = 1) -> RunResult:
-    return _run(_eight_job(mix, prefetcher, emc, num_mcs, n_instrs, seed))
-
-
-def solo_run(name: str, n_instrs: Optional[int] = None,
-             seed: int = 1) -> RunResult:
-    """Memoized single-core run of one benchmark on the baseline machine
-    (no prefetching, no EMC) — the denominator of weighted speedup."""
-    return _run(_solo_job(name, n_instrs, seed))
+def run(job: RunJob) -> RunResult:
+    """Memoized result of one job."""
+    return run_all([job])[0]
 
 
 def weighted_speedup(result: RunResult,
                      n_instrs: Optional[int] = None,
                      seed: int = 1) -> float:
     """Σ IPC_shared_i / IPC_alone_i — the standard multiprogrammed
-    performance metric.  Solo baselines are memoized per benchmark."""
-    prewarm(_solo_job(core.benchmark, n_instrs, seed)
-            for core in result.stats.cores)
+    performance metric.  The alone runs are memoized single-core runs of
+    each benchmark on the baseline machine (no prefetching, no EMC)."""
+    n = _n(n_instrs, N_MIX)
+    solos = run_all(RunJob(("named", core.benchmark), n, seed=seed)
+                    for core in result.stats.cores)
     total = 0.0
-    for core in result.stats.cores:
-        alone = solo_run(core.benchmark, n_instrs, seed).stats.cores[0]
+    for core, solo in zip(result.stats.cores, solos):
+        alone = solo.stats.cores[0]
         if alone.ipc():
             total += core.ipc() / alone.ipc()
     return total
@@ -222,11 +167,11 @@ def fig01_latency_breakdown(benchmarks: Optional[Sequence[str]] = None,
     :meth:`repro.trace.LatencyAttribution.dram_onchip_split`.
     """
     names = list(benchmarks) if benchmarks else list(PROFILES)
-    prewarm(_homog_job(name, n_instrs=n_instrs, trace=True)
-            for name in names)
+    n = _n(n_instrs, N_SINGLE)
+    results = run_all(RunJob(("homog", name, 4), n, trace=True)
+                      for name in names)
     rows = []
-    for name in names:
-        result = homog_run(name, n_instrs=n_instrs, trace=True)
+    for name, result in zip(names, results):
         dram, onchip = result.latency_attribution.dram_onchip_split()
         mpki = sum(c.mpki() for c in result.stats.cores) / 4
         rows.append(LatencySplitRow(name, mpki, dram, onchip))
@@ -249,12 +194,11 @@ def fig02_dependent_misses(benchmarks: Optional[Sequence[str]] = None,
                            n_instrs: Optional[int] = None
                            ) -> List[DependentMissRow]:
     names = list(benchmarks) if benchmarks else list(PROFILES)
-    prewarm(_homog_job(name, n_instrs=n_instrs, oracle=oracle)
-            for name in names for oracle in (False, True))
+    n = _n(n_instrs, N_SINGLE)
+    results = iter(run_all(RunJob(("homog", name, 4), n, overrides=overrides)
+                           for name in names for overrides in ((), ORACLE)))
     rows = []
-    for name in names:
-        base = homog_run(name, n_instrs=n_instrs)
-        oracle = homog_run(name, n_instrs=n_instrs, oracle=True)
+    for name, base, oracle in zip(names, results, results):
         speedup = (oracle.throughput / base.throughput
                    if base.throughput else 0.0)
         rows.append(DependentMissRow(
@@ -272,27 +216,25 @@ def fig03_prefetch_coverage(benchmarks: Optional[Sequence[str]] = None,
     """{benchmark: {prefetcher: coverage}} over the high-MPKI suite."""
     names = list(benchmarks) if benchmarks else list(HIGH_INTENSITY)
     prefetchers = ("ghb", "stream", "markov+stream")
-    prewarm(_homog_job(name, prefetcher=pf, n_instrs=n_instrs)
-            for name in names for pf in prefetchers)
-    out: Dict[str, Dict[str, float]] = {}
-    for name in names:
-        out[name] = {}
-        for pf in prefetchers:
-            result = homog_run(name, prefetcher=pf, n_instrs=n_instrs)
-            out[name][pf] = result.stats.dependent_prefetch_coverage()
-    return out
+    n = _n(n_instrs, N_SINGLE)
+    results = iter(run_all(RunJob(("homog", name, 4), n, prefetcher=pf)
+                           for name in names for pf in prefetchers))
+    return {name: {pf: next(results).stats.dependent_prefetch_coverage()
+                   for pf in prefetchers}
+            for name in names}
 
 
 def prefetcher_bandwidth_overhead(prefetcher: str,
                                   n_instrs: Optional[int] = None) -> float:
     """DRAM-traffic increase of a prefetcher over no prefetching (§1)."""
-    prewarm(_mix_job(mix, pf, n_instrs=n_instrs)
-            for mix in MIX_NAMES for pf in ("none", prefetcher))
-    base_reads = emc_reads = 0
-    for mix in MIX_NAMES:
-        base_reads += mix_run(mix, "none", n_instrs=n_instrs).dram_reads
-        emc_reads += mix_run(mix, prefetcher, n_instrs=n_instrs).dram_reads
-    return emc_reads / base_reads - 1.0 if base_reads else 0.0
+    n = _n(n_instrs, N_MIX)
+    results = iter(run_all(RunJob(("mix", mix), n, prefetcher=pf)
+                           for mix in MIX_NAMES for pf in ("none", prefetcher)))
+    base_reads = pf_reads = 0
+    for base, with_pf in zip(results, results):
+        base_reads += base.dram_reads
+        pf_reads += with_pf.dram_reads
+    return pf_reads / base_reads - 1.0 if base_reads else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +245,10 @@ def fig06_chain_lengths(benchmarks: Optional[Sequence[str]] = None,
                         n_instrs: Optional[int] = None
                         ) -> Dict[str, float]:
     names = list(benchmarks) if benchmarks else list(HIGH_INTENSITY)
-    prewarm(_homog_job(name, n_instrs=n_instrs) for name in names)
-    return {name: homog_run(name, n_instrs=n_instrs)
-            .stats.avg_dependent_chain_ops() for name in names}
+    n = _n(n_instrs, N_SINGLE)
+    results = run_all(RunJob(("homog", name, 4), n) for name in names)
+    return {name: result.stats.avg_dependent_chain_ops()
+            for name, result in zip(names, results)}
 
 
 # ---------------------------------------------------------------------------
@@ -325,42 +268,45 @@ class PerfRow:
         return with_emc / base - 1.0 if base else 0.0
 
 
-def _grid_jobs(job_builder, workloads: Sequence[str],
-               prefetchers: Sequence[str],
-               n_instrs: Optional[int]) -> List[RunJob]:
-    """The full workload × prefetcher × EMC job set of a perf/energy grid,
-    including the no-prefetch/no-EMC normalization baseline."""
-    jobs_list = [job_builder(wl, "none", False, n_instrs)
-                 for wl in workloads]
-    jobs_list += [job_builder(wl, pf, emc, n_instrs)
-                  for wl in workloads for pf in prefetchers
-                  for emc in (False, True)]
-    return jobs_list
-
-
-def _perf_rows(runner, job_builder, workloads: Sequence[str],
-               prefetchers: Sequence[str],
-               n_instrs: Optional[int]) -> List[PerfRow]:
-    prewarm(_grid_jobs(job_builder, workloads, prefetchers, n_instrs))
+def _normalized_rows(row_type, metric: Callable[[RunResult], float],
+                     job_for: Callable[[str, str, bool], RunJob],
+                     workloads: Sequence[str],
+                     prefetchers: Sequence[str]) -> list:
+    """One ``row_type`` per workload: ``metric`` over every prefetcher ×
+    EMC point, normalized to the workload's no-prefetch, no-EMC run.
+    ``job_for(workload, prefetcher, emc)`` describes each run."""
+    combos = [(pf, emc) for pf in prefetchers for emc in (False, True)]
+    run_all([job_for(wl, "none", False) for wl in workloads]
+            + [job_for(wl, pf, emc) for wl in workloads
+               for pf, emc in combos])
     rows = []
     for wl in workloads:
-        base = runner(wl, "none", False, n_instrs).throughput
-        row = PerfRow(workload=wl)
-        for pf in prefetchers:
-            for emc in (False, True):
-                tput = runner(wl, pf, emc, n_instrs).throughput
-                row.normalized[(pf, emc)] = tput / base if base else 0.0
+        base = metric(run(job_for(wl, "none", False)))
+        row = row_type(workload=wl)
+        for pf, emc in combos:
+            value = metric(run(job_for(wl, pf, emc)))
+            row.normalized[(pf, emc)] = value / base if base else 0.0
         rows.append(row)
     return rows
+
+
+def _throughput(result: RunResult) -> float:
+    return result.throughput
+
+
+def _energy(result: RunResult) -> float:
+    return result.energy.total
 
 
 def fig12_quadcore_hetero(prefetchers: Sequence[str] = ("none", "ghb"),
                           mixes: Optional[Sequence[str]] = None,
                           n_instrs: Optional[int] = None) -> List[PerfRow]:
     mixes = list(mixes) if mixes else list(MIX_NAMES)
-    return _perf_rows(lambda wl, pf, emc, n: mix_run(wl, pf, emc, n),
-                      lambda wl, pf, emc, n: _mix_job(wl, pf, emc, n),
-                      mixes, prefetchers, n_instrs)
+    n = _n(n_instrs, N_MIX)
+    return _normalized_rows(
+        PerfRow, _throughput,
+        lambda wl, pf, emc: RunJob(("mix", wl), n, prefetcher=pf, emc=emc),
+        mixes, prefetchers)
 
 
 def fig13_quadcore_homogeneous(prefetchers: Sequence[str] = ("none", "ghb"),
@@ -368,9 +314,12 @@ def fig13_quadcore_homogeneous(prefetchers: Sequence[str] = ("none", "ghb"),
                                n_instrs: Optional[int] = None
                                ) -> List[PerfRow]:
     names = list(benchmarks) if benchmarks else list(HIGH_INTENSITY)
-    return _perf_rows(lambda wl, pf, emc, n: homog_run(wl, pf, emc, n),
-                      lambda wl, pf, emc, n: _homog_job(wl, pf, emc, n),
-                      names, prefetchers, n_instrs)
+    n = _n(n_instrs, N_SINGLE)
+    return _normalized_rows(
+        PerfRow, _throughput,
+        lambda wl, pf, emc: RunJob(("homog", wl, 4), n, prefetcher=pf,
+                                   emc=emc),
+        names, prefetchers)
 
 
 # ---------------------------------------------------------------------------
@@ -382,13 +331,12 @@ def fig14_eightcore(mixes: Optional[Sequence[str]] = None,
                     n_instrs: Optional[int] = None
                     ) -> Dict[int, List[PerfRow]]:
     mixes = list(mixes) if mixes else ["H1", "H3", "H4", "H8"]
-    out = {}
-    for num_mcs in (1, 2):
-        out[num_mcs] = _perf_rows(
-            lambda wl, pf, emc, n, m=num_mcs: eight_run(wl, pf, emc, m, n),
-            lambda wl, pf, emc, n, m=num_mcs: _eight_job(wl, pf, emc, m, n),
-            mixes, prefetchers, n_instrs)
-    return out
+    n = _n(n_instrs, N_SWEEP)
+    return {num_mcs: _normalized_rows(
+        PerfRow, _throughput,
+        lambda wl, pf, emc, m=num_mcs: RunJob(
+            ("eight", wl), n, prefetcher=pf, emc=emc, num_mcs=m),
+        mixes, prefetchers) for num_mcs in (1, 2)}
 
 
 # ---------------------------------------------------------------------------
@@ -426,13 +374,12 @@ def emc_behaviour(mixes: Optional[Sequence[str]] = None,
     category, so a negative value means the EMC path pays *more* there.
     """
     mixes = list(mixes) if mixes else list(MIX_NAMES)
-    prewarm([_mix_job(mix, "none", False, n_instrs) for mix in mixes]
-            + [_mix_job(mix, "none", True, n_instrs, trace=True)
-               for mix in mixes])
+    n = _n(n_instrs, N_MIX)
+    results = run_all([RunJob(("mix", mix), n) for mix in mixes]
+                      + [RunJob(("mix", mix), n, emc=True, trace=True)
+                         for mix in mixes])
     rows = []
-    for mix in mixes:
-        base = mix_run(mix, "none", False, n_instrs)
-        emc = mix_run(mix, "none", True, n_instrs, trace=True)
+    for mix, base, emc in zip(mixes, results, results[len(mixes):]):
         stats = emc.stats
         att = emc.latency_attribution
         saved = att.savings()
@@ -461,18 +408,6 @@ def emc_behaviour(mixes: Optional[Sequence[str]] = None,
 # Figure 20 — DRAM channel/rank sensitivity
 # ---------------------------------------------------------------------------
 
-def _geometry_job(mix: str, channels: int, ranks: int, emc: bool,
-                  n: int) -> RunJob:
-    """One Figure 20 point as a job: the ``with_dram_geometry`` derivation
-    expressed as dotted overrides (queue scales with the geometry, §5)."""
-    queue = max(32, 64 * channels * ranks // 2)
-    return mix_job(mix, n, emc=emc, seed=1, overrides={
-        "dram.channels": channels,
-        "dram.ranks_per_channel": ranks,
-        "dram.queue_entries": queue,
-    })
-
-
 def fig20_dram_sweep(geometries: Sequence[Tuple[int, int]] = (
         (1, 1), (1, 2), (2, 1), (2, 2), (2, 4), (4, 2), (4, 4)),
         mixes: Optional[Sequence[str]] = None,
@@ -480,24 +415,28 @@ def fig20_dram_sweep(geometries: Sequence[Tuple[int, int]] = (
     """Average H-mix throughput per geometry, EMC off/on, normalized to
     1-channel 1-rank without EMC."""
     mixes = list(mixes) if mixes else ["H3", "H4", "H8"]
-    n = n_instrs if n_instrs is not None else scaled(N_SWEEP)
-    prewarm(_geometry_job(mix, channels, ranks, emc, n)
-            for channels, ranks in geometries for emc in (False, True)
-            for mix in mixes)
+    n = _n(n_instrs, N_SWEEP)
+    points = [(channels, ranks, emc) for channels, ranks in geometries
+              for emc in (False, True)]
+    # The ``with_dram_geometry`` derivation as dotted overrides: the
+    # queue scales with the geometry (§5).
+    results = iter(run_all(
+        RunJob(("mix", mix), n, emc=emc, overrides=(
+            ("dram.channels", channels),
+            ("dram.queue_entries", max(32, 64 * channels * ranks // 2)),
+            ("dram.ranks_per_channel", ranks)))
+        for channels, ranks, emc in points for mix in mixes))
     rows = []
     baseline = None
-    for channels, ranks in geometries:
-        for emc in (False, True):
-            total = 0.0
-            for mix in mixes:
-                total += _run(_geometry_job(mix, channels, ranks, emc,
-                                            n)).throughput
-            avg = total / len(mixes)
-            if baseline is None:
-                baseline = avg
-            rows.append({"channels": channels, "ranks": ranks, "emc": emc,
-                         "throughput": avg,
-                         "normalized": avg / baseline})
+    for channels, ranks, emc in points:
+        total = 0.0
+        for _mix in mixes:
+            total += next(results).throughput
+        avg = total / len(mixes)
+        if baseline is None:
+            baseline = avg
+        rows.append({"channels": channels, "ranks": ranks, "emc": emc,
+                     "throughput": avg, "normalized": avg / baseline})
     return rows
 
 
@@ -511,13 +450,14 @@ def fig21_emc_prefetch_overlap(prefetchers: Sequence[str] = (
         n_instrs: Optional[int] = None) -> Dict[str, float]:
     """Fraction of EMC LLC-path requests that hit on prefetched lines."""
     mixes = list(mixes) if mixes else list(MIX_NAMES)
-    prewarm(_mix_job(mix, pf, True, n_instrs)
-            for pf in prefetchers for mix in mixes)
+    n = _n(n_instrs, N_MIX)
+    results = iter(run_all(RunJob(("mix", mix), n, prefetcher=pf, emc=True)
+                           for pf in prefetchers for mix in mixes))
     out = {}
     for pf in prefetchers:
         hits = requests = 0
-        for mix in mixes:
-            stats = mix_run(mix, pf, True, n_instrs).stats
+        for _mix in mixes:
+            stats = next(results).stats
             hits += stats.emc.llc_hits_on_prefetched
             requests += max(1, stats.emc.llc_requests
                             + stats.emc.direct_dram_requests)
@@ -537,29 +477,15 @@ class EnergyRow:
     normalized: Dict[Tuple[str, bool], float] = field(default_factory=dict)
 
 
-def energy_rows(runner, job_builder, workloads: Sequence[str],
-                prefetchers: Sequence[str],
-                n_instrs: Optional[int]) -> List[EnergyRow]:
-    prewarm(_grid_jobs(job_builder, workloads, prefetchers, n_instrs))
-    rows = []
-    for wl in workloads:
-        base = runner(wl, "none", False, n_instrs).energy.total
-        row = EnergyRow(workload=wl)
-        for pf in prefetchers:
-            for emc in (False, True):
-                total = runner(wl, pf, emc, n_instrs).energy.total
-                row.normalized[(pf, emc)] = total / base if base else 0.0
-        rows.append(row)
-    return rows
-
-
 def fig23_energy_hetero(prefetchers: Sequence[str] = ("none", "ghb"),
                         mixes: Optional[Sequence[str]] = None,
                         n_instrs: Optional[int] = None) -> List[EnergyRow]:
     mixes = list(mixes) if mixes else list(MIX_NAMES)
-    return energy_rows(lambda wl, pf, emc, n: mix_run(wl, pf, emc, n),
-                       lambda wl, pf, emc, n: _mix_job(wl, pf, emc, n),
-                       mixes, prefetchers, n_instrs)
+    n = _n(n_instrs, N_MIX)
+    return _normalized_rows(
+        EnergyRow, _energy,
+        lambda wl, pf, emc: RunJob(("mix", wl), n, prefetcher=pf, emc=emc),
+        mixes, prefetchers)
 
 
 def fig24_energy_homogeneous(prefetchers: Sequence[str] = ("none", "ghb"),
@@ -567,9 +493,12 @@ def fig24_energy_homogeneous(prefetchers: Sequence[str] = ("none", "ghb"),
                              n_instrs: Optional[int] = None
                              ) -> List[EnergyRow]:
     names = list(benchmarks) if benchmarks else list(HIGH_INTENSITY)
-    return energy_rows(lambda wl, pf, emc, n: homog_run(wl, pf, emc, n),
-                       lambda wl, pf, emc, n: _homog_job(wl, pf, emc, n),
-                       names, prefetchers, n_instrs)
+    n = _n(n_instrs, N_SINGLE)
+    return _normalized_rows(
+        EnergyRow, _energy,
+        lambda wl, pf, emc: RunJob(("homog", wl, 4), n, prefetcher=pf,
+                                   emc=emc),
+        names, prefetchers)
 
 
 # ---------------------------------------------------------------------------
@@ -586,13 +515,12 @@ def sec65_overheads(mixes: Optional[Sequence[str]] = None,
     messages) versus demand traffic shifted by timing changes.
     """
     mixes = list(mixes) if mixes else list(MIX_NAMES)
-    prewarm(_mix_job(mix, "none", emc, n_instrs)
-            for mix in mixes for emc in (False, True))
+    n = _n(n_instrs, N_MIX)
+    results = iter(run_all(RunJob(("mix", mix), n, emc=emc)
+                           for mix in mixes for emc in (False, True)))
     base_data = base_ctrl = emc_data = emc_ctrl = 0
     emc_tagged_data = emc_tagged_ctrl = 0
-    for mix in mixes:
-        b = mix_run(mix, "none", False, n_instrs)
-        e = mix_run(mix, "none", True, n_instrs)
+    for b, e in zip(results, results):
         base_data += b.ring.data_hops
         base_ctrl += b.ring.control_hops
         emc_data += e.ring.data_hops

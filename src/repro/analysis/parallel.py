@@ -7,9 +7,10 @@ isolated (no module- or class-level simulator state) — so this module
 provides the one execution layer they share:
 
 - :class:`RunJob` — a small, picklable, hashable description of one run
-  (topology + workload + seed + dotted config overrides).  Jobs carry
-  *specifications*, not built objects, so shipping one to a worker process
-  is cheap and the job doubles as a cache key.
+  (workload + seed + dotted config overrides; the workload fixes the
+  machine shape).  Jobs carry *specifications*, not built objects, so
+  shipping one to a worker process is cheap and the job doubles as a
+  cache key.
 - :func:`run_jobs` — execute a job list with ``jobs`` worker processes
   (``ProcessPoolExecutor``), a per-job wall-clock timeout, one automatic
   retry per failed job, deterministic input-order results, an optional
@@ -46,11 +47,11 @@ from ..workloads.mixes import (build_homogeneous, build_named,
 from .figures import format_eta, progress_bar
 
 #: bump to invalidate every on-disk cache entry when result layout changes
-CACHE_SCHEMA = 6
+CACHE_SCHEMA = 7
 
-#: core count each machine-shape name builds by default
-NATURAL_CORES: Final[Mapping[str, int]] = MappingProxyType(
-    {"quad": 4, "eight": 8, "single": 1})
+#: natural core count -> the machine shape a workload runs on
+MACHINES: Final[Mapping[int, str]] = MappingProxyType(
+    {1: "single", 4: "quad", 8: "eight"})
 
 Overrides = Tuple[Tuple[str, Any], ...]
 ProgressFn = Callable[[int, int, str, float], None]
@@ -74,16 +75,16 @@ class RunJob:
 
     ``workload`` is a spec tuple, resolved in the executing process:
     ``("mix", name)``, ``("homog", name, num_cores)``, ``("eight", name)``,
-    or ``("named", name, ...)``.  ``overrides`` are dotted
-    :class:`SystemConfig` paths applied after the base topology is built.
-    ``trace`` attaches a :class:`repro.trace.Tracer` so the result carries a
+    or ``("named", name, ...)``.  The tuple also fixes the machine shape
+    (:attr:`machine`).  ``overrides`` are dotted :class:`SystemConfig`
+    paths applied after the base machine is built.  ``trace`` attaches a
+    :class:`repro.trace.Tracer` so the result carries a
     :class:`~repro.trace.LatencyAttribution`; a traced run is a distinct
     cache identity from its untraced twin (same timing, richer result).
     """
 
     workload: Tuple[Any, ...]
     n_instrs: int
-    topology: str = "quad"            # machine shape: quad | eight | single
     prefetcher: str = "none"
     emc: bool = False
     num_mcs: int = 1
@@ -94,20 +95,46 @@ class RunJob:
     label: str = ""
     warmup_instrs: int = 0
     fabric: str = "ring"              # interconnect: ring | mesh
-    num_cores: int = 0                # 0 = the machine shape's natural count
+    num_cores: int = 0                # 0 = the workload's natural count
     predictor: str = "map-i"          # EMC bypass predictor: map-i | hermes
 
     def key(self) -> tuple:
         """Identity of the run — everything except the display label."""
-        return (self.workload, self.n_instrs, self.topology, self.prefetcher,
-                self.emc, self.num_mcs, self.seed, self.overrides,
-                self.max_cycles, self.trace, self.warmup_instrs,
-                self.fabric, self.num_cores, self.predictor)
+        return (self.workload, self.n_instrs, self.prefetcher, self.emc,
+                self.num_mcs, self.seed, self.overrides, self.max_cycles,
+                self.trace, self.warmup_instrs, self.fabric,
+                self.num_cores, self.predictor)
+
+    @property
+    def natural_cores(self) -> int:
+        """Core count the workload tuple fixes: four for a mix, eight for
+        an eight-core mix, the copy count of a homogeneous workload, one
+        per name of a named one."""
+        kind, args = self.workload[0], self.workload[1:]
+        if kind == "mix":
+            return 4
+        if kind == "eight":
+            return 8
+        if kind == "homog":
+            return args[1]
+        if kind == "named":
+            return len(args)
+        raise ValueError(f"unknown workload kind {kind!r}")
+
+    @property
+    def machine(self) -> str:
+        """Machine shape the workload runs on: quad | eight | single."""
+        try:
+            return MACHINES[self.natural_cores]
+        except KeyError:
+            raise ValueError(
+                f"workload {self.workload!r} fixes {self.natural_cores} "
+                "cores; machines have 1, 4 or 8") from None
 
     def effective_cores(self) -> int:
         """Core count this job actually builds (its override or the
-        machine shape's natural count)."""
-        return self.num_cores or NATURAL_CORES.get(self.topology, 4)
+        workload's natural count)."""
+        return self.num_cores or self.natural_cores
 
     def warmup_key(self) -> tuple:
         """Identity of the *warmed machine state* this job starts from.
@@ -119,7 +146,7 @@ class RunJob:
         ``prefetcher``/``emc``/``overrides`` — and ``max_cycles``,
         ``trace``, the label — are all excluded.  Since schema v5 so are
         ``fabric`` and ``num_cores``: the warmup always runs on the
-        neutral ring at the machine shape's natural core count and the
+        neutral ring at the workload's natural core count and the
         fork re-seats into the target fabric/core count.  ``predictor``
         is excluded for the same reason (the neutral warmup runs with
         the EMC off, so no predictor state ever warms; each point forks
@@ -127,80 +154,8 @@ class RunJob:
         workload resolves to one checkpoint: the first point pays for
         the warmup, everyone else forks.
         """
-        return (self.workload, self.n_instrs, self.topology,
-                self.num_mcs, self.seed, self.warmup_instrs)
-
-
-def _as_overrides(overrides: Optional[Mapping[str, Any]]) -> Overrides:
-    return tuple(sorted((overrides or {}).items()))
-
-
-def mix_job(mix: str, n_instrs: int, prefetcher: str = "none",
-            emc: bool = False, seed: int = 1,
-            overrides: Optional[Mapping[str, Any]] = None,
-            max_cycles: int = 50_000_000, trace: bool = False,
-            label: str = "", warmup_instrs: int = 0) -> RunJob:
-    """Quad-core Table 3 mix (the ``run_quad_mix`` shape)."""
-    return RunJob(workload=("mix", mix), n_instrs=n_instrs,
-                  prefetcher=prefetcher, emc=emc, seed=seed,
-                  overrides=_as_overrides(overrides), max_cycles=max_cycles,
-                  trace=trace, warmup_instrs=warmup_instrs,
-                  label=label or f"{mix}/{prefetcher}{'+emc' if emc else ''}")
-
-
-def homog_job(name: str, num_cores: int, n_instrs: int,
-              prefetcher: str = "none", emc: bool = False, seed: int = 1,
-              overrides: Optional[Mapping[str, Any]] = None,
-              trace: bool = False, label: str = "",
-              warmup_instrs: int = 0) -> RunJob:
-    """N copies of one benchmark (the ``run_homogeneous`` shape)."""
-    return RunJob(workload=("homog", name, num_cores), n_instrs=n_instrs,
-                  topology="quad" if num_cores == 4 else "eight",
-                  prefetcher=prefetcher, emc=emc, seed=seed,
-                  overrides=_as_overrides(overrides), trace=trace,
-                  warmup_instrs=warmup_instrs,
-                  label=label or f"{num_cores}x{name}/{prefetcher}"
-                  f"{'+emc' if emc else ''}")
-
-
-def eight_job(mix: str, n_instrs: int, prefetcher: str = "none",
-              emc: bool = False, num_mcs: int = 1, seed: int = 1,
-              overrides: Optional[Mapping[str, Any]] = None,
-              trace: bool = False, label: str = "",
-              warmup_instrs: int = 0) -> RunJob:
-    """Eight-core mix, 1 or 2 memory controllers (Figure 14 shape)."""
-    return RunJob(workload=("eight", mix), n_instrs=n_instrs,
-                  topology="eight", prefetcher=prefetcher, emc=emc,
-                  num_mcs=num_mcs, seed=seed,
-                  overrides=_as_overrides(overrides), trace=trace,
-                  warmup_instrs=warmup_instrs,
-                  label=label or f"8c-{num_mcs}mc/{mix}/{prefetcher}"
-                  f"{'+emc' if emc else ''}")
-
-
-def named_job(names: Sequence[str], n_instrs: int, prefetcher: str = "none",
-              emc: bool = False, seed: int = 1,
-              overrides: Optional[Mapping[str, Any]] = None,
-              trace: bool = False, label: str = "",
-              warmup_instrs: int = 0) -> RunJob:
-    """Explicit benchmark list, one per core of a quad/eight topology."""
-    topology = {4: "quad", 8: "eight"}.get(len(names))
-    if topology is None:
-        raise ValueError(f"named workloads need 4 or 8 names, got "
-                         f"{len(names)}")
-    return RunJob(workload=("named",) + tuple(names), n_instrs=n_instrs,
-                  topology=topology, prefetcher=prefetcher, emc=emc,
-                  seed=seed, overrides=_as_overrides(overrides),
-                  trace=trace, warmup_instrs=warmup_instrs,
-                  label=label or "+".join(names))
-
-
-def solo_job(name: str, n_instrs: int, seed: int = 1,
-             label: str = "") -> RunJob:
-    """Single-core baseline run (weighted-speedup denominator)."""
-    return RunJob(workload=("named", name), n_instrs=n_instrs,
-                  topology="single", seed=seed,
-                  label=label or f"solo/{name}")
+        return (self.workload, self.n_instrs, self.num_mcs, self.seed,
+                self.warmup_instrs)
 
 
 # ---------------------------------------------------------------------------
@@ -208,22 +163,27 @@ def solo_job(name: str, n_instrs: int, seed: int = 1,
 # ---------------------------------------------------------------------------
 
 def build_job_config(job: RunJob) -> SystemConfig:
-    if job.topology == "quad":
-        cfg = quad_core_config(prefetcher=job.prefetcher, emc=job.emc,
-                               seed=job.seed)
-    elif job.topology == "eight":
+    """Build the validated :class:`SystemConfig` a job describes.
+
+    Raises :class:`ValueError` for a config no machine can build: a
+    second memory controller (``num_mcs``) exists only on the eight-core
+    machine, and a bad dotted override names no field.
+    """
+    machine = job.machine
+    if job.num_mcs != 1 and machine != "eight":
+        raise ValueError(
+            f"num_mcs={job.num_mcs} needs an eight-core workload; "
+            f"{job.workload!r} runs on the {machine} machine, which has "
+            "one memory controller")
+    if machine == "eight":
         cfg = eight_core_config(prefetcher=job.prefetcher, emc=job.emc,
                                 num_mcs=job.num_mcs, seed=job.seed)
-    elif job.topology == "single":
-        cfg = SystemConfig(num_cores=1, seed=job.seed)
-        cfg.prefetch.kind = job.prefetcher
-        cfg.emc.enabled = job.emc
-    else:
-        raise ValueError(f"unknown topology {job.topology!r}")
+    else:       # the single-core baseline is one core of the quad machine
+        cfg = quad_core_config(prefetcher=job.prefetcher, emc=job.emc,
+                               seed=job.seed)
+    cfg.num_cores = job.effective_cores()
     cfg.ring.topology = job.fabric
     cfg.emc.predictor.kind = job.predictor
-    if job.num_cores:
-        cfg.num_cores = job.num_cores
     apply_config_overrides(cfg, job.overrides)
     cfg.validate()
     return cfg
@@ -240,15 +200,10 @@ def build_job_workload(job: RunJob, num_cores: int = 0):
     """
     cores = num_cores or job.effective_cores()
     kind, args = job.workload[0], job.workload[1:]
-    if kind == "mix":
+    if kind in ("mix", "eight"):
         return build_scaled_mix(args[0], cores, job.n_instrs, seed=job.seed)
     if kind == "homog":
-        # The spec carries its own count; num_cores (explicit or on the
-        # job) overrides it the same way it overrides the machine shape.
-        return build_homogeneous(args[0], num_cores or job.num_cores
-                                 or args[1], job.n_instrs, seed=job.seed)
-    if kind == "eight":
-        return build_scaled_mix(args[0], cores, job.n_instrs, seed=job.seed)
+        return build_homogeneous(args[0], cores, job.n_instrs, seed=job.seed)
     if kind == "named":
         if job.num_cores and job.num_cores != len(args):
             raise ValueError(
@@ -261,17 +216,16 @@ def build_job_workload(job: RunJob, num_cores: int = 0):
 def warmup_base_config(job: RunJob) -> SystemConfig:
     """Canonical config under which a job's *shared* warmup executes.
 
-    One base per warmup identity: the job's machine shape on the neutral
+    One base per warmup identity: the job's machine on the neutral
     ring at its natural core count, EMC off, no prefetcher — ignoring the
     per-point knobs (``prefetcher``, ``emc``, ``fabric``, ``num_cores``,
     ``predictor``, dotted overrides).  Every sweep point sharing a
     :meth:`RunJob.warmup_key` warms this exact machine — or loads its
     cached checkpoint — and then forks into its own config.
     """
-    base = RunJob(workload=job.workload, n_instrs=job.n_instrs,
-                  topology=job.topology, prefetcher="none", emc=False,
-                  num_mcs=job.num_mcs, seed=job.seed)
-    return build_job_config(base)
+    return build_job_config(RunJob(workload=job.workload,
+                                   n_instrs=job.n_instrs,
+                                   num_mcs=job.num_mcs, seed=job.seed))
 
 
 def warmup_checkpoint_path(cache_dir: Optional[str],
@@ -310,25 +264,16 @@ def execute_job(job: RunJob, cache_dir: Optional[str] = None) -> RunResult:
     if checkpoint:
         os.makedirs(os.path.dirname(checkpoint), exist_ok=True)
     base_cfg = warmup_base_config(job) if job.warmup_instrs else None
-    base_workload = None
-    if base_cfg is not None and base_cfg.num_cores != cfg.num_cores:
-        # Build once at the larger count and slice: the smaller machine's
-        # workload is the larger build's prefix by construction.
-        if base_cfg.num_cores < cfg.num_cores:
-            workload = build_job_workload(job)
-            base_workload = workload[:base_cfg.num_cores]
-        else:
-            base_workload = build_job_workload(
-                job, num_cores=base_cfg.num_cores)
-            workload = base_workload[:cfg.num_cores]
-    else:
-        workload = build_job_workload(job)
-    return run_system(cfg, workload, label=job.label,
+    base_cores = base_cfg.num_cores if base_cfg is not None else 0
+    # Build once at the larger count and slice: the smaller machine's
+    # workload is the larger build's prefix by construction.
+    built = build_job_workload(job, max(cfg.num_cores, base_cores))
+    return run_system(cfg, built[:cfg.num_cores], label=job.label,
                       max_cycles=job.max_cycles, tracer=tracer,
                       warmup_instrs=job.warmup_instrs,
                       warmup_checkpoint=checkpoint,
                       warmup_base_cfg=base_cfg,
-                      warmup_base_workload=base_workload)
+                      warmup_base_workload=built[:base_cores] or None)
 
 
 def _on_alarm(_signum, _frame):

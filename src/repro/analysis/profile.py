@@ -26,13 +26,14 @@ note otherwise.  Use ``--out FILE.pstats`` to dump raw stats for
 from __future__ import annotations
 
 import cProfile
+import functools
 import io
 import pstats
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
-from .bench import (BENCH_MIX, BENCH_N_INSTRS, BENCH_PREFETCHER, BENCH_SEED,
-                    BENCH_WARMUP)
+from .bench import BENCH_JOB
+from .parallel import RunJob, build_job_config, build_job_workload
 
 #: phases the harness can profile in isolation
 PHASES = ("build", "sim", "all")
@@ -114,55 +115,37 @@ def _run_one(fn: Callable[[], object], phase: str, engine: str, sort: str,
                          out_path=out_path), value
 
 
-def profile_run(mix: str = BENCH_MIX,
-                n_instrs: int = BENCH_N_INSTRS,
-                warmup_instrs: int = BENCH_WARMUP,
-                prefetcher: str = BENCH_PREFETCHER,
-                emc: bool = True,
-                seed: int = BENCH_SEED,
+def profile_run(job: RunJob = BENCH_JOB,
                 phase: str = "all",
                 engine: str = "cprofile",
                 sort: str = "cumulative",
                 limit: int = 30,
                 out_path: Optional[str] = None) -> list:
-    """Profile the pinned quad-mix run; returns one report per phase.
+    """Profile one run (by default the pinned bench run, warmed under
+    its own config); returns one report per phase.
 
-    ``phase`` selects which phase(s) run *under the profiler*; both
-    always execute (the sim phase needs the build phase's output).
+    ``phase`` selects what runs *under the profiler*: ``build`` profiles
+    config + workload construction only, ``sim`` builds unprofiled and
+    profiles the simulation, ``all`` profiles both together.
     """
     if phase not in PHASES:
         raise ValueError(f"unknown phase {phase!r}; choose from {PHASES}")
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
     from ..sim.runner import run_system
-    from ..uarch.params import quad_core_config
-    from ..workloads.mixes import build_mix
 
     def build():
-        cfg = quad_core_config(prefetcher=prefetcher, emc=emc, seed=seed)
-        workload = build_mix(mix, n_instrs, seed=seed)
-        return cfg, workload
+        return build_job_config(job), build_job_workload(job)
 
-    reports = []
-    if phase == "all":
-        def whole():
-            cfg, workload = build()
-            return run_system(cfg, workload, warmup_instrs=warmup_instrs)
-        report, _ = _run_one(whole, "all", engine, sort, limit, out_path)
-        reports.append(report)
-        return reports
+    def sim(built=None):
+        cfg, workload = built if built is not None else build()
+        return run_system(cfg, workload, warmup_instrs=job.warmup_instrs)
 
     if phase == "build":
-        report, built = _run_one(build, "build", engine, sort, limit,
-                                 out_path)
-        reports.append(report)
+        fn = build
+    elif phase == "sim":
+        fn = functools.partial(sim, build())
     else:
-        built = build()
-    if phase == "sim":
-        cfg, workload = built
-
-        def sim():
-            return run_system(cfg, workload, warmup_instrs=warmup_instrs)
-        report, _ = _run_one(sim, "sim", engine, sort, limit, out_path)
-        reports.append(report)
-    return reports
+        fn = sim
+    report, _ = _run_one(fn, phase, engine, sort, limit, out_path)
+    return [report]

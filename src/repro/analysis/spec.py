@@ -33,7 +33,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from itertools import product
 from types import MappingProxyType
 from typing import (Any, Callable, Dict, Final, List, Mapping, Optional,
                     Sequence, Tuple)
@@ -46,6 +45,7 @@ from ..workloads.spec import PROFILES
 from .figures import bar_chart
 from .parallel import RunJob
 from .report import format_markdown_table, format_table
+from .sweep import grid_overrides
 
 __all__ = ["ExperimentSpec", "FigureSpec", "SpecError", "TableSpec",
            "DOCUMENTED_KEYS", "METRICS", "RESERVED_AXES", "load_spec",
@@ -234,17 +234,10 @@ class ExperimentSpec:
 
     def points(self) -> List[Dict[str, Any]]:
         """Filtered matrix points (no seeds), in deterministic order."""
-        names = self.axis_names
-        out = []
-        for values in product(*(vals for _n, vals in self.axes)):
-            point = dict(zip(names, values))
-            if self.include and not any(_matches(point, entry)
-                                        for entry in self.include):
-                continue
-            if any(_matches(point, entry) for entry in self.exclude):
-                continue
-            out.append(point)
-        return out
+        return [point for point in grid_overrides(dict(self.axes))
+                if (not self.include
+                    or any(_matches(point, e) for e in self.include))
+                and not any(_matches(point, e) for e in self.exclude)]
 
     def jobs(self) -> List[RunJob]:
         """Expand to one :class:`RunJob` per (filtered point, seed).
@@ -269,14 +262,12 @@ class ExperimentSpec:
         return out
 
     def _job(self, point: Mapping[str, Any], seed: int) -> RunJob:
-        workload, topology = _parse_workload(point["workload"],
-                                             self.path, None)
+        workload = _parse_workload(point["workload"], self.path, None)
         prefetcher = point.get("prefetcher", "none")
         emc = bool(point.get("emc", False))
         num_mcs = int(point.get("num_mcs", 1))
         # The spec's "topology" axis is the interconnect fabric
-        # (ring|mesh); RunJob.topology is the machine shape derived from
-        # the workload, so the axis lands on RunJob.fabric.
+        # (ring|mesh); the machine shape is fixed by the workload.
         fabric = point.get("topology", "ring")
         num_cores = int(point.get("num_cores", 0))
         predictor = point.get("predictor", "map-i")
@@ -289,8 +280,8 @@ class ExperimentSpec:
                  + (f"[{knobs}]" if knobs else "")
                  + (f"#s{seed}" if len(self.seeds) > 1 else ""))
         return RunJob(workload=workload, n_instrs=self.n_instrs,
-                      topology=topology, prefetcher=prefetcher, emc=emc,
-                      num_mcs=num_mcs, seed=seed, overrides=overrides,
+                      prefetcher=prefetcher, emc=emc, num_mcs=num_mcs,
+                      seed=seed, overrides=overrides,
                       max_cycles=self.max_cycles, trace=self.trace,
                       label=label, warmup_instrs=self.warmup,
                       fabric=fabric, num_cores=num_cores,
@@ -332,9 +323,9 @@ def _expect(value: Any, kind: type, what: str, filename: str,
 
 def _parse_workload(text: Any, filename: str,
                     err: Optional[Callable[[str], SpecError]]
-                    ) -> Tuple[Tuple[Any, ...], str]:
+                    ) -> Tuple[Any, ...]:
     """``H4`` | ``mix:H4`` | ``eight:H3`` | ``homog:mcf[:8]`` |
-    ``named:a+b+c+d`` -> (RunJob workload tuple, topology)."""
+    ``named:a+b+c+d`` -> RunJob workload tuple."""
     def fail(message: str) -> SpecError:
         if err is not None:
             return err(message)
@@ -349,12 +340,12 @@ def _parse_workload(text: Any, filename: str,
         if arg not in MIX_NAMES:
             raise fail(f"unknown mix {arg!r}; known: "
                        f"{', '.join(MIX_NAMES)}")
-        return ("mix", arg), "quad"
+        return ("mix", arg)
     if kind == "eight":
         if arg not in MIX_NAMES:
             raise fail(f"unknown mix {arg!r}; known: "
                        f"{', '.join(MIX_NAMES)}")
-        return ("eight", arg), "eight"
+        return ("eight", arg)
     if kind == "homog":
         name, _sep2, cores_text = arg.partition(":")
         cores = 4
@@ -365,8 +356,7 @@ def _parse_workload(text: Any, filename: str,
             cores = int(cores_text)
         if name not in PROFILES:
             raise fail(f"unknown benchmark {name!r}")
-        return (("homog", name, cores),
-                "quad" if cores == 4 else "eight")
+        return ("homog", name, cores)
     if kind == "named":
         names = tuple(arg.split("+"))
         if len(names) not in (4, 8):
@@ -375,8 +365,7 @@ def _parse_workload(text: Any, filename: str,
         unknown = [n for n in names if n not in PROFILES]
         if unknown:
             raise fail(f"unknown benchmark(s) {', '.join(unknown)}")
-        return (("named",) + names,
-                "quad" if len(names) == 4 else "eight")
+        return ("named",) + names
     raise fail(f"unknown workload kind {kind!r}; use mix:, eight:, "
                "homog:, or named:")
 
@@ -682,10 +671,24 @@ def parse_spec(text: str, filename: str = "<spec>") -> ExperimentSpec:
         include=include, exclude=exclude, seeds=seeds,
         n_instrs=n_instrs, warmup=warmup, max_cycles=max_cycles,
         trace=trace, tables=tables, figures=figures, path=filename)
-    if not spec.points():
+    points = spec.points()
+    if not points:
         raise _err(filename, lines, ("include",) if include else
                    ("exclude",),
                    "include/exclude filters leave no matrix points")
+    for point in points:
+        num_mcs = point.get("num_mcs", 1)
+        if num_mcs == 1:
+            continue
+        machine = RunJob(_parse_workload(point["workload"], filename, None),
+                         n_instrs).machine
+        if machine != "eight":
+            raise _err(filename, lines,
+                       ("matrix", "num_mcs",
+                        axis_map["num_mcs"].index(num_mcs)),
+                       f"num_mcs={num_mcs} needs an eight-core workload; "
+                       f"{point['workload']} runs on the {machine} "
+                       "machine, which has one memory controller")
     spec.jobs()                # surface duplicate-point errors at load
     return spec
 

@@ -1,38 +1,34 @@
 """Parameter-sweep utility: run a grid of configuration variants over one
 workload and collect the metrics of interest.
 
-Used by the design-space example, the CLI's ``sweep`` subcommand, and the
-ablation benches.  Sweepable fields address nested config dataclasses with
-dotted paths (``emc.num_contexts``, ``dram.channels``, ``llc.latency``).
+Used by the CLI's ``sweep`` subcommand; :func:`grid_overrides` is also
+the one grid expander behind the farm's spec matrices.  Sweepable fields
+address nested config dataclasses with dotted paths
+(``emc.num_contexts``, ``dram.channels``, ``llc.latency``).
 
-Grid points are independent simulations, so spec-based sweeps
-(:func:`sweep_jobs`, :func:`sweep_mix`) route through the parallel
-experiment executor (:mod:`repro.analysis.parallel`) and accept ``jobs``,
-``cache_dir``, and ``progress`` arguments.  With ``warmup_instrs`` set,
+Grid points are independent simulations, so :func:`sweep_jobs` routes
+them through the parallel experiment executor
+(:mod:`repro.analysis.parallel`) and accepts ``jobs``, ``cache_dir``,
+and ``progress`` arguments.  With the base job's ``warmup_instrs`` set,
 the whole grid shares one warmup: every point forks the same warmed base
 machine (prefetcher off, EMC off, no overrides) under its own config —
 see ``System.fork`` — so an N-point sweep with a ``cache_dir`` warms up
 exactly once, and each point's :attr:`RunResult.fork_carryover` records
-how much warmed state survived its config change.  :func:`run_sweep`
-keeps the callable-factory API for workloads that exist only in-process
-and therefore runs serially.
+how much warmed state survived its config change.
 """
 
 from __future__ import annotations
 
-import copy
 import itertools
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
-from ..sim.runner import RunResult, run_system
-from ..uarch.params import (SystemConfig, get_config_field,
-                            quad_core_config, set_config_field)
-from ..workloads.mixes import Workload
-from .parallel import RunJob, mix_job, run_jobs
+from ..sim.runner import RunResult
+from ..uarch.params import get_config_field, set_config_field
+from .parallel import RunJob, run_jobs
 
 __all__ = ["SweepPoint", "SweepResult", "get_config_field",
-           "run_sweep", "set_config_field", "sweep_jobs", "sweep_mix"]
+           "grid_overrides", "set_config_field", "sweep_jobs"]
 
 
 @dataclass
@@ -51,7 +47,8 @@ class SweepPoint:
 class SweepResult:
     points: List[SweepPoint] = field(default_factory=list)
 
-    def best(self, key: Callable[[SweepPoint], float] = None) -> SweepPoint:
+    def best(self, key: Optional[Callable[[SweepPoint], float]] = None
+             ) -> SweepPoint:
         key = key or (lambda p: p.performance)
         return max(self.points, key=key)
 
@@ -72,31 +69,6 @@ def grid_overrides(grid: Mapping[str, Sequence[Any]]) -> List[Dict[str, Any]]:
     names = list(grid)
     return [dict(zip(names, values))
             for values in itertools.product(*(grid[n] for n in names))]
-
-
-def run_sweep(grid: Mapping[str, Sequence[Any]],
-              workload_factory: Callable[[], Workload],
-              base_config_factory: Callable[[], SystemConfig] = None,
-              max_cycles: int = 50_000_000) -> SweepResult:
-    """Run the full cross product of ``grid`` values, serially.
-
-    ``workload_factory`` is called per point (each run needs fresh memory
-    images).  ``base_config_factory`` defaults to the Table 1 quad-core
-    with the EMC enabled.  The factories may close over arbitrary state,
-    which is why this path stays in-process; use :func:`sweep_jobs` /
-    :func:`sweep_mix` for multi-process execution.
-    """
-    base_config_factory = base_config_factory or (
-        lambda: quad_core_config(emc=True))
-    out = SweepResult()
-    for overrides in grid_overrides(grid):
-        cfg = copy.deepcopy(base_config_factory())
-        for path, value in overrides.items():
-            set_config_field(cfg, path, value)
-        cfg.validate()
-        result = run_system(cfg, workload_factory(), max_cycles=max_cycles)
-        out.points.append(SweepPoint(overrides=overrides, result=result))
-    return out
 
 
 def sweep_jobs(grid: Mapping[str, Sequence[Any]], base_job: RunJob,
@@ -123,26 +95,3 @@ def sweep_jobs(grid: Mapping[str, Sequence[Any]], base_job: RunJob,
     return SweepResult(points=[
         SweepPoint(overrides=o, result=r)
         for o, r in zip(all_overrides, results)])
-
-
-def sweep_mix(grid: Mapping[str, Sequence[Any]], mix: str, n_instrs: int,
-              seed: int = 1, emc: bool = True, prefetcher: str = "none",
-              jobs: int = 1, cache_dir: Optional[str] = None,
-              timeout: Optional[float] = None, progress=None,
-              warmup_instrs: int = 0, fabric: str = "ring",
-              num_cores: int = 0,
-              predictor: str = "map-i") -> SweepResult:
-    """Convenience wrapper: sweep over one Table 3 mix, optionally in
-    parallel (``jobs`` worker processes, on-disk ``cache_dir``).
-
-    ``warmup_instrs`` gives every point a warmup window; all points
-    share one warmed base machine (see the module docstring).  ``fabric``
-    selects the interconnect topology, ``num_cores`` overrides the
-    core count (0 keeps the mix's natural four; the mix tiles cyclically
-    onto more cores), and ``predictor`` picks the EMC bypass predictor.
-    """
-    base = replace(mix_job(mix, n_instrs, prefetcher=prefetcher, emc=emc,
-                           seed=seed, warmup_instrs=warmup_instrs),
-                   fabric=fabric, num_cores=num_cores, predictor=predictor)
-    return sweep_jobs(grid, base, jobs=jobs, cache_dir=cache_dir,
-                      timeout=timeout, progress=progress)

@@ -16,17 +16,17 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from types import MappingProxyType
 from typing import Final, List, Mapping, Optional
 
-from .analysis.parallel import ParallelRunError
+from .analysis.parallel import (ParallelRunError, RunJob, build_job_config,
+                                build_job_workload, run_jobs)
 from .analysis.report import format_fabric_summary, format_table
-from .sim.runner import (PREFETCHER_CONFIGS, RunResult, run_system)
+from .sim.runner import PREFETCHER_CONFIGS, RunResult, run_system
 from .trace import Tracer
-from .uarch.params import (PREDICTORS, TOPOLOGIES, eight_core_config,
-                           quad_core_config)
-from .workloads.mixes import (MIX_NAMES, MIXES, build_homogeneous,
-                              build_named, build_scaled_mix)
+from .uarch.params import PREDICTORS, TOPOLOGIES
+from .workloads.mixes import MIX_NAMES, MIXES
 from .workloads.spec import HIGH_INTENSITY, LOW_INTENSITY, PROFILES
 
 
@@ -72,96 +72,84 @@ def _print_result(result: RunResult, verbose: bool = False) -> None:
                 print(f"  {lo:>6d}-{hi:<6d} {n:>6d} {bar}")
 
 
-def _build_config(args) -> object:
-    if getattr(args, "eight_core", False):
-        cfg = eight_core_config(prefetcher=args.prefetcher, emc=args.emc,
-                                num_mcs=getattr(args, "num_mcs", 1),
-                                seed=args.seed)
-    else:
-        cfg = quad_core_config(prefetcher=args.prefetcher, emc=args.emc,
-                               seed=args.seed)
-    cfg.ring.topology = getattr(args, "topology", "ring")
-    cfg.emc.predictor.kind = getattr(args, "predictor", "map-i")
-    if getattr(args, "num_cores", 0):
-        cfg.num_cores = args.num_cores
-        cfg.validate()
-    return cfg
+def _job(args, workload) -> RunJob:
+    """The run a command line describes, on ``workload``."""
+    return RunJob(workload=workload, n_instrs=args.n_instrs,
+                  prefetcher=args.prefetcher, emc=args.emc,
+                  num_mcs=getattr(args, "num_mcs", 1), seed=args.seed,
+                  warmup_instrs=args.warmup, fabric=args.topology,
+                  num_cores=args.num_cores, predictor=args.predictor)
 
 
-def _build_workload(args, cfg):
-    """Resolve --mix/--benchmarks into a workload, or (None, error_rc)."""
+def _workload(args):
+    """--mix/--benchmarks as a RunJob workload tuple, or None after
+    printing why there is none."""
     if args.mix:
-        return (build_scaled_mix(args.mix, cfg.num_cores, args.n_instrs,
-                                 seed=args.seed), args.mix)
+        return ("eight" if args.eight_core else "mix", args.mix)
     if args.benchmarks:
-        if len(args.benchmarks) != cfg.num_cores:
-            print(f"error: need {cfg.num_cores} benchmark names, got "
+        cores = args.num_cores or (8 if args.eight_core else 4)
+        if len(args.benchmarks) != cores:
+            print(f"error: need {cores} benchmark names, got "
                   f"{len(args.benchmarks)}", file=sys.stderr)
-            return None, None
-        return (build_named(args.benchmarks, args.n_instrs, seed=args.seed),
-                "+".join(args.benchmarks))
+            return None
+        return ("named",) + tuple(args.benchmarks)
     print("error: give --mix or --benchmarks", file=sys.stderr)
-    return None, None
+    return None
+
+
+def _run_direct(job: RunJob, tracer: Optional[Tracer]) -> RunResult:
+    """Run a job, warming under its own config rather than forking from
+    a shared neutral warmup: a single run has no sweep to share with."""
+    return run_system(build_job_config(job), build_job_workload(job),
+                      tracer=tracer, warmup_instrs=job.warmup_instrs)
 
 
 def cmd_run(args) -> int:
+    workload = _workload(args)
+    if workload is None:
+        return 2
+    job = _job(args, workload)
     if getattr(args, "sanitize", False):
         from .lint.sanitize import sanitize_runs, snapshot_run
 
-        def run_once():
-            cfg = _build_config(args)
-            workload, _label = _build_workload(args, cfg)
-            if workload is None:
-                raise ValueError("give --mix or --benchmarks")
-            tracer = Tracer() if args.trace else None
-            return snapshot_run(run_system(cfg, workload, tracer=tracer,
-                                           warmup_instrs=args.warmup))
-
         label = (args.mix or "run") + (
             f" warmup={args.warmup}" if args.warmup else "")
-        report = sanitize_runs(run_once, label=label)
+        report = sanitize_runs(
+            lambda: snapshot_run(_run_direct(
+                job, Tracer() if args.trace else None)),
+            label=label)
         print(report.format())
         return 0 if report.deterministic else 1
-    cfg = _build_config(args)
-    workload, label = _build_workload(args, cfg)
-    if workload is None:
-        return 2
+    label = args.mix or "+".join(args.benchmarks)
     print(f"running {label} / prefetcher={args.prefetcher} "
           f"emc={'on' if args.emc else 'off'} "
           f"({args.n_instrs} instrs/core"
           + (f", warmup {args.warmup}" if args.warmup else "") + ")")
-    tracer = Tracer() if args.trace else None
-    result = run_system(cfg, workload, tracer=tracer,
-                        warmup_instrs=args.warmup)
+    result = _run_direct(job, Tracer() if args.trace else None)
     _print_result(result, verbose=args.verbose)
     return 0
 
 
 def cmd_homog(args) -> int:
-    cfg = _build_config(args)
-    workload = build_homogeneous(args.benchmark, cfg.num_cores,
-                                 args.n_instrs, seed=args.seed)
-    print(f"running {cfg.num_cores}x {args.benchmark} / "
+    job = _job(args, ("homog", args.benchmark, 8 if args.eight_core else 4))
+    print(f"running {job.effective_cores()}x {args.benchmark} / "
           f"prefetcher={args.prefetcher} emc={'on' if args.emc else 'off'}")
-    tracer = Tracer() if args.trace else None
-    result = run_system(cfg, workload, tracer=tracer,
-                        warmup_instrs=args.warmup)
+    result = _run_direct(job, Tracer() if args.trace else None)
     _print_result(result, verbose=args.verbose)
     return 0
 
 
 def cmd_trace(args) -> int:
     """Run one workload with tracing on; report + optionally export."""
-    cfg = _build_config(args)
-    workload, label = _build_workload(args, cfg)
+    workload = _workload(args)
     if workload is None:
         return 2
     tracer = Tracer(limit=args.limit)
-    print(f"tracing {label} / prefetcher={args.prefetcher} "
+    print(f"tracing {args.mix or '+'.join(args.benchmarks)} / "
+          f"prefetcher={args.prefetcher} "
           f"emc={'on' if args.emc else 'off'} "
           f"({args.n_instrs} instrs/core)")
-    result = run_system(cfg, workload, tracer=tracer,
-                        warmup_instrs=args.warmup)
+    result = _run_direct(_job(args, workload), tracer)
     att = result.latency_attribution
     print(f"traced {len(tracer.finished())} requests over "
           f"{result.stats.total_cycles} cycles")
@@ -175,12 +163,12 @@ def cmd_trace(args) -> int:
 
 def cmd_compare(args) -> int:
     """All prefetchers x EMC on one workload, normalized."""
-    from .analysis.parallel import mix_job, run_jobs
     combos = [(prefetcher, emc) for prefetcher in args.prefetchers
               for emc in (False, True)]
+    base = _job(args, ("mix", args.mix))
     results = run_jobs(
-        [mix_job(args.mix, args.n_instrs, prefetcher=prefetcher, emc=emc,
-                 seed=args.seed, warmup_instrs=args.warmup)
+        [replace(base, prefetcher=prefetcher, emc=emc,
+                 label=f"{args.mix}/{prefetcher}{'+emc' if emc else ''}")
          for prefetcher, emc in combos],
         jobs=args.jobs, cache_dir=args.cache_dir,
         progress=True if args.jobs > 1 else None)
@@ -217,7 +205,7 @@ def _parse_value(text: str):
 
 
 def cmd_sweep(args) -> int:
-    from .analysis.sweep import sweep_mix
+    from .analysis.sweep import sweep_jobs
     grid = {}
     for spec in args.grid:
         if "=" not in spec:
@@ -228,15 +216,11 @@ def cmd_sweep(args) -> int:
         grid[path] = [_parse_value(v) for v in values.split(",")]
     print(f"sweeping {args.mix} over {grid}"
           + (f" with {args.jobs} workers" if args.jobs > 1 else ""))
-    result = sweep_mix(grid, mix=args.mix, n_instrs=args.n_instrs,
-                       seed=args.seed, emc=args.emc,
-                       prefetcher=args.prefetcher,
-                       jobs=args.jobs, cache_dir=args.cache_dir,
-                       progress=True if args.jobs > 1 else None,
-                       warmup_instrs=args.warmup,
-                       fabric=getattr(args, "topology", "ring"),
-                       num_cores=getattr(args, "num_cores", 0),
-                       predictor=getattr(args, "predictor", "map-i"))
+    base = replace(_job(args, ("mix", args.mix)),
+                   label=f"{args.mix}/{args.prefetcher}"
+                   f"{'+emc' if args.emc else ''}")
+    result = sweep_jobs(grid, base, jobs=args.jobs, cache_dir=args.cache_dir,
+                        progress=True if args.jobs > 1 else None)
     headers = list(grid) + ["perf", "emc_frac"]
     rows = [tuple(p.overrides[k] for k in grid)
             + (p.performance, p.result.stats.emc_miss_fraction())
@@ -337,15 +321,16 @@ def cmd_bench(args) -> int:
 
 def cmd_profile(args) -> int:
     """Profile the pinned bench run on the host (cProfile/pyinstrument)."""
+    from .analysis.bench import BENCH_JOB
     from .analysis.profile import profile_run
-    overrides = {}
+    job = BENCH_JOB
     if args.n_instrs is not None:
-        overrides["n_instrs"] = args.n_instrs
+        job = replace(job, n_instrs=args.n_instrs)
     if args.warmup is not None:
-        overrides["warmup_instrs"] = args.warmup
-    reports = profile_run(phase=args.phase, engine=args.engine,
+        job = replace(job, warmup_instrs=args.warmup)
+    reports = profile_run(job, phase=args.phase, engine=args.engine,
                           sort=args.sort, limit=args.limit,
-                          out_path=args.out, **overrides)
+                          out_path=args.out)
     for report in reports:
         print(report.format())
     return 0
@@ -588,7 +573,8 @@ def build_parser() -> argparse.ArgumentParser:
                            cmd_lint, cmd_sanitize)
     p_lint = sub.add_parser(
         "lint", help="simlint: check simulator invariants "
-                     "(SIM001-SIM009) with the AST-based static analyzer")
+                     "(SIM001-SIM013, SIM099) with the AST-based static "
+                     "analyzer")
     add_lint_arguments(p_lint)
     p_lint.add_argument("-v", "--verbose", action="store_true",
                         help="also print suppressed/baselined findings")

@@ -159,18 +159,18 @@ def sanitize_quad_mix(mix: str, n_instrs: int, prefetcher: str = "none",
     ``warmup_instrs`` runs each repetition as a warmup+measure pair, so
     the boundary machinery itself is under the determinism gate.
     """
-    from ..sim.runner import (apply_config_overrides, run_system)
+    from ..analysis.parallel import (RunJob, build_job_config,
+                                     build_job_workload)
+    from ..sim.runner import run_system
     from ..trace import Tracer
-    from ..uarch.params import quad_core_config
-    from ..workloads.mixes import build_mix
+
+    job = RunJob(workload=("mix", mix), n_instrs=n_instrs,
+                 prefetcher=prefetcher, emc=emc, seed=seed,
+                 overrides=tuple(sorted(cfg_overrides.items())))
 
     def run_once() -> Dict[str, Any]:
-        cfg = quad_core_config(prefetcher=prefetcher, emc=emc, seed=seed)
-        apply_config_overrides(cfg, cfg_overrides)
-        cfg.validate()
-        workload = build_mix(mix, n_instrs, seed=seed)
-        tracer = Tracer() if trace else None
-        result = run_system(cfg, workload, tracer=tracer,
+        result = run_system(build_job_config(job), build_job_workload(job),
+                            tracer=Tracer() if trace else None,
                             warmup_instrs=warmup_instrs)
         return snapshot_run(result)
 
@@ -297,13 +297,13 @@ def sanitize_parallel_runner(mix: str, n_instrs: int,
     means the worker path leaks state the serial path does not (or vice
     versa).
     """
-    from ..analysis.parallel import mix_job, run_jobs
+    from ..analysis.parallel import RunJob, run_jobs
 
     def build_jobs():
-        return [mix_job(mix, n_instrs, prefetcher=prefetcher, emc=emc,
-                        seed=seed, warmup_instrs=warmup_instrs),
-                mix_job(mix, n_instrs, prefetcher=prefetcher, emc=not emc,
-                        seed=seed, warmup_instrs=warmup_instrs)]
+        return [RunJob(workload=("mix", mix), n_instrs=n_instrs,
+                       prefetcher=prefetcher, emc=on, seed=seed,
+                       warmup_instrs=warmup_instrs)
+                for on in (emc, not emc)]
 
     serial = run_jobs(build_jobs(), jobs=1)
     parallel = run_jobs(build_jobs(), jobs=jobs)
@@ -337,17 +337,17 @@ def sanitize_checkpoint_roundtrip(mix: str, n_instrs: int,
     import os
     import tempfile
 
+    from ..analysis.parallel import (RunJob, build_job_config,
+                                     build_job_workload)
     from ..sim.runner import run_system
     from ..trace import Tracer
-    from ..uarch.params import quad_core_config
-    from ..workloads.mixes import build_mix
+
+    job = RunJob(workload=("mix", mix), n_instrs=n_instrs,
+                 prefetcher=prefetcher, emc=emc, seed=seed)
 
     def run_once(checkpoint: str) -> Dict[str, Any]:
-        cfg = quad_core_config(prefetcher=prefetcher, emc=emc, seed=seed)
-        cfg.validate()
-        workload = build_mix(mix, n_instrs, seed=seed)
-        tracer = Tracer() if trace else None
-        result = run_system(cfg, workload, tracer=tracer,
+        result = run_system(build_job_config(job), build_job_workload(job),
+                            tracer=Tracer() if trace else None,
                             warmup_instrs=warmup_instrs,
                             warmup_checkpoint=checkpoint)
         return snapshot_run(result)
@@ -394,15 +394,17 @@ def sanitize_fork_identity(mix: str = "H1", n_instrs: int = 4000,
       and viability, not equality with a from-scratch warmup; the
       per-component carryover table lands in the report's ``notes``.
     """
+    from dataclasses import replace
+
+    from ..analysis.parallel import (RunJob, build_job_config,
+                                     build_job_workload)
     from ..sim.runner import run_system
     from ..sim.system import System
-    from ..uarch.params import quad_core_config, set_config_field
-    from ..workloads.mixes import build_mix
+
+    job = RunJob(workload=("mix", mix), n_instrs=n_instrs, seed=seed)
 
     def warmed_parent() -> System:
-        cfg = quad_core_config(prefetcher="none", emc=False, seed=seed)
-        workload = build_mix(mix, n_instrs, seed=seed)
-        system = System(cfg, workload)
+        system = System(build_job_config(job), build_job_workload(job))
         system.warmup(warmup_instrs)
         return system
 
@@ -429,10 +431,9 @@ def sanitize_fork_identity(mix: str = "H1", n_instrs: int = 4000,
     forked, _ = warmed_parent().fork(inert)
     forked.run()
     first = snapshot_run_stats(forked)
-    cfg = quad_core_config(prefetcher="none", emc=False, seed=seed)
-    for key, value in inert.items():
-        set_config_field(cfg, key, value)
-    scratch = run_system(cfg, build_mix(mix, n_instrs, seed=seed),
+    inert_job = replace(job, overrides=tuple(sorted(inert.items())))
+    scratch = run_system(build_job_config(inert_job),
+                         build_job_workload(inert_job),
                          warmup_instrs=warmup_instrs)
     second = snapshot_run(scratch)
     for div in diff_trees(first, second):

@@ -1,20 +1,19 @@
-"""High-level run helpers: build a system for a config + workload, run it,
-and package the results benches and examples consume."""
+"""Run one built (config, workload) pair and package the results benches
+and examples consume.  Describing a run by value — machine, workload,
+seed, overrides — is :class:`repro.analysis.parallel.RunJob`'s job."""
 
 from __future__ import annotations
 
 import copy
 import os
 from dataclasses import dataclass, field
-from typing import Final, List, Optional, Sequence, Tuple
+from typing import Final, List, Optional, Tuple
 
 from ..energy.model import EnergyBreakdown, compute_energy
 from ..interconnect import FabricStats
 from ..trace import LatencyAttribution, Tracer, trace_enabled_from_env
-from ..uarch.params import (SystemConfig, eight_core_config,
-                            quad_core_config, set_config_field)
-from ..workloads.mixes import (Workload, build_eight_core_mix,
-                               build_homogeneous, build_mix, build_named)
+from ..uarch.params import SystemConfig, set_config_field
+from ..workloads.mixes import Workload
 from .stats import SimStats
 from .system import System
 
@@ -185,69 +184,6 @@ def apply_config_overrides(cfg: SystemConfig, overrides) -> SystemConfig:
             raise ValueError(f"unknown config override {key!r}: {exc}"
                              ) from None
     return cfg
-
-
-def run_quad_mix(mix: str, n_instrs: int, prefetcher: str = "none",
-                 emc: bool = False, seed: int = 1,
-                 warmup_instrs: int = 0,
-                 **cfg_overrides) -> RunResult:
-    """One quad-core Table 3 mix under one configuration.
-
-    ``cfg_overrides`` address :class:`SystemConfig` fields, including
-    nested ones via dotted keys (``**{"emc.num_contexts": 4}``); unknown
-    keys raise :class:`ValueError`.
-    """
-    cfg = quad_core_config(prefetcher=prefetcher, emc=emc, seed=seed)
-    apply_config_overrides(cfg, cfg_overrides)
-    cfg.validate()
-    workload = build_mix(mix, n_instrs, seed=seed)
-    return run_system(cfg, workload,
-                      label=f"{mix}/{prefetcher}{'+emc' if emc else ''}",
-                      warmup_instrs=warmup_instrs)
-
-
-def run_quad_named(names: Sequence[str], n_instrs: int,
-                   prefetcher: str = "none", emc: bool = False,
-                   seed: int = 1, warmup_instrs: int = 0,
-                   **cfg_overrides) -> RunResult:
-    """One quad-core run over an explicit benchmark list (ad-hoc mixes).
-
-    Accepts the same ``cfg_overrides`` as :func:`run_quad_mix` and labels
-    the result after the benchmark list.
-    """
-    cfg = quad_core_config(prefetcher=prefetcher, emc=emc, seed=seed)
-    apply_config_overrides(cfg, cfg_overrides)
-    cfg.validate()
-    workload = build_named(names, n_instrs, seed=seed)
-    return run_system(
-        cfg, workload,
-        label=f"{'+'.join(names)}/{prefetcher}{'+emc' if emc else ''}",
-        warmup_instrs=warmup_instrs)
-
-
-def run_homogeneous(name: str, n_instrs: int, prefetcher: str = "none",
-                    emc: bool = False, num_cores: int = 4,
-                    seed: int = 1, warmup_instrs: int = 0) -> RunResult:
-    """Figure 13-style homogeneous workload (N copies of one benchmark)."""
-    if num_cores == 4:
-        cfg = quad_core_config(prefetcher=prefetcher, emc=emc, seed=seed)
-    else:
-        cfg = eight_core_config(prefetcher=prefetcher, emc=emc, seed=seed)
-    workload = build_homogeneous(name, num_cores, n_instrs, seed=seed)
-    return run_system(cfg, workload, label=f"{num_cores}x{name}",
-                      warmup_instrs=warmup_instrs)
-
-
-def run_eight_mix(mix: str, n_instrs: int, prefetcher: str = "none",
-                  emc: bool = False, num_mcs: int = 1,
-                  seed: int = 1, warmup_instrs: int = 0) -> RunResult:
-    """Figure 14-style eight-core run (1 or 2 memory controllers)."""
-    cfg = eight_core_config(prefetcher=prefetcher, emc=emc,
-                            num_mcs=num_mcs, seed=seed)
-    workload = build_eight_core_mix(mix, n_instrs, seed=seed)
-    return run_system(cfg, workload,
-                      label=f"8c-{num_mcs}mc/{mix}/{prefetcher}",
-                      warmup_instrs=warmup_instrs)
 
 
 def speedup(result: RunResult, baseline: RunResult) -> float:

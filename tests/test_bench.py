@@ -18,6 +18,18 @@ def test_default_repeats_is_positive():
     assert BENCH_REPEATS >= 1
 
 
+@pytest.mark.parametrize("phase", ["build", "sim", "all"])
+def test_profile_run_profiles_one_phase_of_a_job(phase):
+    from dataclasses import replace
+
+    from repro.analysis.bench import BENCH_JOB
+    from repro.analysis.profile import profile_run
+    job = replace(BENCH_JOB, n_instrs=300, warmup_instrs=50)
+    reports = profile_run(job, phase=phase, limit=5)
+    assert [r.phase for r in reports] == [phase]
+    assert "function calls" in reports[0].text
+
+
 def _result(instrs_per_s: float):
     from repro.analysis.bench import BenchResult
     return BenchResult(rev="cur", wall_s=1.0, cycles_per_s=instrs_per_s * 2,

@@ -39,6 +39,20 @@ def test_run_wrong_benchmark_count_fails(capsys):
     assert "need 4" in capsys.readouterr().err
 
 
+def test_run_benchmarks_count_follows_eight_core(capsys):
+    rc = main(["run", "--benchmarks", "mcf", "lbm", "milc", "bwaves",
+               "--eight-core", "-n", "500"])
+    assert rc == 2
+    assert "need 8" in capsys.readouterr().err
+
+
+def test_run_second_memory_controller_needs_eight_core(capsys):
+    rc = main(["run", "--mix", "H4", "--num-mcs", "2", "-n", "300"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "num_mcs=2" in err
+
+
 def test_run_without_workload_fails(capsys):
     rc = main(["run", "-n", "500"])
     assert rc == 2

@@ -4,6 +4,7 @@ tiny scale: data shapes, caching behavior, and row semantics."""
 import pytest
 
 from repro.analysis import experiments as exp
+from repro.analysis.parallel import RunJob
 
 
 @pytest.fixture(autouse=True)
@@ -16,12 +17,22 @@ def fresh_cache():
 N = 700   # per-core instructions: tiny but structurally complete
 
 
-def test_mix_run_is_memoized():
-    a = exp.mix_run("H4", "none", False, N)
-    b = exp.mix_run("H4", "none", False, N)
+def h4(emc=False, label=""):
+    return RunJob(workload=("mix", "H4"), n_instrs=N, emc=emc, label=label)
+
+
+def test_run_is_memoized():
+    a = exp.run(h4())
+    b = exp.run(h4(label="relabelled"))     # the label is not identity
     assert a is b
-    c = exp.mix_run("H4", "none", True, N)
+    c = exp.run(h4(emc=True))
     assert c is not a
+
+
+def test_run_all_keeps_order_and_shares_the_memo():
+    first, second, again = exp.run_all([h4(), h4(emc=True), h4()])
+    assert first is again is exp.run(h4())
+    assert second is exp.run(h4(emc=True))
 
 
 def test_scaled_respects_env(monkeypatch):

@@ -15,7 +15,7 @@ import dataclasses
 
 import pytest
 
-from repro.analysis.parallel import mix_job, run_jobs
+from repro.analysis.parallel import RunJob, run_jobs
 from repro.lint.sanitize import flatten_state
 from repro.sim.component import SnapshotError
 from repro.sim.system import KIND_WORKLOAD, System
@@ -136,13 +136,14 @@ SWEEP_POINTS = [
     dict(prefetcher="none", emc=True),
     dict(prefetcher="stream", emc=False),
     dict(prefetcher="stream", emc=True),
-    dict(prefetcher="none", emc=True, overrides={"emc.num_contexts": 4}),
-    dict(prefetcher="none", emc=False, overrides={"dram.t_cas": 20}),
+    dict(prefetcher="none", emc=True, overrides=(("emc.num_contexts", 4),)),
+    dict(prefetcher="none", emc=False, overrides=(("dram.t_cas", 20),)),
 ]
 
 
 def sweep_jobs():
-    return [mix_job("H4", N, seed=1, warmup_instrs=100, **point)
+    return [RunJob(workload=("mix", "H4"), n_instrs=N, seed=1,
+                   warmup_instrs=100, **point)
             for point in SWEEP_POINTS]
 
 

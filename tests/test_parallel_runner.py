@@ -9,13 +9,17 @@ import time
 import pytest
 
 from repro.analysis import parallel
-from repro.analysis.parallel import (ParallelRunError, eight_job,
-                                     execute_job, job_hash, mix_job,
-                                     named_job, run_jobs, solo_job)
-from repro.analysis.sweep import sweep_jobs, sweep_mix
-from repro.sim.runner import run_quad_mix
+from repro.analysis.parallel import (ParallelRunError, RunJob,
+                                     build_job_config, execute_job,
+                                     job_hash, run_jobs)
+from repro.analysis.sweep import sweep_jobs
 
 N = 400   # per-core instructions: tiny but structurally complete
+
+
+def mix(name, seed=1, **fields):
+    fields.setdefault("label", name)
+    return RunJob(workload=("mix", name), n_instrs=N, seed=seed, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -36,13 +40,12 @@ def _assert_identical(a, b):
 
 
 def test_same_seed_runs_are_identical():
-    _assert_identical(run_quad_mix("H4", N, seed=3),
-                      run_quad_mix("H4", N, seed=3))
+    _assert_identical(execute_job(mix("H4", seed=3)),
+                      execute_job(mix("H4", seed=3)))
 
 
 def test_serial_and_parallel_are_bit_identical():
-    jobs_list = [mix_job("H4", N, seed=3),
-                 mix_job("H3", N, emc=True, seed=3)]
+    jobs_list = [mix("H4", seed=3), mix("H3", emc=True, seed=3)]
     serial = run_jobs(jobs_list, jobs=1)
     fanned = run_jobs(jobs_list, jobs=2)
     for s, p in zip(serial, fanned):
@@ -50,8 +53,7 @@ def test_serial_and_parallel_are_bit_identical():
 
 
 def test_results_keep_input_order():
-    jobs_list = [mix_job("H4", N, seed=1), mix_job("H1", N, seed=1),
-                 mix_job("H3", N, seed=1)]
+    jobs_list = [mix("H4"), mix("H1"), mix("H3")]
     results = run_jobs(jobs_list, jobs=2)
     assert [r.label for r in results] == [j.label for j in jobs_list]
 
@@ -61,26 +63,57 @@ def test_results_keep_input_order():
 # ---------------------------------------------------------------------------
 
 def test_job_kinds_build_expected_configs():
-    assert execute_job(solo_job("mcf", N)).config.num_cores == 1
-    eight = eight_job("H1", N, num_mcs=2, emc=True)
+    solo = RunJob(workload=("named", "mcf"), n_instrs=N)
+    assert execute_job(solo).config.num_cores == 1
+    eight = RunJob(workload=("eight", "H1"), n_instrs=N, num_mcs=2, emc=True)
     result = execute_job(eight)
     assert result.config.num_cores == 8 and result.config.num_mcs == 2
-    with pytest.raises(ValueError):
-        named_job(["mcf", "lbm"], N)          # needs 4 or 8 names
+    with pytest.raises(ValueError):           # needs 1, 4 or 8 names
+        build_job_config(RunJob(workload=("named", "mcf", "lbm"),
+                                n_instrs=N))
+
+
+@pytest.mark.parametrize("workload,machine,cores", [
+    (("mix", "H4"), "quad", 4),
+    (("eight", "H4"), "eight", 8),
+    (("homog", "mcf", 4), "quad", 4),
+    (("homog", "mcf", 8), "eight", 8),
+    (("named", "mcf", "lbm", "milc", "bwaves"), "quad", 4),
+    (("named",) + ("mcf", "lbm", "milc", "bwaves") * 2, "eight", 8),
+    (("named", "mcf"), "single", 1),
+])
+def test_workload_tuple_fixes_the_machine(workload, machine, cores):
+    job = RunJob(workload=workload, n_instrs=N)
+    assert job.machine == machine
+    assert job.effective_cores() == cores
+    assert build_job_config(job).num_cores == cores
+
+
+def test_second_memory_controller_needs_an_eight_core_workload():
+    for workload in (("mix", "H4"), ("homog", "mcf", 4), ("named", "mcf")):
+        with pytest.raises(ValueError, match="num_mcs=2 needs an eight"):
+            build_job_config(RunJob(workload=workload, n_instrs=N,
+                                    num_mcs=2))
+    # ...including a quad workload resized to eight cores
+    with pytest.raises(ValueError, match="num_mcs=2"):
+        build_job_config(RunJob(workload=("mix", "H4"), n_instrs=N,
+                                num_mcs=2, num_cores=8))
+    assert build_job_config(RunJob(workload=("homog", "mcf", 8), n_instrs=N,
+                                   num_mcs=2)).num_mcs == 2
 
 
 def test_job_overrides_and_hash():
-    base = mix_job("H4", N)
-    tuned = mix_job("H4", N, overrides={"emc.num_contexts": 4})
+    base = mix("H4")
+    tuned = mix("H4", overrides=(("emc.num_contexts", 4),))
     assert base.key() != tuned.key()
     assert job_hash(base) != job_hash(tuned)
-    assert job_hash(base) == job_hash(mix_job("H4", N, label="other"))
+    assert job_hash(base) == job_hash(mix("H4", label="other"))
     assert execute_job(tuned).config.emc.num_contexts == 4
 
 
 def test_bad_override_fails_the_job():
     with pytest.raises(ParallelRunError):
-        run_jobs([mix_job("H4", N, overrides={"emc.no_such": 1})])
+        run_jobs([mix("H4", overrides=(("emc.no_such", 1),))])
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +122,7 @@ def test_bad_override_fails_the_job():
 
 def test_cache_roundtrip_and_hit(tmp_path, monkeypatch):
     cache = str(tmp_path)
-    job = mix_job("H4", N, seed=5)
+    job = mix("H4", seed=5)
     first = run_jobs([job], cache_dir=cache)[0]
     assert any(f.startswith("run-") for f in os.listdir(cache))
     # A hit must not execute anything: sabotage execution and re-run.
@@ -106,7 +139,7 @@ def test_cache_roundtrip_and_hit(tmp_path, monkeypatch):
 ])
 def test_corrupt_cache_entry_is_recomputed(tmp_path, junk):
     cache = str(tmp_path)
-    job = mix_job("H4", N, seed=5)
+    job = mix("H4", seed=5)
     expected = run_jobs([job], cache_dir=cache)[0]
     path = os.path.join(cache, f"run-{job_hash(job)}.pkl")
     with open(path, "wb") as fh:
@@ -117,7 +150,7 @@ def test_corrupt_cache_entry_is_recomputed(tmp_path, junk):
 
 def test_parallel_workers_fill_the_cache(tmp_path):
     cache = str(tmp_path)
-    jobs_list = [mix_job("H4", N, seed=7), mix_job("H3", N, seed=7)]
+    jobs_list = [mix("H4", seed=7), mix("H3", seed=7)]
     run_jobs(jobs_list, jobs=2, cache_dir=cache)
     for job in jobs_list:
         with open(os.path.join(cache, f"run-{job_hash(job)}.pkl"),
@@ -140,7 +173,7 @@ def test_flaky_job_is_retried_once(monkeypatch):
         return real(job, cache_dir)
 
     monkeypatch.setattr(parallel, "execute_job", flaky)
-    result = run_jobs([mix_job("H4", N)])[0]
+    result = run_jobs([mix("H4")])[0]
     assert calls["n"] == 2 and result.stats.total_cycles > 0
 
 
@@ -150,7 +183,7 @@ def test_twice_failing_job_raises(monkeypatch):
 
     monkeypatch.setattr(parallel, "execute_job", broken)
     with pytest.raises(ParallelRunError, match="failed twice"):
-        run_jobs([mix_job("H4", N)])
+        run_jobs([mix("H4")])
 
 
 def test_per_job_timeout(monkeypatch):
@@ -160,13 +193,13 @@ def test_per_job_timeout(monkeypatch):
     monkeypatch.setattr(parallel, "execute_job", stuck)
     started = time.monotonic()
     with pytest.raises(ParallelRunError):
-        run_jobs([mix_job("H4", N)], timeout=0.2)
+        run_jobs([mix("H4")], timeout=0.2)
     assert time.monotonic() - started < 4     # both attempts were cut short
 
 
 def test_progress_callback_sees_every_job():
     seen = []
-    run_jobs([mix_job("H4", N), mix_job("H1", N)],
+    run_jobs([mix("H4"), mix("H1")],
              progress=lambda done, total, label, elapsed:
              seen.append((done, total)))
     assert seen == [(1, 2), (2, 2)]
@@ -178,9 +211,9 @@ def test_progress_callback_sees_every_job():
 
 def test_sweep_jobs_matches_serial_sweep(tmp_path):
     grid = {"emc.num_contexts": [1, 2], "emc.max_load_depth": [1, 2]}
-    serial = sweep_mix(grid, mix="H4", n_instrs=N)
-    fanned = sweep_mix(grid, mix="H4", n_instrs=N, jobs=2,
-                       cache_dir=str(tmp_path))
+    serial = sweep_jobs(grid, mix("H4", emc=True))
+    fanned = sweep_jobs(grid, mix("H4", emc=True), jobs=2,
+                        cache_dir=str(tmp_path))
     assert len(serial.points) == len(fanned.points) == 4
     for s, p in zip(serial.points, fanned.points):
         assert s.overrides == p.overrides
@@ -188,7 +221,7 @@ def test_sweep_jobs_matches_serial_sweep(tmp_path):
 
 
 def test_sweep_jobs_base_overrides_are_kept():
-    base = mix_job("H4", N, overrides={"llc.latency": 20})
+    base = mix("H4", overrides=(("llc.latency", 20),))
     result = sweep_jobs({"emc.enabled": [True]}, base)
     cfg = result.points[0].result.config
     assert cfg.llc.latency == 20 and cfg.emc.enabled

@@ -11,16 +11,25 @@ import pickle
 
 import pytest
 
-from repro.analysis.parallel import mix_job, run_jobs, warmup_checkpoint_path
+from repro.analysis.parallel import (RunJob, build_job_config,
+                                     build_job_workload, execute_job,
+                                     run_jobs, warmup_checkpoint_path)
 from repro.lint.sanitize import (flatten_state, sanitize_checkpoint_roundtrip,
                                  sanitize_parallel_runner)
 from repro.sim.component import SnapshotError
-from repro.sim.runner import run_quad_mix, run_quad_named, run_system
+from repro.sim.runner import run_system
 from repro.sim.system import DeadlockError, SimTimeoutError, System
 from repro.uarch.params import quad_core_config
 from repro.workloads.mixes import build_mix
 
 N = 400   # per-core instructions: tiny but structurally complete
+
+
+def h4(warmup_instrs=0):
+    """H4 warmed under its own config (no shared-warmup fork)."""
+    job = RunJob(workload=("mix", "H4"), n_instrs=N)
+    return run_system(build_job_config(job), build_job_workload(job),
+                      warmup_instrs=warmup_instrs)
 
 
 # ---------------------------------------------------------------------------
@@ -44,8 +53,8 @@ def test_warmup_measures_only_the_remaining_region():
 
 
 def test_warmup_changes_measured_timing_but_not_work():
-    cold = run_quad_mix("H4", N, seed=1)
-    warm = run_quad_mix("H4", N, seed=1, warmup_instrs=100)
+    cold = h4()
+    warm = h4(warmup_instrs=100)
     assert warm.stats.total_cycles != cold.stats.total_cycles
     for warm_core, cold_core in zip(warm.stats.cores, cold.stats.cores):
         assert 0 < warm_core.instructions <= cold_core.instructions - 100
@@ -131,7 +140,7 @@ def test_from_checkpoint_rejects_garbage(tmp_path):
 
 def test_checkpoint_file_written_once_and_resumed(tmp_path):
     path = str(tmp_path / "wck.pkl")
-    first = run_quad_mix("H4", N, seed=1, warmup_instrs=100)
+    first = h4(warmup_instrs=100)
     via_ckpt = run_system(quad_core_config(), build_mix("H4", N, seed=1),
                           warmup_instrs=100, warmup_checkpoint=path)
     resumed = run_system(quad_core_config(), build_mix("H4", N, seed=1),
@@ -144,7 +153,7 @@ def test_checkpoint_file_written_once_and_resumed(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_sweep_points_share_one_warmup_checkpoint(tmp_path, monkeypatch):
-    base = mix_job("H4", N, warmup_instrs=100)
+    base = RunJob(workload=("mix", "H4"), n_instrs=N, warmup_instrs=100)
     # Same warmup identity, different measurement budget: the second job
     # must resume from the checkpoint the first one wrote.
     jobs = [base, dataclasses.replace(base, max_cycles=40_000_000,
@@ -171,14 +180,16 @@ def test_parallel_runner_matches_serial_with_warmup():
 
 
 # ---------------------------------------------------------------------------
-# run_quad_named (label + config overrides)
+# named workloads (label + config overrides)
 # ---------------------------------------------------------------------------
 
-def test_run_quad_named_labels_and_applies_overrides():
-    names = ("mcf", "mcf", "soplex", "milc")
-    result = run_quad_named(names, 200, emc=True,
-                            **{"emc.num_contexts": 1})
+def test_named_workload_labels_and_applies_overrides():
+    job = RunJob(workload=("named", "mcf", "mcf", "soplex", "milc"),
+                 n_instrs=200, emc=True, overrides=(("emc.num_contexts", 1),),
+                 label="mcf+mcf+soplex+milc/none+emc")
+    result = execute_job(job)
     assert result.label == "mcf+mcf+soplex+milc/none+emc"
     assert result.config.emc.num_contexts == 1
-    with pytest.raises(Exception):
-        run_quad_named(names, 200, **{"no.such.field": 1})
+    with pytest.raises(ValueError, match="no.such.field"):
+        execute_job(dataclasses.replace(
+            job, overrides=(("no.such.field", 1),)))

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro import (MIX_NAMES, MIXES, PREFETCHER_CONFIGS, build_mix,
-                   run_quad_mix, run_quad_named, speedup)
+from repro import (MIX_NAMES, MIXES, PREFETCHER_CONFIGS, RunJob, build_mix,
+                   execute_job, speedup)
 from repro.workloads.mixes import build_eight_core_mix, build_homogeneous
 from repro.workloads.spec import HIGH_INTENSITY
 
@@ -48,21 +48,27 @@ def test_eight_core_mix_doubles_quad():
     assert tuple(names[4:]) == MIXES["H2"]
 
 
-def test_run_quad_mix_end_to_end():
-    result = run_quad_mix("H4", n_instrs=800, prefetcher="none", emc=False)
+def quad_mix(name, n_instrs, **fields):
+    return execute_job(RunJob(workload=("mix", name), n_instrs=n_instrs,
+                              **fields))
+
+
+def test_quad_mix_end_to_end():
+    result = quad_mix("H4", n_instrs=800, prefetcher="none", emc=False)
     assert result.aggregate_ipc > 0
     assert result.stats.total_cycles > 0
     assert len(result.per_core_ipc) == 4
 
 
-def test_run_quad_named_order_preserved():
-    result = run_quad_named(["mcf", "lbm", "milc", "bwaves"], 600)
+def test_named_workload_order_preserved():
+    result = execute_job(RunJob(
+        workload=("named", "mcf", "lbm", "milc", "bwaves"), n_instrs=600))
     names = [c.benchmark for c in result.stats.cores]
     assert names == ["mcf", "lbm", "milc", "bwaves"]
 
 
 def test_speedup_helper():
-    a = run_quad_mix("H4", n_instrs=600)
+    a = quad_mix("H4", n_instrs=600)
     assert speedup(a, a) == pytest.approx(1.0)
 
 
@@ -73,7 +79,7 @@ def test_prefetcher_configs_list():
 
 
 def test_run_results_carry_energy_and_dram():
-    result = run_quad_mix("H3", n_instrs=600, emc=True)
+    result = quad_mix("H3", n_instrs=600, emc=True)
     assert result.energy.total > 0
     assert result.dram_accesses > 0
     assert 0 <= result.dram_row_conflict_rate <= 1

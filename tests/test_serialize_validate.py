@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import run_quad_mix
+from repro import RunJob, execute_job
 from repro.analysis.validate import ValidationError, validate_run
 from repro.sim.runner import run_system
 from repro.uarch.params import SystemConfig, EMCConfig, PrefetchConfig
@@ -68,26 +68,31 @@ def test_load_rejects_truncated(tmp_path):
 
 # -- validator -------------------------------------------------------------
 
+def quad_mix(name, n_instrs, **fields):
+    return execute_job(RunJob(workload=("mix", name), n_instrs=n_instrs,
+                              **fields))
+
+
 def test_validate_passes_on_real_runs():
-    result = run_quad_mix("H3", n_instrs=800, emc=True)
+    result = quad_mix("H3", n_instrs=800, emc=True)
     checks = validate_run(result)
     assert len(checks) > 20
 
 
 def test_validate_passes_with_prefetching():
-    result = run_quad_mix("H2", n_instrs=800, prefetcher="ghb", emc=True)
+    result = quad_mix("H2", n_instrs=800, prefetcher="ghb", emc=True)
     validate_run(result)
 
 
 def test_validate_detects_corruption():
-    result = run_quad_mix("H4", n_instrs=600)
+    result = quad_mix("H4", n_instrs=600)
     result.stats.emc.chains_executed = 999   # impossible: none generated
     with pytest.raises(ValidationError):
         validate_run(result)
 
 
 def test_validate_detects_latency_inconsistency():
-    result = run_quad_mix("H4", n_instrs=600)
+    result = quad_mix("H4", n_instrs=600)
     result.stats.core_miss_latency.dram_total = \
         result.stats.core_miss_latency.total + 1
     with pytest.raises(ValidationError):

@@ -116,7 +116,7 @@ def test_workload_forms_set_topology():
         "workload: ['mix:H4', 'eight:H1', 'homog:mcf', 'homog:mcf:8', "
         "'named:mcf+lbm+milc+bwaves']")
     jobs = parse_spec(text, "demo.yaml").jobs()
-    by_workload = {j.workload: j.topology for j in jobs}
+    by_workload = {j.workload: j.machine for j in jobs}
     assert by_workload[("mix", "H4")] == "quad"
     assert by_workload[("eight", "H1")] == "eight"
     assert by_workload[("homog", "mcf", 4)] == "quad"
@@ -184,6 +184,25 @@ def test_num_mcs_axis_validated():
     _fails(bad, "num_mcs must be 1 or 2", line=8)
 
 
+def test_num_mcs_needs_an_eight_core_workload():
+    # A quad workload has one memory controller: num_mcs=2 would expand to
+    # a distinct job identity that runs the very same 1-MC machine.
+    bad = BASE.replace("emc: [false, true]",
+                       "emc: [true]\n  num_mcs: [1, 2]")
+    _fails(bad, "num_mcs=2 needs an eight-core workload", line=8)
+    # ...but it is fine where every point with two MCs is eight-core
+    eight = bad.replace("workload: [H4, H3]",
+                        "workload: ['eight:H4', 'homog:mcf:8']")
+    jobs = parse_spec(eight, "demo.yaml").jobs()
+    assert {j.num_mcs for j in jobs} == {1, 2}
+    assert {j.machine for j in jobs} == {"eight"}
+    filtered = bad.replace("workload: [H4, H3]",
+                           "workload: [H4, 'eight:H3']") + (
+        "exclude:\n  - {workload: H4, num_mcs: 2}\n")
+    # 2 workloads x 2 prefetchers x 2 num_mcs, minus H4 x 2 MCs
+    assert len(parse_spec(filtered, "demo.yaml").points()) == 6
+
+
 def test_topology_axis_validated_and_lands_on_fabric():
     bad = BASE.replace("emc: [false, true]",
                        "emc: [true]\n  topology: [ring, torus]")
@@ -194,8 +213,8 @@ def test_topology_axis_validated_and_lands_on_fabric():
         "demo.yaml")
     fabrics = {j.fabric for j in spec.jobs()}
     assert fabrics == {"ring", "mesh"}
-    # RunJob.topology stays the machine shape; the axis is the fabric.
-    assert {j.topology for j in spec.jobs()} == {"quad"}
+    # The workload fixes the machine shape; the axis is the fabric.
+    assert {j.machine for j in spec.jobs()} == {"quad"}
     # Warmup identity is fabric-independent: ring and mesh points of one
     # workload share the same warmed base machine.
     ring_keys = {j.warmup_key() for j in spec.jobs() if j.fabric == "ring"}

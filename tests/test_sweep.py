@@ -2,10 +2,14 @@
 
 import pytest
 
-from repro.analysis.sweep import (get_config_field, run_sweep,
-                                  set_config_field, sweep_mix)
+from repro.analysis.parallel import RunJob, build_job_config
+from repro.analysis.sweep import (get_config_field, grid_overrides,
+                                  set_config_field, sweep_jobs)
 from repro.uarch.params import quad_core_config
-from repro.workloads.mixes import build_mix
+
+
+def emc_mix(name, n_instrs):
+    return RunJob(workload=("mix", name), n_instrs=n_instrs, emc=True)
 
 
 def test_set_get_nested_field():
@@ -26,9 +30,9 @@ def test_set_unknown_field_raises():
 
 
 def test_sweep_runs_full_grid():
-    result = sweep_mix({"emc.num_contexts": [1, 2],
-                        "emc.max_load_depth": [1, 2]},
-                       mix="H4", n_instrs=400)
+    result = sweep_jobs({"emc.num_contexts": [1, 2],
+                         "emc.max_load_depth": [1, 2]},
+                        emc_mix("H4", 400))
     assert len(result.points) == 4
     seen = {(p.overrides["emc.num_contexts"],
              p.overrides["emc.max_load_depth"]) for p in result.points}
@@ -38,8 +42,7 @@ def test_sweep_runs_full_grid():
 
 
 def test_sweep_best_and_table():
-    result = sweep_mix({"emc.enabled": [False, True]}, mix="H3",
-                       n_instrs=400)
+    result = sweep_jobs({"emc.enabled": [False, True]}, emc_mix("H3", 400))
     best = result.best()
     assert best.performance == max(p.performance for p in result.points)
     rows = result.table({"perf": lambda p: p.performance,
@@ -50,9 +53,15 @@ def test_sweep_best_and_table():
 
 
 def test_sweep_does_not_mutate_base_config():
-    base = quad_core_config(emc=True)
-    run_sweep({"emc.num_contexts": [4]},
-              workload_factory=lambda: build_mix("H4", 300, seed=1),
-              base_config_factory=lambda: base)
-    # deepcopy inside run_sweep protects the caller's instance
-    assert base.emc.num_contexts == 2
+    base = emc_mix("H4", 300)
+    result = sweep_jobs({"emc.num_contexts": [4]}, base)
+    assert result.points[0].result.config.emc.num_contexts == 4
+    # points are variants of the frozen base job, which stays as it was
+    assert base.overrides == ()
+    assert build_job_config(base).emc.num_contexts == 2
+
+
+def test_grid_overrides_expands_in_declaration_order():
+    assert grid_overrides({"b": [1, 2], "a": ["x", "y"]}) == [
+        {"b": 1, "a": "x"}, {"b": 1, "a": "y"},
+        {"b": 2, "a": "x"}, {"b": 2, "a": "y"}]

@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-from repro.analysis.parallel import execute_job, mix_job
+from repro.analysis.parallel import RunJob, execute_job
 from repro.sim.runner import run_system
 from repro.trace import (CATEGORIES, CATEGORY_OF, NULL_TRACER, NullTracer,
                          Stage, TraceError, Tracer, trace_enabled_from_env)
@@ -222,8 +222,8 @@ def test_repro_trace_env_enables_tracing(monkeypatch):
 
 
 def test_run_job_trace_flag():
-    traced = mix_job("H1", 1000, trace=True)
-    untraced = mix_job("H1", 1000)
+    traced = RunJob(workload=("mix", "H1"), n_instrs=1000, trace=True)
+    untraced = RunJob(workload=("mix", "H1"), n_instrs=1000)
     assert traced.key() != untraced.key()
     result = execute_job(traced)
     assert result.latency_attribution is not None

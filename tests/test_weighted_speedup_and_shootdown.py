@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis import experiments as exp
+from repro.analysis.parallel import RunJob
 from repro.uarch.params import PAGE_BYTES
 from repro.uarch.uop import UopType
 from repro.workloads.memory_image import MemoryImage
@@ -17,30 +18,36 @@ def fresh_cache():
     exp.clear_cache()
 
 
-def test_solo_run_single_core():
-    result = exp.solo_run("mcf", n_instrs=500)
+def mix(name, n_instrs, emc=False):
+    return exp.run(RunJob(workload=("mix", name), n_instrs=n_instrs,
+                          emc=emc))
+
+
+def test_solo_baseline_single_core():
+    result = exp.run(RunJob(workload=("named", "mcf"), n_instrs=500))
     assert len(result.stats.cores) == 1
     assert result.stats.cores[0].benchmark == "mcf"
 
 
 def test_weighted_speedup_bounds():
-    shared = exp.mix_run("H4", "none", False, 600)
+    shared = mix("H4", 600)
     ws = exp.weighted_speedup(shared, n_instrs=600)
     # 4 apps sharing one machine: each slows down, so 0 < WS < 4.
     assert 0 < ws < 4
 
 
 def test_weighted_speedup_uses_cache():
-    shared = exp.mix_run("H4", "none", False, 600)
+    shared = mix("H4", 600)
     exp.weighted_speedup(shared, n_instrs=600)
-    # RunJob keys: (workload, n, topology, ...); solo runs are single-core.
-    cached = sum(1 for k in exp._CACHE if k[2] == "single")
+    # RunJob keys lead with the workload tuple; ("named", x) is a solo run.
+    cached = sum(1 for k in exp._CACHE
+                 if k[0][0] == "named" and len(k[0]) == 2)
     assert cached == 4          # one solo run per distinct benchmark
 
 
 def test_weighted_speedup_differentiates_configs():
-    base = exp.mix_run("H3", "none", False, 800)
-    emc = exp.mix_run("H3", "none", True, 800)
+    base = mix("H3", 800)
+    emc = mix("H3", 800, emc=True)
     ws_base = exp.weighted_speedup(base, n_instrs=800)
     ws_emc = exp.weighted_speedup(emc, n_instrs=800)
     assert ws_base > 0 and ws_emc > 0
