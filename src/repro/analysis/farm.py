@@ -49,7 +49,7 @@ from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
 
 from ..sim.runner import RunResult
-from .parallel import (RunJob, _cache_load, _cache_store,
+from .parallel import (RunJob, WarmBase, _cache_load, _cache_store,
                        _execute_with_timeout, job_hash)
 from .spec import ExperimentSpec, render_outputs
 
@@ -333,10 +333,16 @@ def run_worker(queue_dir: str, worker_id: Optional[str] = None,
     Failures are recorded in the queue (with automatic retry up to
     :data:`MAX_ATTEMPTS`), never raised: one poisonous job must not take
     a farm worker down with it.
+
+    The lease loop owns one :class:`~repro.analysis.parallel.WarmBase`
+    slot: the warm base of the last leased sweep point stays in memory,
+    so consecutive points of one sweep fork from it instead of reloading
+    the shared warmup checkpoint from the store.
     """
     queue = JobQueue(queue_dir)
     worker = worker_id or default_worker_id()
     store = results_dir(queue_dir)
+    warm_base = WarmBase()
     log = log or (lambda _line: None)
     executed = 0
     while max_jobs is None or executed < max_jobs:
@@ -353,7 +359,8 @@ def run_worker(queue_dir: str, worker_id: Optional[str] = None,
             f"(attempt {leased.attempts})")
         with _LeaseKeeper(queue, leased.hash, worker, lease_s):
             try:
-                result = _execute_with_timeout(leased.job, timeout, store)
+                result = _execute_with_timeout(leased.job, timeout, store,
+                                               warm_base)
             except Exception as exc:
                 state = queue.fail(leased.hash, worker, repr(exc))
                 log(f"[{worker}] FAIL {leased.job.label}: {exc!r} "

@@ -38,8 +38,10 @@ from types import MappingProxyType
 from typing import (Any, Callable, Dict, Final, List, Mapping, Optional,
                     Sequence, Tuple, Union)
 
-from ..sim.runner import RunResult, apply_config_overrides, run_system
-from ..trace import Tracer
+from ..sim.runner import (RunResult, apply_config_overrides, run_built,
+                          run_system)
+from ..sim.system import System
+from ..trace import Tracer, trace_enabled_from_env
 from ..uarch.params import (SystemConfig, eight_core_config,
                             quad_core_config)
 from ..workloads.mixes import (build_homogeneous, build_named,
@@ -170,6 +172,12 @@ def build_job_config(job: RunJob) -> SystemConfig:
     machine, and a bad dotted override names no field.
     """
     machine = job.machine
+    if (job.workload[0] == "named" and job.num_cores
+            and job.num_cores != job.natural_cores):
+        raise ValueError(
+            f"named workloads are one benchmark per core: "
+            f"{job.natural_cores} names cannot fill "
+            f"num_cores={job.num_cores}")
     if job.num_mcs != 1 and machine != "eight":
         raise ValueError(
             f"num_mcs={job.num_mcs} needs an eight-core workload; "
@@ -205,10 +213,6 @@ def build_job_workload(job: RunJob, num_cores: int = 0):
     if kind == "homog":
         return build_homogeneous(args[0], cores, job.n_instrs, seed=job.seed)
     if kind == "named":
-        if job.num_cores and job.num_cores != len(args):
-            raise ValueError(
-                f"named workloads are one benchmark per core: "
-                f"{len(args)} names cannot fill num_cores={job.num_cores}")
         return build_named(list(args), job.n_instrs, seed=job.seed)
     raise ValueError(f"unknown workload kind {kind!r}")
 
@@ -246,34 +250,102 @@ def warmup_checkpoint_path(cache_dir: Optional[str],
     return os.path.join(cache_dir, "warmup-ckpt", f"wck-{digest}.pkl")
 
 
-def execute_job(job: RunJob, cache_dir: Optional[str] = None) -> RunResult:
-    """Build the config + workload a job describes and run it.
+class WarmBase:
+    """One executing loop's most recent warmed base machine, in memory.
 
-    A job with ``warmup_instrs`` warms the canonical base machine
-    (:func:`warmup_base_config`) and forks to its own config — with or
-    without a cache, so cached and uncached runs are bit-identical.
-    When the job's ``num_cores`` differs from the base machine's, the
-    base warms its natural-count workload (the target workload's prefix,
-    or its superset on a shrink) and the fork re-seats core-by-core.
-    ``cache_dir`` additionally persists the warmed base state; see
-    :func:`warmup_checkpoint_path`.
+    A serial loop (:func:`run_jobs` with ``jobs=1``,
+    :func:`repro.analysis.farm.run_worker`) owns one and hands it to every
+    :func:`execute_job` call it makes.  The slot holds one base at a time,
+    keyed by its warmup-checkpoint path: the sweep points after the first
+    fork from it instead of reloading the checkpoint that same loop wrote
+    (or loaded) a moment earlier.  The checkpoint file stays the
+    authority across processes and runs; the slot only saves re-reading
+    it.
+    """
+
+    def __init__(self) -> None:
+        self.path: Optional[str] = None
+        self.system: Optional[System] = None
+
+    def get(self, path: str) -> Optional[System]:
+        """The kept base for ``path``, or ``None``."""
+        return self.system if path == self.path else None
+
+    def keep(self, path: str, system: System) -> None:
+        """Replace the kept base with ``system``, warmed for ``path``."""
+        self.path, self.system = path, system
+
+
+def _warm_shared_base(job: RunJob, checkpoint: Optional[str],
+                      warm_base: Optional[WarmBase], workload_cores: int
+                      ) -> Tuple[System, str, Optional[list]]:
+    """The warmed base machine ``job`` forks from, how it was obtained
+    ("fresh" or "checkpoint"), and the workload built for it, if any.
+
+    Tried in order: the loop's in-memory slot, the checkpoint file, a
+    fresh warmup under :func:`warmup_base_config` (written to the
+    checkpoint when there is one).  A fresh warmup builds the workload
+    once at ``workload_cores`` so a growing fork can take its added
+    cores from the same build.
+    """
+    base = (warm_base.get(checkpoint)
+            if warm_base is not None and checkpoint else None)
+    if base is not None:
+        return base, "checkpoint", None
+    built = None
+    if checkpoint and os.path.exists(checkpoint):
+        base, warmed_from = System.from_checkpoint(checkpoint), "checkpoint"
+    else:
+        base_cfg = warmup_base_config(job)
+        built = build_job_workload(job, max(workload_cores,
+                                            base_cfg.num_cores))
+        base = System(base_cfg, built[:base_cfg.num_cores])
+        base.warmup(job.warmup_instrs, max_cycles=job.max_cycles)
+        if checkpoint:
+            base.checkpoint(checkpoint)
+        warmed_from = "fresh"
+    if warm_base is not None and checkpoint:
+        warm_base.keep(checkpoint, base)
+    return base, warmed_from, built
+
+
+def execute_job(job: RunJob, cache_dir: Optional[str] = None,
+                warm_base: Optional[WarmBase] = None) -> RunResult:
+    """Build the config a job describes and run it.
+
+    A job without ``warmup_instrs`` builds its workload and runs it
+    through :func:`~repro.sim.runner.run_system`.  A job with
+    ``warmup_instrs`` forks its own config from a warmed base machine
+    (:func:`warmup_base_config`) — with or without a cache, so cached and
+    uncached runs are bit-identical.  The base comes from ``warm_base``
+    (the calling loop's in-memory slot), else from the warmup checkpoint
+    under ``cache_dir`` (see :func:`warmup_checkpoint_path`), else from a
+    fresh warmup, which also writes that checkpoint and fills the slot.
+    The workload is built only when a new machine needs fresh traces:
+    the base warmup, or the added cores of a fork that grows
+    ``num_cores`` past the base's natural count.  A fork that shrinks
+    drops the surplus cores' traces with their warmed state.
     """
     cfg = build_job_config(job)
-    tracer = Tracer() if job.trace else None
+    tracer = Tracer() if job.trace or trace_enabled_from_env() else None
+    if not job.warmup_instrs:
+        return run_system(cfg, build_job_workload(job), label=job.label,
+                          max_cycles=job.max_cycles, tracer=tracer)
     checkpoint = warmup_checkpoint_path(cache_dir, job)
     if checkpoint:
         os.makedirs(os.path.dirname(checkpoint), exist_ok=True)
-    base_cfg = warmup_base_config(job) if job.warmup_instrs else None
-    base_cores = base_cfg.num_cores if base_cfg is not None else 0
-    # Build once at the larger count and slice: the smaller machine's
-    # workload is the larger build's prefix by construction.
-    built = build_job_workload(job, max(cfg.num_cores, base_cores))
-    return run_system(cfg, built[:cfg.num_cores], label=job.label,
-                      max_cycles=job.max_cycles, tracer=tracer,
-                      warmup_instrs=job.warmup_instrs,
-                      warmup_checkpoint=checkpoint,
-                      warmup_base_cfg=base_cfg,
-                      warmup_base_workload=built[:base_cores] or None)
+    base, warmed_from, built = _warm_shared_base(job, checkpoint, warm_base,
+                                                 cfg.num_cores)
+    base_cores = base.cfg.num_cores
+    added = None
+    if cfg.num_cores > base_cores:
+        # The grown machine's workload extends the base's by construction
+        # (per-core seeds), so the added cores take the build's tail.
+        added = (built or build_job_workload(job))[base_cores:cfg.num_cores]
+    system, report = base.fork(tracer=tracer, cfg=cfg, added_workload=added)
+    return run_built(system, label=job.label, max_cycles=job.max_cycles,
+                     warmed_from=warmed_from,
+                     fork_carryover=report.as_dict())
 
 
 def _on_alarm(_signum, _frame):
@@ -281,7 +353,9 @@ def _on_alarm(_signum, _frame):
 
 
 def _execute_with_timeout(job: RunJob, timeout: Optional[float],
-                          cache_dir: Optional[str] = None) -> RunResult:
+                          cache_dir: Optional[str] = None,
+                          warm_base: Optional[WarmBase] = None
+                          ) -> RunResult:
     """Worker entry point: run one job under an optional SIGALRM budget.
 
     ``signal`` only works in a main thread; where it is unavailable the
@@ -289,14 +363,14 @@ def _execute_with_timeout(job: RunJob, timeout: Optional[float],
     bounds the simulation itself).
     """
     if not timeout or not hasattr(signal, "setitimer"):
-        return execute_job(job, cache_dir)
+        return execute_job(job, cache_dir, warm_base)
     try:
         previous = signal.signal(signal.SIGALRM, _on_alarm)
     except ValueError:          # not in the main thread
-        return execute_job(job, cache_dir)
+        return execute_job(job, cache_dir, warm_base)
     signal.setitimer(signal.ITIMER_REAL, timeout)
     try:
-        return execute_job(job, cache_dir)
+        return execute_job(job, cache_dir, warm_base)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
@@ -318,15 +392,25 @@ def _cache_path(cache_dir: str, job: RunJob) -> str:
 
 def _cache_load(cache_dir: Optional[str],
                 job: RunJob) -> Optional[RunResult]:
+    """The cached result of ``job``, or ``None`` to recompute it.
+
+    A missing entry is a silent miss.  A truncated, corrupt or stale
+    (pickled against an old module layout) entry is a miss too, but one
+    that prints a warning naming the file and the error to stderr.
+    """
     if not cache_dir:
         return None
+    path = _cache_path(cache_dir, job)
     try:
-        with open(_cache_path(cache_dir, job), "rb") as fh:
+        with open(path, "rb") as fh:
             return pickle.load(fh)
-    except Exception:
-        # Missing, truncated, corrupt, or stale (pickled against an old
-        # module layout) entry: recompute.  pickle surfaces corruption as
-        # almost any exception type, so a narrow list is a trap.
+    except FileNotFoundError:
+        return None
+    except Exception as exc:
+        # pickle surfaces corruption as almost any exception type, so a
+        # narrow list is a trap.
+        print(f"warning: unreadable cache entry {path}: {exc!r}; "
+              "recomputing", file=sys.stderr)
         return None
 
 
@@ -376,13 +460,14 @@ def _stderr_progress(done: int, total: int, label: str,
 
 
 def _run_one(job: RunJob, timeout: Optional[float],
-             cache_dir: Optional[str] = None) -> RunResult:
+             cache_dir: Optional[str] = None,
+             warm_base: Optional[WarmBase] = None) -> RunResult:
     """Serial path: execute with the same retry-once policy as the pool."""
     try:
-        return _execute_with_timeout(job, timeout, cache_dir)
+        return _execute_with_timeout(job, timeout, cache_dir, warm_base)
     except Exception as first:                          # retry once
         try:
-            return _execute_with_timeout(job, timeout, cache_dir)
+            return _execute_with_timeout(job, timeout, cache_dir, warm_base)
         except Exception as second:
             raise ParallelRunError(
                 f"job {job.label or job.workload!r} failed twice: "
@@ -400,12 +485,16 @@ def run_jobs(jobs_list: Sequence[RunJob], jobs: int = 1,
       same code path, so results are bit-identical for a fixed seed).
     - ``cache_dir``: directory of pickled results keyed by
       :func:`job_hash`; hits skip execution entirely, misses are stored
-      after the run.  Unreadable entries are recomputed, not fatal.
-      Jobs with ``warmup_instrs`` additionally share warmed-machine
-      checkpoints under ``cache_dir/warmup-ckpt/`` (see
-      :func:`warmup_checkpoint_path`), so only the first job of each
-      (workload, warmup) group pays for its warmup — every config point
-      of a sweep forks from that one checkpoint.
+      after the run.  Unreadable entries are recomputed with a stderr
+      warning, not fatal.  Jobs with ``warmup_instrs`` additionally
+      share warmed-machine checkpoints under ``cache_dir/warmup-ckpt/``
+      (see :func:`warmup_checkpoint_path`), so only the first job of
+      each (workload, warmup) group builds its workload and pays for its
+      warmup — every config point of a sweep forks from that one warm
+      base.  The serial loop keeps the base in a :class:`WarmBase` slot
+      and forks later points from memory; pool workers load the
+      checkpoint per job.  Without ``cache_dir`` there is no slot and
+      every job warms its own base.
     - ``timeout``: per-job wall-clock seconds; a timed-out job counts as a
       failure and is retried once like any other failure.
     - ``progress``: ``True`` for a stderr progress/ETA line, or a callable
@@ -443,8 +532,9 @@ def run_jobs(jobs_list: Sequence[RunJob], jobs: int = 1,
                    time.monotonic() - started)
 
     if jobs <= 1 or len(pending) <= 1:
+        warm_base = WarmBase() if cache_dir else None
         for i in pending:
-            finish(i, _run_one(jobs_list[i], timeout, cache_dir))
+            finish(i, _run_one(jobs_list[i], timeout, cache_dir, warm_base))
         return results          # type: ignore[return-value]
 
     workers = min(jobs, len(pending))

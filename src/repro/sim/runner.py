@@ -4,7 +4,6 @@ seed, overrides — is :class:`repro.analysis.parallel.RunJob`'s job."""
 
 from __future__ import annotations
 
-import copy
 import os
 from dataclasses import dataclass, field
 from typing import Final, List, Optional, Tuple
@@ -69,9 +68,7 @@ def run_system(cfg: SystemConfig, workload: Workload,
                label: str = "", max_cycles: int = 50_000_000,
                tracer: Optional[Tracer] = None,
                warmup_instrs: int = 0,
-               warmup_checkpoint: Optional[str] = None,
-               warmup_base_cfg: Optional[SystemConfig] = None,
-               warmup_base_workload: Optional[Workload] = None) -> RunResult:
+               warmup_checkpoint: Optional[str] = None) -> RunResult:
     """Run one workload on one configuration to completion.
 
     Pass a :class:`repro.trace.Tracer` (or set ``REPRO_TRACE=1``) to record
@@ -83,80 +80,56 @@ def run_system(cfg: SystemConfig, workload: Workload,
     the region after it.  ``warmup_checkpoint`` names a checkpoint file
     for the warmed machine state: when it exists the warmup is skipped
     entirely (the machine resumes from the file); when it does not, it is
-    written right after the warmup boundary so later runs can skip.
-
-    ``warmup_base_cfg`` makes the warmup checkpoint *shared across a
-    config sweep*: the warmup runs (or the checkpoint is loaded) under
-    that canonical base config, and the warmed machine is then
-    :meth:`~repro.sim.system.System.fork`-ed to the target ``cfg`` —
-    caches and predictors re-hash into the target geometries, and the
-    result carries the per-component carryover ratios in
-    ``fork_carryover``.  Without it the checkpoint is config-specific and
-    ``cfg``/``workload`` must describe the same run that produced it.
-
-    ``warmup_base_workload`` is the base machine's workload when its core
-    count differs from ``cfg``'s — the target workload's prefix when the
-    fork grows, its superset when it shrinks.  The tail of ``workload``
-    past the base's core count is handed to the fork as the added cores'
-    fresh traces.
+    written right after the warmup boundary so later runs can skip.  The
+    checkpoint is config-specific: ``cfg``/``workload`` must describe the
+    same run that produced it.  (A sweep sharing one warmup across
+    configs forks instead; see :func:`repro.analysis.parallel.execute_job`.)
     """
     if tracer is None and trace_enabled_from_env():
         tracer = Tracer()
-    system = None
     warmed_from: Optional[str] = None
-    fork_carryover: Optional[dict] = None
-
-    def _fork_to_target(base: System):
-        return base.fork(tracer=tracer, cfg=cfg,
-                         added_workload=workload[len(base.cores):])
-
     if (warmup_instrs and warmup_checkpoint
             and os.path.exists(warmup_checkpoint)):
-        if warmup_base_cfg is not None:
-            base = System.from_checkpoint(warmup_checkpoint)
-            system, report = _fork_to_target(base)
-            fork_carryover = report.as_dict()
-        else:
-            system = System.from_checkpoint(warmup_checkpoint,
-                                            tracer=tracer)
+        system = System.from_checkpoint(warmup_checkpoint, tracer=tracer)
         warmed_from = "checkpoint"
-    if system is None:
-        if warmup_instrs and warmup_base_cfg is not None:
-            # Warm the canonical base once, persist it for the rest of
-            # the sweep, then fork to this point's config.
-            base = System(copy.deepcopy(warmup_base_cfg),
-                          warmup_base_workload
-                          if warmup_base_workload is not None else workload)
-            base.warmup(warmup_instrs, max_cycles=max_cycles)
+    else:
+        system = System(cfg, workload, tracer=tracer)
+        if warmup_instrs:
+            system.warmup(warmup_instrs, max_cycles=max_cycles)
             if warmup_checkpoint:
-                base.checkpoint(warmup_checkpoint)
-            system, report = _fork_to_target(base)
-            fork_carryover = report.as_dict()
+                system.checkpoint(warmup_checkpoint)
             warmed_from = "fresh"
-        else:
-            system = System(cfg, workload, tracer=tracer)
-            if warmup_instrs:
-                system.warmup(warmup_instrs, max_cycles=max_cycles)
-                if warmup_checkpoint:
-                    system.checkpoint(warmup_checkpoint)
-                warmed_from = "fresh"
+    return run_built(system, label=label, max_cycles=max_cycles,
+                     warmed_from=warmed_from)
+
+
+def run_built(system: System, label: str = "",
+              max_cycles: int = 50_000_000,
+              warmed_from: Optional[str] = None,
+              fork_carryover: Optional[dict] = None) -> RunResult:
+    """Run an already-built (fresh, warmed, resumed or forked) machine to
+    completion and package its :class:`RunResult`.
+
+    ``warmed_from`` and ``fork_carryover`` are recorded as given: how the
+    caller obtained the machine is provenance only it knows.
+    """
     stats = system.run(max_cycles=max_cycles)
     dram_stats = system.dram_stats
     accesses = sum(d.accesses for d in dram_stats)
     reads = sum(d.reads for d in dram_stats)
     conflicts = sum(d.row_conflicts for d in dram_stats)
+    tracer = system.tracer
     return RunResult(
         config=system.cfg,
         stats=stats,
-        energy=compute_energy(cfg, stats),
+        energy=compute_energy(system.cfg, stats),
         dram_row_conflict_rate=conflicts / accesses if accesses else 0.0,
         dram_accesses=accesses,
         dram_reads=reads,
         ring_messages=system.ring.stats.messages,
         label=label,
         per_core_ipc=[c.ipc() for c in stats.cores],
-        latency_attribution=(tracer.attribution()
-                             if tracer is not None and tracer.enabled
+        latency_attribution=(tracer.attribution() if tracer.enabled
                              else None),
         ring=system.ring.stats,
         warmed_from=warmed_from,

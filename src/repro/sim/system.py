@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import gc
+import io
 import os
 import pickle
 import warnings
@@ -54,6 +55,40 @@ DRAIN_MAX_EVENTS = 2_000_000
 CHECKPOINT_FORMAT = "repro-checkpoint"
 CHECKPOINT_VERSION = 3  # v3: slotted state dataclasses; v2 pickles
                         # (dict-backed CacheLineState/MicroOp) don't load
+
+
+class _SharingPickler(pickle.Pickler):
+    """Pickles every object whose ``id`` keys ``shared`` by reference."""
+
+    def __init__(self, file, shared: Dict[int, object]) -> None:
+        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
+        self._shared = shared
+
+    def persistent_id(self, obj):
+        key = id(obj)
+        return key if key in self._shared else None
+
+
+class _SharingUnpickler(pickle.Unpickler):
+    """Resolves the references :class:`_SharingPickler` wrote."""
+
+    def __init__(self, file, shared: Dict[int, object]) -> None:
+        super().__init__(file)
+        self._shared = shared
+
+    def persistent_load(self, pid):
+        return self._shared[pid]
+
+
+def _copy_sharing(obj, shared: Dict[int, object]):
+    """Deep-copy ``obj`` through a pickle round trip, except that each
+    object ``o`` with ``id(o)`` in ``shared`` becomes ``shared[id(o)]`` —
+    ``o`` itself to share it, or a copy made beforehand.  The keyed
+    objects must stay alive for the call, so no id is reused."""
+    buf = io.BytesIO()
+    _SharingPickler(buf, shared).dump(obj)
+    buf.seek(0)
+    return _SharingUnpickler(buf, shared).load()
 
 
 def _join(path: str, leaf: str) -> str:
@@ -110,9 +145,10 @@ class System(SimComponent):
         # Kept for checkpointing: images mutate during execution, and the
         # rename tables hold references into the trace uop lists, so the
         # checkpoint payload must carry the *live* workload objects.
-        # The checkpoint/fork envelope carries the live workload objects
-        # beside the snapshot tree (see fork/checkpoint below), so the
-        # snapshot protocol itself deliberately skips both attributes.
+        # The checkpoint envelope carries the live workload objects
+        # beside the snapshot tree and fork shares or copies them (see
+        # fork/checkpoint below), so the snapshot protocol itself
+        # deliberately skips both attributes.
         self._workload: List[Tuple[Trace, MemoryImage]] = list(workload)  # simlint: disable=SIM010
         self.images: List[MemoryImage] = [image for _t, image in workload]  # simlint: disable=SIM010
         num_stops = cfg.num_cores + cfg.num_mcs
@@ -546,11 +582,14 @@ class System(SimComponent):
         invalidated and accounted in the returned
         :class:`~repro.sim.component.CarryoverReport`.
 
-        Requires a quiesced machine.  The workload (trace uop lists and
-        memory images, which mutate during execution and are referenced
-        by rename tables) is deep-copied via a pickle round trip so the
-        fork shares no mutable objects with the parent; both machines can
-        then run independently.
+        Requires a quiesced machine.  Trace uop lists are never mutated
+        after they are built, so the fork shares the parent's ``Trace``
+        and ``MicroOp`` objects, and references to them in the snapshot
+        (rename tables, in-flight uops) keep their identity.  Memory
+        images mutate during execution: each is copied.  The snapshot
+        and ``added_workload`` are copied through a pickle round trip, so
+        the fork shares no mutable object with the parent or the caller;
+        both machines can then run independently.
 
         ``num_cores`` may change.  Shrinking drops the surplus cores'
         traces and warmed state (accounted in the report); growing
@@ -598,9 +637,16 @@ class System(SimComponent):
                     "num_cores")
             added = []
         cfg.validate()
-        workload, added, state = pickle.loads(pickle.dumps(
-            (self._workload, added, self.snapshot(kind=KIND_WORKLOAD)),
-            protocol=pickle.HIGHEST_PROTOCOL))
+        # Share the immutable traces by reference; copy the images.
+        images = {id(image): image.copy() for image in self.images}
+        shared: Dict[int, object] = dict(images)
+        for trace, _image in self._workload:
+            shared[id(trace)] = trace
+            shared.update((id(uop), uop) for uop in trace.uops)
+        added, state = _copy_sharing(
+            (added, self.snapshot(kind=KIND_WORKLOAD)), shared)
+        workload = [(trace, images[id(image)])
+                    for trace, image in self._workload]
         forked = System(cfg, (workload + added)[:cfg.num_cores],
                         tracer=tracer)
         report = CarryoverReport()

@@ -7,6 +7,7 @@ but tiny simulations and check the acceptance property: a farm run over
 a queue is bit-identical to ``run_jobs`` over the same expansion.
 """
 
+import dataclasses
 import os
 
 import pytest
@@ -17,6 +18,7 @@ from repro.analysis.farm import (MAX_ATTEMPTS, FarmError, JobQueue,
                                  run_worker, serve_queue)
 from repro.analysis.parallel import (RunJob, _cache_store, job_hash,
                                      run_jobs)
+from repro.sim.system import System
 
 
 def _jobs(n=3, n_instrs=300, **kw):
@@ -165,6 +167,29 @@ def test_run_worker_drains_queue_bit_identical_to_run_jobs(tmp_path):
     direct = run_jobs(jobs, jobs=1,
                       cache_dir=str(tmp_path / "direct-cache"))
     assert [r.stats for r in farmed] == [r.stats for r in direct]
+
+
+def test_run_worker_forks_sweep_points_from_one_warm_base(tmp_path,
+                                                        monkeypatch):
+    base = RunJob(workload=("mix", "H4"), n_instrs=300, warmup_instrs=100)
+    jobs = [base, dataclasses.replace(base, prefetcher="stream"),
+            dataclasses.replace(base, emc=True)]
+    queue_dir = str(tmp_path / "q")
+    JobQueue(queue_dir).enqueue(jobs, "demo")
+    calls = []
+    warmup, load = System.warmup, System.from_checkpoint
+    monkeypatch.setattr(
+        System, "warmup",
+        lambda self, *a, **kw: calls.append("warmup") or warmup(self, *a,
+                                                                **kw))
+    monkeypatch.setattr(
+        System, "from_checkpoint",
+        classmethod(lambda cls, path, tracer=None:
+                    calls.append("load") or load(path, tracer=tracer)))
+    assert run_worker(queue_dir, worker_id="w1", lease_s=30.0) == 3
+    assert calls == ["warmup"]      # one warmup, the rest fork in memory
+    farmed = collect_results(queue_dir, jobs)
+    assert [r.stats for r in farmed] == [r.stats for r in run_jobs(jobs)]
 
 
 def test_run_worker_records_poison_job_without_raising(tmp_path):

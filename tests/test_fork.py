@@ -12,9 +12,11 @@ as the lifecycle tests.
 """
 
 import dataclasses
+import hashlib
 
 import pytest
 
+from repro.analysis import parallel
 from repro.analysis.parallel import RunJob, run_jobs
 from repro.lint.sanitize import flatten_state
 from repro.sim.component import SnapshotError
@@ -125,6 +127,39 @@ def test_fork_shrinking_cores_drops_surplus_and_runs():
     assert len(again.cores) == 8
 
 
+def _workload_digest(workload):
+    """Digest of every trace uop field and every written image word."""
+    h = hashlib.sha256()
+    for trace, image in workload:
+        for uop in trace.uops:
+            h.update(repr(dataclasses.astuple(uop)).encode())
+        h.update(repr(sorted((addr, image.read(addr))
+                             for addr in image.written_addresses()))
+                 .encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("grow", [False, True])
+def test_fork_shares_traces_but_never_memory_images(grow):
+    parent = warmed(warmup=200)
+    if grow:      # 4 -> 8 cores: the caller's added workload is copied too
+        added = build_scaled_mix("H4", 8, N, seed=1)[4:]
+        fork_args = dict(cfg=eight_core_config(), added_workload=added)
+    else:
+        added = []
+        fork_args = dict(cfg_overrides={"emc.enabled": True})
+    before = _workload_digest(parent._workload + added)
+    child, _ = parent.fork(**fork_args)
+    stats = child.run()
+    assert _workload_digest(parent._workload + added) == before
+    for (p_trace, _), (c_trace, _) in zip(parent._workload, child._workload):
+        assert c_trace is p_trace             # immutable: shared
+    assert not {id(image) for image in child.images} & \
+        {id(image) for _t, image in parent._workload + added}
+    again, _ = parent.fork(**fork_args)
+    assert again.run() == stats
+
+
 # ---------------------------------------------------------------------------
 # shared warmup across a config sweep
 # ---------------------------------------------------------------------------
@@ -193,3 +228,20 @@ def test_parallel_sweep_matches_serial(tmp_path):
                         cache_dir=str(tmp_path / "cache"))
     for a, b in zip(serial, parallel):
         assert a.stats == b.stats
+
+
+def test_sweep_builds_its_workload_once(tmp_path, monkeypatch):
+    builds = []
+    real = parallel.build_job_workload
+    monkeypatch.setattr(
+        parallel, "build_job_workload",
+        lambda job, num_cores=0: builds.append(job) or real(job, num_cores))
+    run_jobs(sweep_jobs(), jobs=1, cache_dir=str(tmp_path / "sweep"))
+    assert len(builds) == 1                   # the base warmup's build
+    # A point that grows num_cores past the warm base still builds, for
+    # its added cores only, and matches a run without any cache.
+    grown = dataclasses.replace(sweep_jobs()[0], num_cores=8)
+    builds.clear()
+    result = run_jobs([grown], jobs=1, cache_dir=str(tmp_path / "sweep"))[0]
+    assert builds == [grown]
+    assert result.stats == run_jobs([grown], jobs=1)[0].stats

@@ -102,6 +102,16 @@ def test_second_memory_controller_needs_an_eight_core_workload():
                                    num_mcs=2)).num_mcs == 2
 
 
+@pytest.mark.parametrize("num_cores", [2, 8])
+def test_named_workload_rejects_another_core_count(num_cores):
+    # Rejected with the config, before any build: a job forking from a
+    # warm base builds nothing, and must not silently shrink instead.
+    job = RunJob(workload=("named", "mcf", "lbm", "milc", "bwaves"),
+                 n_instrs=N, num_cores=num_cores, warmup_instrs=50)
+    with pytest.raises(ValueError, match="one benchmark per core"):
+        build_job_config(job)
+
+
 def test_job_overrides_and_hash():
     base = mix("H4")
     tuned = mix("H4", overrides=(("emc.num_contexts", 4),))
@@ -148,6 +158,27 @@ def test_corrupt_cache_entry_is_recomputed(tmp_path, junk):
     _assert_identical(expected, result)
 
 
+def test_truncated_cache_entry_warns_and_is_recomputed(tmp_path, capsys):
+    cache = str(tmp_path)
+    job = mix("H4", seed=5)
+    expected = run_jobs([job], cache_dir=cache)[0]
+    path = os.path.join(cache, f"run-{job_hash(job)}.pkl")
+    with open(path, "rb") as fh:
+        payload = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(payload[:len(payload) // 2])
+    capsys.readouterr()
+    result = run_jobs([job], cache_dir=cache)[0]
+    _assert_identical(expected, result)
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("warning:")]
+    assert len(warnings) == 1
+    assert path in warnings[0] and "Error" in warnings[0]
+    # The recompute rewrote the entry: the next load is a silent hit.
+    run_jobs([job], cache_dir=cache)
+    assert "warning:" not in capsys.readouterr().err
+
+
 def test_parallel_workers_fill_the_cache(tmp_path):
     cache = str(tmp_path)
     jobs_list = [mix("H4", seed=7), mix("H3", seed=7)]
@@ -166,11 +197,11 @@ def test_flaky_job_is_retried_once(monkeypatch):
     calls = {"n": 0}
     real = execute_job
 
-    def flaky(job, cache_dir=None):
+    def flaky(job, cache_dir=None, warm_base=None):
         calls["n"] += 1
         if calls["n"] == 1:
             raise RuntimeError("transient")
-        return real(job, cache_dir)
+        return real(job, cache_dir, warm_base)
 
     monkeypatch.setattr(parallel, "execute_job", flaky)
     result = run_jobs([mix("H4")])[0]
@@ -178,7 +209,7 @@ def test_flaky_job_is_retried_once(monkeypatch):
 
 
 def test_twice_failing_job_raises(monkeypatch):
-    def broken(_job, _cache_dir=None):
+    def broken(_job, _cache_dir=None, _warm_base=None):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(parallel, "execute_job", broken)
@@ -187,7 +218,7 @@ def test_twice_failing_job_raises(monkeypatch):
 
 
 def test_per_job_timeout(monkeypatch):
-    def stuck(_job, _cache_dir=None):
+    def stuck(_job, _cache_dir=None, _warm_base=None):
         time.sleep(5)
 
     monkeypatch.setattr(parallel, "execute_job", stuck)

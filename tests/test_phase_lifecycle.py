@@ -152,26 +152,51 @@ def test_checkpoint_file_written_once_and_resumed(tmp_path):
 # warmup-checkpoint sharing in the experiment runner
 # ---------------------------------------------------------------------------
 
+def _count_calls(monkeypatch, calls):
+    """Record every System.warmup and System.from_checkpoint call."""
+    warmup, load = System.warmup, System.from_checkpoint
+    monkeypatch.setattr(
+        System, "warmup",
+        lambda self, *a, **kw: calls.append("warmup") or warmup(self, *a,
+                                                                **kw))
+    monkeypatch.setattr(
+        System, "from_checkpoint",
+        classmethod(lambda cls, path, tracer=None:
+                    calls.append(path) or load(path, tracer=tracer)))
+
+
 def test_sweep_points_share_one_warmup_checkpoint(tmp_path, monkeypatch):
     base = RunJob(workload=("mix", "H4"), n_instrs=N, warmup_instrs=100)
     # Same warmup identity, different measurement budget: the second job
-    # must resume from the checkpoint the first one wrote.
+    # forks from the base the first one warmed, kept in memory.
     jobs = [base, dataclasses.replace(base, max_cycles=40_000_000,
                                       label="budget-variant")]
     assert warmup_checkpoint_path(str(tmp_path), jobs[0]) == \
            warmup_checkpoint_path(str(tmp_path), jobs[1])
 
-    resumes = []
-    orig = System.from_checkpoint
-    monkeypatch.setattr(
-        System, "from_checkpoint",
-        classmethod(lambda cls, path, tracer=None:
-                    resumes.append(path) or orig(path, tracer=tracer)))
+    calls = []
+    _count_calls(monkeypatch, calls)
     results = run_jobs(jobs, jobs=1, cache_dir=str(tmp_path))
-    ckpts = list(tmp_path.glob("warmup-ckpt/wck-*.pkl"))
-    assert len(ckpts) == 1                  # first job wrote it...
-    assert resumes == [str(ckpts[0])]       # ...second job skipped warmup
+    assert calls == ["warmup"]              # one warmup, no reload
+    assert len(list(tmp_path.glob("warmup-ckpt/wck-*.pkl"))) == 1
     assert results[0].stats == results[1].stats
+
+
+def test_second_sweep_resumes_from_the_checkpoint_once(tmp_path,
+                                                       monkeypatch):
+    base = RunJob(workload=("mix", "H4"), n_instrs=N, warmup_instrs=100)
+    run_jobs([base], jobs=1, cache_dir=str(tmp_path))
+    # New points (result-cache misses) with the same warmup identity: the
+    # new call loads the checkpoint from disk once, then forks in memory.
+    later = [dataclasses.replace(base, prefetcher="stream"),
+             dataclasses.replace(base, emc=True)]
+    calls = []
+    _count_calls(monkeypatch, calls)
+    resumed = run_jobs(later, jobs=1, cache_dir=str(tmp_path))
+    ckpts = list(tmp_path.glob("warmup-ckpt/wck-*.pkl"))
+    assert calls == [str(ckpts[0])]
+    scratch = run_jobs(later, jobs=1)       # fresh warmup per job
+    assert [r.stats for r in resumed] == [r.stats for r in scratch]
 
 
 def test_parallel_runner_matches_serial_with_warmup():
