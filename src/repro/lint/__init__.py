@@ -6,16 +6,17 @@ invariants the simulator's correctness rests on — the ones PR 1's shared
 trace subsystem silently depend on:
 
 - **SIM001** shared mutable state at module/class level in simulator code
-- **SIM002** unseeded (module-level) randomness
-- **SIM003** wall-clock reads inside simulation hot paths
-- **SIM004** float-contaminated cycle arithmetic
-- **SIM005** stats counters mutated from outside their owning component
 - **SIM006** mutable default arguments
-
-plus the whole-program protocol-conformance set (SIM010–SIM013), driven
-by the cross-module symbol graph in :mod:`repro.lint.graph`: snapshot
-completeness, reset coverage, config-state drift, and inter-procedural
-determinism taint.
+- determinism (**SIM002** global RNG, **SIM003** wall clock in hot paths,
+  **SIM013** host values laundered through helper calls), read from the
+  cross-module symbol graph in :mod:`repro.lint.graph`
+- ownership (**SIM005** foreign stats writes, **SIM008** reach-through
+  writes)
+- timing sinks (**SIM004** float cycle arithmetic, **SIM007** events
+  scheduled in the past, **SIM009** set iteration feeding event order)
+- the component protocol (**SIM010** snapshot completeness, **SIM011**
+  reset coverage, **SIM012** config-state drift), over the graph's class
+  tables.
 
 Run it as ``repro lint src/`` (or via :func:`lint_paths`), suppress a
 finding inline with ``# simlint: disable=SIM001`` (stale suppressions

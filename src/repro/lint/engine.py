@@ -2,9 +2,10 @@
 
 One :func:`lint_paths` call parses each Python file once, builds the
 whole-program :class:`~repro.lint.graph.ProjectGraph` over every parsed
-module (import graph, cross-file class hierarchy, call edges — the
-substrate for the protocol-conformance rules SIM010–SIM013), and hands
-each tree to every selected rule together with the shared graph.
+module (import tables, direct determinism sources, cross-file class
+hierarchy, call edges — the substrate for the determinism rules and the
+protocol-conformance rules SIM010–SIM012), and hands each tree to every
+selected rule together with the shared graph.
 Findings then pass through two filters:
 
 - inline suppressions — ``# simlint: disable=SIM001`` (comma-separate
@@ -83,15 +84,20 @@ class LintResult:
 
 
 def iter_python_files(paths: Iterable[Union[str, Path]]) -> List[Path]:
-    """Expand files/directories into a sorted list of ``.py`` files."""
+    """Expand files/directories into a sorted list of ``.py`` files.
+
+    Hidden (dot-named) and ``__pycache__`` entries are skipped only below
+    a given directory, so ``..`` or a checkout under ``~/.work`` still
+    counts.
+    """
     files: List[Path] = []
     for raw in paths:
         path = Path(raw)
         if path.is_dir():
             files.extend(p for p in sorted(path.rglob("*.py"))
-                         if "__pycache__" not in p.parts
-                         and not any(part.startswith(".")
-                                     for part in p.parts))
+                         if not any(part == "__pycache__"
+                                    or part.startswith(".")
+                                    for part in p.relative_to(path).parts))
         elif path.suffix == ".py":
             files.append(path)
         elif not path.exists():

@@ -1,15 +1,15 @@
-"""Project symbol graph: the whole-program layer under simlint v2.
+"""Project symbol graph: the whole-program layer under simlint.
 
-SIM001–SIM009 are per-file AST walks; the protocol-conformance rules
-(SIM010–SIM013) need facts no single file contains — which classes are
-:class:`~repro.sim.component.SimComponent` subclasses, what a class
-inherits through bases defined in other modules, and whether a helper
-function two imports away returns a wall-clock value.  This module builds
-that view once per lint run:
+Every rule that needs more than one statement's worth of context reads
+its facts from here, built once per lint run:
 
 - a **module table** keyed by dotted name (derived from ``__init__.py``
-  packaging on disk), with per-module import alias maps covering
-  ``import a.b as c``, ``from m import X as Y``, and relative imports;
+  packaging on disk), with one import table per module covering
+  ``import a.b as c``, ``from m import X as Y``, relative imports, and
+  imports inside function bodies (recorded module-wide);
+- per-module **direct sources**: every call that reads host time, host
+  entropy or the process-global RNG, classified once through that import
+  table (SIM002/SIM003 report them, the taint fixpoint starts from them);
 - a **class table** per module with base-class expressions resolved
   across modules into a linearized ancestor list (duplicates dropped,
   unresolvable bases kept as terminal names so ``SimComponent`` is
@@ -42,8 +42,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from .rules.common import attribute_chain
-
 #: the protocol root every stateful simulator class derives from; matched
 #: by terminal name so fixture trees that cannot see repro.sim.component
 #: still resolve their hierarchy
@@ -58,7 +56,12 @@ _WILDCARD_STATE_HELPERS = frozenset({
 #: decorator names that make a class a dataclass
 _DATACLASS_DECORATORS = frozenset({"dataclass"})
 
-# -- taint sources (SIM013) ---------------------------------------------------
+# -- direct sources (SIM002, SIM003, SIM013) ---------------------------------
+
+#: description prefixes of the three source kinds
+WALL_CLOCK = "wall-clock read"
+GLOBAL_RNG = "global RNG"
+HOST_ENTROPY = "host entropy"
 
 #: module-level functions of ``time`` that read the host clock
 _TIME_FUNCS = frozenset({
@@ -73,6 +76,31 @@ _SAFE_RNG_FACTORIES = frozenset({
 })
 _OS_ENTROPY_FUNCS = frozenset({"urandom", "getrandom"})
 _UUID_RANDOM_FUNCS = frozenset({"uuid1", "uuid4"})
+
+
+def _source_for_dotted(dotted: str) -> Optional[str]:
+    """Description of the source a fully-resolved dotted callee reads
+    (``"wall-clock read 'time.monotonic'"``), or None."""
+    parts = dotted.split(".")
+    if len(parts) < 2:
+        return None
+    root, leaf = parts[0], parts[-1]
+    if root == "time" and leaf in _TIME_FUNCS:
+        return f"{WALL_CLOCK} 'time.{leaf}'"
+    if root in ("datetime", "date") and leaf in _DATETIME_FUNCS:
+        return f"{WALL_CLOCK} '{dotted}'"
+    if root == "os" and leaf in _OS_ENTROPY_FUNCS:
+        return f"{HOST_ENTROPY} 'os.{leaf}'"
+    if root == "uuid" and leaf in _UUID_RANDOM_FUNCS:
+        return f"{HOST_ENTROPY} 'uuid.{leaf}'"
+    if root == "secrets":
+        return f"{HOST_ENTROPY} 'secrets.{leaf}'"
+    if root == "random" and leaf not in _SAFE_RNG_FACTORIES:
+        return f"{GLOBAL_RNG} 'random.{leaf}'"
+    if root == "numpy" and "random" in parts[1:-1] \
+            and leaf not in _SAFE_RNG_FACTORIES:
+        return f"{GLOBAL_RNG} 'numpy.random.{leaf}'"
+    return None
 
 
 @dataclass
@@ -148,17 +176,26 @@ class ModuleInfo:
         self.path = path
         self.name = name                       # dotted; "" for scripts
         self.tree = tree
-        #: local alias -> dotted target (module or module.symbol)
+        #: local alias -> dotted target (module or module.symbol), for
+        #: every import in the module, function-local ones included
         self.imports: Dict[str, str] = {}
         self.classes: Dict[str, ClassInfo] = {}
         self.functions: Dict[str, FunctionInfo] = {}
+        #: call -> description, for every direct source read
+        self.sources: Dict[ast.Call, str] = {}
+        #: (import statement, description) per ``from m import f``
+        #: binding that names a source function
+        self.bound_sources: List[Tuple[ast.ImportFrom, str]] = []
         self._index()
 
     # -- construction --------------------------------------------------------
     def _index(self) -> None:
         package = self.name.rsplit(".", 1)[0] if "." in self.name else ""
-        for node in self.tree.body:
-            if isinstance(node, ast.Import):
+        calls: List[ast.Call] = []
+        for node in ast.walk(self.tree):
+            if isinstance(node, ast.Call):
+                calls.append(node)
+            elif isinstance(node, ast.Import):
                 for alias in node.names:
                     local = alias.asname or alias.name.split(".")[0]
                     target = alias.name if alias.asname else \
@@ -169,16 +206,51 @@ class ModuleInfo:
                 if base is None:
                     continue
                 for alias in node.names:
-                    if alias.name == "*":
-                        continue
-                    local = alias.asname or alias.name
-                    self.imports[local] = (f"{base}.{alias.name}"
-                                           if base else alias.name)
-            elif isinstance(node, ast.ClassDef):
+                    target = f"{base}.{alias.name}" if base else alias.name
+                    origin = _source_for_dotted(target)
+                    if origin is not None:
+                        self.bound_sources.append((node, origin))
+                    if alias.name != "*":
+                        self.imports[alias.asname or alias.name] = target
+        for call in calls:
+            origin = self._direct_source(call)
+            if origin is not None:
+                self.sources[call] = origin
+        for node in self.tree.body:
+            if isinstance(node, ast.ClassDef):
                 self.classes[node.name] = _build_class(self, node)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self.functions[node.name] = FunctionInfo(
                     module=self, cls=None, name=node.name, node=node)
+
+    def _direct_source(self, call: ast.Call) -> Optional[str]:
+        """Description of a wall-clock / entropy / global-RNG read,
+        resolved through this module's import table, or None."""
+        func = call.func
+        if isinstance(func, ast.Name):
+            target = self.imports.get(func.id)
+            return None if target is None else _source_for_dotted(target)
+        if isinstance(func, ast.Attribute):
+            base, attrs = attribute_chain(func)
+            if not isinstance(base, ast.Name):
+                return None
+            head = self.imports.get(base.id, base.id
+                                    if base.id in ("datetime", "date")
+                                    else None)
+            if head is None:
+                return None
+            return _source_for_dotted(".".join([head] + attrs))
+        return None
+
+    def all_functions(self) -> List[FunctionInfo]:
+        """Module-level functions and methods, keyed exactly as the
+        graph's taint table keys them."""
+        out = list(self.functions.values())
+        for cls in self.classes.values():
+            for name, method in cls.methods.items():
+                out.append(FunctionInfo(module=self, cls=cls, name=name,
+                                        node=method.node))
+        return out
 
     def _resolve_from(self, node: ast.ImportFrom,
                       package: str) -> Optional[str]:
@@ -195,6 +267,20 @@ class ModuleInfo:
         if node.module:
             base_parts.append(node.module)
         return ".".join(base_parts)
+
+
+def attribute_chain(node: ast.expr) -> Tuple[Optional[ast.expr], List[str]]:
+    """Unroll ``a.b.c`` into ``(base_node, ["b", "c"])``.
+
+    The base is whatever the left-most value is — a Name, a Call result,
+    a subscript, etc.  For a bare Name the chain is empty.
+    """
+    attrs: List[str] = []
+    while isinstance(node, ast.Attribute):
+        attrs.append(node.attr)
+        node = node.value
+    attrs.reverse()
+    return node, attrs
 
 
 def _decorator_name(dec: ast.expr) -> str:
@@ -348,14 +434,6 @@ class ProjectGraph:
         self.by_path[norm] = info
         self._taint = None
         return info
-
-    @classmethod
-    def build(cls, items: Iterable[Tuple[str, ast.Module]]
-              ) -> "ProjectGraph":
-        graph = cls()
-        for path, tree in items:
-            graph.add_module(path, tree)
-        return graph
 
     def module_for(self, path) -> Optional[ModuleInfo]:
         return self.by_path.get(Path(path).as_posix())
@@ -520,22 +598,9 @@ class ProjectGraph:
             self._taint = self._compute_taint()
         return self._taint
 
-    def function_taint(self, fn: FunctionInfo) -> Optional[str]:
-        return self.taint_summaries().get(fn.key)
-
-    def _all_functions(self) -> List[FunctionInfo]:
-        out: List[FunctionInfo] = []
-        for _name, module in sorted(self.modules.items()):
-            for fn in module.functions.values():
-                out.append(fn)
-            for cls in module.classes.values():
-                for mname, method in cls.methods.items():
-                    out.append(FunctionInfo(module=module, cls=cls,
-                                            name=mname, node=method.node))
-        return out
-
     def _compute_taint(self) -> Dict[Tuple[str, str, str], str]:
-        functions = self._all_functions()
+        functions = [fn for _name, module in sorted(self.modules.items())
+                     for fn in module.all_functions()]
         summaries: Dict[Tuple[str, str, str], str] = {}
         changed = True
         # Fixpoint: each pass may discover taint flowing one call deeper.
@@ -609,7 +674,7 @@ class ProjectGraph:
                 return tainted_locals[f"self.{node.attr}"]
             if not isinstance(node, ast.Call):
                 continue
-            origin = self._direct_source(fn.module, node)
+            origin = fn.module.sources.get(node)
             if origin is not None:
                 return origin
             target = self.call_target(fn, node)
@@ -650,49 +715,4 @@ class ProjectGraph:
                                         ".".join([base.id] + attrs))
                 if isinstance(resolved, FunctionInfo):
                     return resolved
-        return None
-
-    def _direct_source(self, module: ModuleInfo,
-                       call: ast.Call) -> Optional[str]:
-        """Wall-clock / global-RNG source call, resolved through this
-        module's import aliases.  Returns a description or None."""
-        func = call.func
-        if isinstance(func, ast.Name):
-            target = module.imports.get(func.id)
-            if target is None:
-                return None
-            return self._source_for_dotted(target)
-        if isinstance(func, ast.Attribute):
-            base, attrs = attribute_chain(func)
-            if not isinstance(base, ast.Name):
-                return None
-            head = module.imports.get(base.id, base.id
-                                      if base.id in ("datetime", "date")
-                                      else None)
-            if head is None:
-                return None
-            return self._source_for_dotted(".".join([head] + attrs))
-        return None
-
-    @staticmethod
-    def _source_for_dotted(dotted: str) -> Optional[str]:
-        parts = dotted.split(".")
-        if len(parts) < 2:
-            return None
-        root, leaf = parts[0], parts[-1]
-        if root == "time" and leaf in _TIME_FUNCS:
-            return f"wall-clock read 'time.{leaf}'"
-        if root in ("datetime", "date") and leaf in _DATETIME_FUNCS:
-            return f"wall-clock read '{dotted}'"
-        if root == "os" and leaf in _OS_ENTROPY_FUNCS:
-            return f"host entropy 'os.{leaf}'"
-        if root == "uuid" and leaf in _UUID_RANDOM_FUNCS:
-            return f"host entropy 'uuid.{leaf}'"
-        if root == "secrets":
-            return f"host entropy 'secrets.{leaf}'"
-        if root == "random" and leaf not in _SAFE_RNG_FACTORIES:
-            return f"global RNG 'random.{leaf}'"
-        if root == "numpy" and "random" in parts[1:-1] + [parts[1]] \
-                and leaf not in _SAFE_RNG_FACTORIES and len(parts) >= 3:
-            return f"global RNG 'numpy.random.{leaf}'"
         return None

@@ -1,30 +1,25 @@
 """Built-in simlint rules; importing this package registers SIM001–SIM013.
 
-SIM001–SIM009 are per-file AST walks; SIM010–SIM013 are whole-program
-rules driven by the :class:`~repro.lint.graph.ProjectGraph` the engine
-builds over the full lint run.
+Rules sharing one analysis live together: :mod:`.determinism`
+(SIM002/SIM003/SIM013, over the project graph's source classification
+and taint fixpoint), :mod:`.ownership` (SIM005/SIM008, one walk of
+mutated attribute chains) and :mod:`.timing` (SIM004/SIM007/SIM009, one
+scan of simulated-time sinks).  SIM010–SIM012 check the component
+protocol against the graph's class tables; SIM001 and SIM006 are
+single-statement checks.
 """
 
-from . import (sim001_shared_state, sim002_unseeded_random,
-               sim003_wall_clock, sim004_float_cycles,
-               sim005_foreign_stats, sim006_mutable_defaults,
-               sim007_past_event, sim008_reach_through,
-               sim009_unordered_iteration, sim010_snapshot_completeness,
-               sim011_reset_coverage, sim012_config_state_drift,
-               sim013_taint_flow)
+from . import (determinism, ownership, sim001_shared_state,
+               sim006_mutable_defaults, sim010_snapshot_completeness,
+               sim011_reset_coverage, sim012_config_state_drift, timing)
 
 __all__ = [
+    "determinism",
+    "ownership",
     "sim001_shared_state",
-    "sim002_unseeded_random",
-    "sim003_wall_clock",
-    "sim004_float_cycles",
-    "sim005_foreign_stats",
     "sim006_mutable_defaults",
-    "sim007_past_event",
-    "sim008_reach_through",
-    "sim009_unordered_iteration",
     "sim010_snapshot_completeness",
     "sim011_reset_coverage",
     "sim012_config_state_drift",
-    "sim013_taint_flow",
+    "timing",
 ]

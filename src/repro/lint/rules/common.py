@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import ast
-from typing import List, Optional, Tuple
+from typing import FrozenSet, List, Optional
 
 #: constructors that build mutable containers
 MUTABLE_CALLS = frozenset({
@@ -25,6 +25,13 @@ def call_name(node: ast.Call) -> Optional[str]:
     if isinstance(func, ast.Attribute):
         return func.attr
     return None
+
+
+def calls_method(node: ast.AST, names: FrozenSet[str]) -> bool:
+    """True for a call ``<expr>.m(...)`` with ``m`` in ``names``."""
+    return (isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in names)
 
 
 def is_mutable_container(node: ast.AST) -> bool:
@@ -69,55 +76,3 @@ def target_names(stmt: ast.stmt) -> List[ast.expr]:
     if isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
         return [stmt.target]
     return []
-
-
-def attribute_chain(node: ast.expr) -> Tuple[Optional[ast.expr], List[str]]:
-    """Unroll ``a.b.c`` into ``(base_node, ["b", "c"])``.
-
-    The base is whatever the left-most value is — a Name, a Call result,
-    a subscript, etc.  For a bare Name the chain is empty.
-    """
-    attrs: List[str] = []
-    while isinstance(node, ast.Attribute):
-        attrs.append(node.attr)
-        node = node.value
-    attrs.reverse()
-    return node, attrs
-
-
-def deep_attribute_chain(node: ast.expr
-                         ) -> Tuple[Optional[ast.expr], List[str]]:
-    """Like :func:`attribute_chain`, but transparent through subscripts:
-    ``a.b[i].c.d`` -> ``(base_of_a, ["b", "c", "d"])``.
-
-    Indexing selects an element *within* the same object graph, so for
-    ownership purposes ``self.banks[i].queue`` reaches exactly as far as
-    ``self.bank.queue`` — each ``[...]`` contributes nothing to the chain.
-    """
-    attrs: List[str] = []
-    while True:
-        if isinstance(node, ast.Attribute):
-            attrs.append(node.attr)
-            node = node.value
-        elif isinstance(node, ast.Subscript):
-            node = node.value
-        else:
-            break
-    attrs.reverse()
-    return node, attrs
-
-
-def contains_true_div(node: ast.AST) -> bool:
-    """True when ``node`` contains a ``/`` whose float result escapes.
-
-    Divisions fully wrapped in an int-coercing call (``int``, ``round``,
-    ``floor``, ``ceil``) are fine — the coercion restores integer cycle
-    arithmetic before the value is stored.
-    """
-    if isinstance(node, ast.Call) and call_name(node) in (
-            "int", "round", "floor", "ceil"):
-        return False
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
-        return True
-    return any(contains_true_div(child)
-               for child in ast.iter_child_nodes(node))

@@ -26,8 +26,8 @@ import ast
 from typing import Dict, Iterator, Optional, Tuple
 
 from ..findings import Finding, LintContext
+from ..graph import attribute_chain
 from ..registry import Rule, register_rule
-from .common import attribute_chain
 
 
 def _is_alias_value(value: Optional[ast.expr]) -> bool:

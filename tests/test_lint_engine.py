@@ -195,6 +195,15 @@ def test_iter_python_files_skips_caches_and_dot_dirs(tmp_path):
     assert [f.name for f in files] == ["mod.py"]
 
 
+def test_iter_python_files_judges_hidden_parts_below_the_root(tmp_path):
+    # A dot-named directory *above* the given root (a checkout under
+    # ~/.work) hides nothing; one below it still does.
+    root = tmp_path / ".work" / "repo"
+    write(root, "pkg/mod.py", "x = 1\n")
+    write(root, "pkg/.hidden/skip.py", "x = 1\n")
+    assert [f.name for f in iter_python_files([root])] == ["mod.py"]
+
+
 def test_missing_path_raises(tmp_path):
     with pytest.raises(FileNotFoundError):
         iter_python_files([tmp_path / "does-not-exist"])

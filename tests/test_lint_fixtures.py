@@ -53,6 +53,17 @@ def test_fixtures_report_exactly_the_planted_findings():
     assert result.baselined == []
 
 
+def test_fixtures_found_through_a_dotdot_path(monkeypatch):
+    # '..' in the given path is not a hidden directory: linting the
+    # fixtures from a sibling directory still finds every planted one.
+    monkeypatch.chdir(FIXTURES.parent)
+    root = Path("..") / FIXTURES.parent.name / FIXTURES.name
+    result = lint_paths([root])
+    got = sorted((f.rule, Path(f.path).relative_to(root).as_posix(),
+                  f.line) for f in result.findings)
+    assert got == sorted(PLANTED)
+
+
 def test_fixture_run_fails_the_gate():
     result = lint_paths([FIXTURES])
     assert result.exit_code() == 1

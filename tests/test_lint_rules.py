@@ -117,6 +117,16 @@ def test_sim002_flags_numpy_legacy_globals():
     assert lines_of(findings) == [5, 5]
 
 
+def test_sim002_flags_numpy_random_imported_from_numpy():
+    findings = run_rule("SIM002", """\
+        from numpy import random as npr
+
+        def noise():
+            return npr.rand(3)
+    """)
+    assert lines_of(findings) == [4]
+
+
 def test_sim002_allows_per_instance_generators():
     findings = run_rule("SIM002", """\
         import random
@@ -149,6 +159,15 @@ WALL_CLOCK_SRC = """\
 def test_sim003_flags_wall_clock_in_hot_path():
     findings = run_rule("SIM003", WALL_CLOCK_SRC, path=HOT)
     assert lines_of(findings) == [5, 6]
+
+
+def test_sim003_flags_function_local_time_import():
+    findings = run_rule("SIM003", """\
+        def tick(self):
+            import time
+            return time.monotonic()
+    """)
+    assert lines_of(findings) == [3]
 
 
 def test_sim003_silent_outside_hot_path():
@@ -379,6 +398,28 @@ def test_sim009_allows_sorted_dicts_and_sink_free_loops():
                     self.wheel.schedule(3, self._tick)
     """)
     assert findings == []
+
+
+def test_timing_rules_keep_their_augmented_assignment_models():
+    # SIM007 reads `when -= x` as `when - x`, which is never provably
+    # >= now (here it is 4, a time in the past); SIM009 records only the
+    # right-hand side of `pending -= busy`, and `busy` is not a known set.
+    findings = run_rule("SIM007", """\
+        class Channel:
+            def back(self):
+                when = self.wheel.now + 4
+                when -= self.wheel.now
+                self.wheel.schedule_at(when, self._tick)
+    """)
+    assert lines_of(findings) == [5]
+    assert run_rule("SIM009", """\
+        class Channel:
+            def kick(self, lines, busy):
+                pending = set(lines)
+                pending -= busy
+                for line in pending:
+                    self.wheel.schedule(1, self._tick)
+    """) == []
 
 
 def test_sim009_silent_outside_hot_path():
@@ -656,6 +697,36 @@ def test_sim013_flags_tainted_cycle_assignment_through_chain():
     """)
     assert lines_of(findings) == [11]
     assert "global RNG" in findings[0].message
+
+
+def test_sim013_follows_helpers_with_function_local_imports(tmp_path):
+    from repro.lint import lint_paths
+    (tmp_path / "global_clock.py").write_text(textwrap.dedent("""\
+        import time
+
+        def stamp():
+            return int(time.monotonic())
+    """))
+    (tmp_path / "local_clock.py").write_text(textwrap.dedent("""\
+        def stamp():
+            import time
+            return int(time.monotonic())
+    """))
+    hot = tmp_path / "memsys" / "kick.py"
+    hot.parent.mkdir()
+    hot.write_text(textwrap.dedent("""\
+        from global_clock import stamp as global_stamp
+        from local_clock import stamp as local_stamp
+
+        class Kicker:
+            def kick(self):
+                self.wheel.schedule(global_stamp(), self._tick)
+                self.wheel.schedule(local_stamp(), self._tick)
+    """))
+    result = lint_paths([tmp_path])
+    assert [(f.rule, f.line) for f in result.findings] == [
+        ("SIM013", 6), ("SIM013", 7)]
+    assert "'local_clock.stamp'" in result.findings[1].message
 
 
 def test_sim013_direct_reads_left_to_sim003():
