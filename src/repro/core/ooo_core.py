@@ -403,7 +403,7 @@ class OutOfOrderCore(SimComponent):
                 elif op is store:
                     self._execute_store(iu)
                 else:
-                    # ALU path of _execute(), inlined (both operand reads).
+                    # ALU uop: _source_value() inlined for both operands.
                     reg = uop.src1
                     if reg is None:
                         a = 0
@@ -566,36 +566,6 @@ class OutOfOrderCore(SimComponent):
             return True
         return len(l1_pending) < self.l1_mshr_capacity
 
-    def _execute(self, iu: InflightUop) -> None:
-        uop = iu.uop
-        op = uop.op
-        if op is UopType.LOAD:
-            self._execute_load(iu)
-            return
-        if op is UopType.STORE:
-            self._execute_store(iu)
-            return
-        # _source_value(), inlined for both operands.
-        reg = uop.src1
-        if reg is None:
-            a = 0
-        else:
-            p = iu.p1
-            a = p.value if p is not None else self.regfile.get(reg, 0)
-        reg = uop.src2
-        if reg is None:
-            b = 0
-        else:
-            p = iu.p2
-            b = p.value if p is not None else self.regfile.get(reg, 0)
-        value = execute_alu(uop, a, b)
-        latency = UOP_LATENCY[op]
-        schedule = self.wheel.schedule
-        if op is UopType.BRANCH and uop.mispredicted:
-            schedule(latency + self.cfg.mispredict_penalty,
-                     self._unblock_fetch)
-        schedule(latency, lambda: self._complete(iu, value))
-
     def _unblock_fetch(self) -> None:
         self._fetch_blocked = False
         self.wake()
@@ -703,9 +673,17 @@ class OutOfOrderCore(SimComponent):
     # dependent-miss classification (backward dataflow walk)
     # ------------------------------------------------------------------
     def find_miss_root(self, iu: InflightUop) -> Optional[Tuple[InflightUop, int]]:
-        """Find the nearest ancestor load that LLC-missed and whose data had
-        not returned when ``iu`` was dispatched.  Returns (root, edge_depth)
-        with the minimum edge count, or None."""
+        """Find an ancestor load that LLC-missed and whose data had not
+        returned when ``iu`` was dispatched.  Returns (root, edge_depth),
+        or None.
+
+        The walk is depth-first, second operand first, and visits each
+        ancestor once, at the depth of the first path that reaches it.
+        Of the roots it reaches it returns the one with the smallest such
+        depth; that is not always the minimum edge count.  For ``X.p1 =
+        A -> R`` and ``X.p2 = B -> C -> R`` it returns R at depth 3, not
+        2: the walk reaches R through B first and never revisits it.
+        """
         best_depth = 0
         best_node: Optional[InflightUop] = None
         dispatch_cycle = iu.dispatch_cycle

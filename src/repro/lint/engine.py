@@ -270,9 +270,12 @@ def lint_paths(paths: Iterable[Union[str, Path]],
                     used.add("ALL")
             else:
                 active.append(finding)
-        for finding in _unused_suppressions(
-                path.as_posix(), lines, used_by_line, selected_codes,
-                _comment_lines(source)):
+        # No 'simlint:' text, no suppression comment to judge: skip the
+        # tokenizer for the files that need none.
+        unused = (_unused_suppressions(
+            path.as_posix(), lines, used_by_line, selected_codes,
+            _comment_lines(source)) if "simlint:" in source else [])
+        for finding in unused:
             line_src = (lines[finding.line - 1]
                         if 0 < finding.line <= len(lines) else "")
             # A 'SIM099' token on the same comment is the escape hatch

@@ -3,6 +3,9 @@
 Every rule that needs more than one statement's worth of context reads
 its facts from here, built once per lint run:
 
+- a **node index**: every module's nodes, and every function's, in
+  ``ast.walk`` order, from one walk of each module.  Rules and the
+  analyses below filter these sequences instead of walking trees again;
 - a **module table** keyed by dotted name (derived from ``__init__.py``
   packaging on disk), with one import table per module covering
   ``import a.b as c``, ``from m import X as Y``, relative imports, and
@@ -38,6 +41,8 @@ executes project code — everything is derived from the parsed ASTs.
 from __future__ import annotations
 
 import ast
+import functools
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
@@ -55,6 +60,9 @@ _WILDCARD_STATE_HELPERS = frozenset({
 
 #: decorator names that make a class a dataclass
 _DATACLASS_DECORATORS = frozenset({"dataclass"})
+
+_FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
+_ASSIGN_NODES = (ast.Assign, ast.AnnAssign, ast.AugAssign)
 
 # -- direct sources (SIM002, SIM003, SIM013) ---------------------------------
 
@@ -104,17 +112,6 @@ def _source_for_dotted(dotted: str) -> Optional[str]:
 
 
 @dataclass
-class MethodInfo:
-    """Facts simlint needs about one function/method body."""
-
-    name: str
-    node: ast.AST                          # FunctionDef / AsyncFunctionDef
-    self_attrs: FrozenSet[str]             # attrs mentioned through self
-    self_calls: FrozenSet[str]             # methods called via self/super()
-    wildcard_state: bool                   # whole-instance state helper call
-
-
-@dataclass
 class AttrAssign:
     """First ``self.X = ...`` assignment for one attribute in __init__."""
 
@@ -132,7 +129,7 @@ class ClassInfo:
     module: "ModuleInfo"
     node: ast.ClassDef
     base_exprs: List[ast.expr] = field(default_factory=list)
-    methods: Dict[str, MethodInfo] = field(default_factory=dict)
+    methods: Dict[str, "FunctionInfo"] = field(default_factory=dict)
     #: attr -> first assignment inside this class's own __init__
     init_attrs: Dict[str, AttrAssign] = field(default_factory=dict)
     #: every attr assigned through self in any method of this class
@@ -148,14 +145,39 @@ class ClassInfo:
         return f"{self.module.name}.{self.name}"
 
 
-@dataclass
+@dataclass(eq=False)
 class FunctionInfo:
-    """A taint-analysis participant: module-level function or method."""
+    """A module-level function or a method: a taint-analysis participant,
+    with its share of the run's node index."""
 
     module: "ModuleInfo"
     cls: Optional[ClassInfo]
     name: str
-    node: ast.AST
+    node: ast.AST                          # FunctionDef / AsyncFunctionDef
+
+    @property
+    def nodes(self) -> List[ast.AST]:
+        """``list(ast.walk(node))``, from the module's node index."""
+        return self.module.walk(self.node)
+
+    @functools.cached_property
+    def returns(self) -> List[ast.Return]:
+        """``return <value>`` statements, in ``nodes`` order."""
+        return [node for node in self.nodes
+                if isinstance(node, ast.Return) and node.value is not None]
+
+    @functools.cached_property
+    def assigns(self) -> List[ast.stmt]:
+        """Assign / AnnAssign / AugAssign statements, in ``nodes`` order."""
+        return [node for node in self.nodes
+                if isinstance(node, _ASSIGN_NODES)]
+
+    @functools.cached_property
+    def self_refs(self) -> Tuple[FrozenSet[str], FrozenSet[str], bool]:
+        """A method's ``(attributes mentioned through self, methods
+        called through self/super(), whole-instance coverage)``; built
+        for the methods a coverage query reaches."""
+        return _self_refs(self.nodes)
 
     @property
     def key(self) -> Tuple[str, str, str]:
@@ -186,13 +208,17 @@ class ModuleInfo:
         #: (import statement, description) per ``from m import f``
         #: binding that names a source function
         self.bound_sources: List[Tuple[ast.ImportFrom, str]] = []
+        #: the run's node index: ``list(ast.walk(tree))``, and where in
+        #: it lies the walk of each outermost function (one not nested
+        #: in another function), in walk order; see :meth:`walk`
+        self.nodes, self._slices = _walk_module(tree)
         self._index()
 
     # -- construction --------------------------------------------------------
     def _index(self) -> None:
         package = self.name.rsplit(".", 1)[0] if "." in self.name else ""
         calls: List[ast.Call] = []
-        for node in ast.walk(self.tree):
+        for node in self.nodes:
             if isinstance(node, ast.Call):
                 calls.append(node)
             elif isinstance(node, ast.Import):
@@ -219,7 +245,7 @@ class ModuleInfo:
         for node in self.tree.body:
             if isinstance(node, ast.ClassDef):
                 self.classes[node.name] = _build_class(self, node)
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            elif isinstance(node, _FUNCTION_NODES):
                 self.functions[node.name] = FunctionInfo(
                     module=self, cls=None, name=node.name, node=node)
 
@@ -242,15 +268,24 @@ class ModuleInfo:
             return _source_for_dotted(".".join([head] + attrs))
         return None
 
-    def all_functions(self) -> List[FunctionInfo]:
-        """Module-level functions and methods, keyed exactly as the
-        graph's taint table keys them."""
-        out = list(self.functions.values())
-        for cls in self.classes.values():
-            for name, method in cls.methods.items():
-                out.append(FunctionInfo(module=self, cls=cls, name=name,
-                                        node=method.node))
+    def scopes(self) -> Iterable[ast.AST]:
+        """The outermost functions, in walk order."""
+        return self._slices.keys()
+
+    def walk(self, function: ast.AST) -> List[ast.AST]:
+        """``list(ast.walk(function))`` for an outermost function, cut
+        from :attr:`nodes`."""
+        pairs = self._slices[function]
+        out: List[ast.AST] = []
+        for k in range(0, len(pairs), 2):
+            out += self.nodes[pairs[k]:pairs[k + 1]]
         return out
+
+    def all_functions(self) -> List[FunctionInfo]:
+        """Module-level functions, then methods class by class."""
+        return list(self.functions.values()) + [
+            method for cls in self.classes.values()
+            for method in cls.methods.values()]
 
     def _resolve_from(self, node: ast.ImportFrom,
                       package: str) -> Optional[str]:
@@ -267,6 +302,47 @@ class ModuleInfo:
         if node.module:
             base_parts.append(node.module)
         return ".".join(base_parts)
+
+
+def _walk_module(tree: ast.Module
+                 ) -> Tuple[List[ast.AST], Dict[ast.AST, array]]:
+    """``list(ast.walk(tree))``, and where in it each outermost function's
+    own walk lies.
+
+    ``ast.walk`` is breadth-first.  Restricted to one subtree, a
+    breadth-first order is the subtree's own, and the subtree's nodes at
+    one depth sit next to each other: the children of one slice are
+    appended while that slice is walked, so they form the next slice.  A
+    function's walk is thus one slice of the module's per depth, kept as
+    flat (start, stop) pairs.
+    """
+    nodes: List[ast.AST] = [tree]
+    slices: Dict[ast.AST, array] = {}
+    # start of a function's next slice -> (its pairs, stop of the slice)
+    pending: Dict[int, Tuple[array, int]] = {}
+    pairs: Optional[array] = None          # of the slice being walked
+    stop = first_child = 0
+    for i, node in enumerate(nodes):       # grows while it is iterated
+        if pairs is None:
+            if i in pending:
+                pairs, stop = pending.pop(i)
+                first_child = len(nodes)
+            elif isinstance(node, _FUNCTION_NODES):
+                pairs = slices[node] = array("I", (i, i + 1))
+                stop, first_child = i + 1, len(nodes)
+        for name in node._fields:          # ast.iter_child_nodes, inlined
+            value = getattr(node, name, None)
+            if isinstance(value, ast.AST):
+                nodes.append(value)
+            elif isinstance(value, list):
+                nodes.extend(item for item in value
+                             if isinstance(item, ast.AST))
+        if pairs is not None and i + 1 == stop:
+            if len(nodes) > first_child:
+                pairs.extend((first_child, len(nodes)))
+                pending[first_child] = (pairs, len(nodes))
+            pairs = None
+    return nodes, slices
 
 
 def attribute_chain(node: ast.expr) -> Tuple[Optional[ast.expr], List[str]]:
@@ -300,8 +376,9 @@ def _build_class(module: ModuleInfo, node: ast.ClassDef) -> ClassInfo:
     info.is_dataclass = any(_decorator_name(d) in _DATACLASS_DECORATORS
                             for d in node.decorator_list)
     for stmt in node.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            info.methods[stmt.name] = _build_method(stmt)
+        if isinstance(stmt, _FUNCTION_NODES):
+            info.methods[stmt.name] = FunctionInfo(
+                module=module, cls=info, name=stmt.name, node=stmt)
         elif isinstance(stmt, ast.AnnAssign) and isinstance(
                 stmt.target, ast.Name):
             info.class_attrs.add(stmt.target.id)
@@ -314,9 +391,9 @@ def _build_class(module: ModuleInfo, node: ast.ClassDef) -> ClassInfo:
                     info.class_attrs.add(target.id)
     init = info.methods.get("__init__")
     if init is not None:
-        info.init_attrs = _init_attr_table(init.node)
+        info.init_attrs = _init_attr_table(init)
     for method in info.methods.values():
-        for stmt in ast.walk(method.node):
+        for stmt in method.assigns:
             for target in _assign_targets(stmt):
                 attr = _self_attr_name(target)
                 if attr is not None:
@@ -347,10 +424,10 @@ def _self_attr_name(target: ast.expr) -> Optional[str]:
     return None
 
 
-def _init_attr_table(init: ast.AST) -> Dict[str, AttrAssign]:
+def _init_attr_table(init: FunctionInfo) -> Dict[str, AttrAssign]:
     table: Dict[str, AttrAssign] = {}
-    for stmt in ast.walk(init):
-        if not isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+    for stmt in init.assigns:
+        if isinstance(stmt, ast.AugAssign):
             continue
         value = stmt.value
         for target in _assign_targets(stmt):
@@ -362,11 +439,12 @@ def _init_attr_table(init: ast.AST) -> Dict[str, AttrAssign]:
     return table
 
 
-def _build_method(node: ast.AST) -> MethodInfo:
+def _self_refs(nodes: List[ast.AST]
+               ) -> Tuple[FrozenSet[str], FrozenSet[str], bool]:
     self_attrs: Set[str] = set()
     self_calls: Set[str] = set()
     wildcard = False
-    for sub in ast.walk(node):
+    for sub in nodes:
         if isinstance(sub, ast.Attribute):
             if isinstance(sub.value, ast.Name) and sub.value.id == "self":
                 self_attrs.add(sub.attr)
@@ -393,10 +471,14 @@ def _build_method(node: ast.AST) -> MethodInfo:
                     # reach anything (e.g. snapshot loops over a name
                     # list) rather than inventing false gaps.
                     wildcard = True
-    return MethodInfo(name=getattr(node, "name", "<fn>"), node=node,
-                      self_attrs=frozenset(self_attrs),
-                      self_calls=frozenset(self_calls),
-                      wildcard_state=wildcard)
+    return frozenset(self_attrs), frozenset(self_calls), wildcard
+
+
+def _reaches_taint(called: Optional[List[FunctionInfo]],
+                   summaries: Dict[Tuple[str, str, str], str]) -> bool:
+    """Whether a function with these callees (None: it reads a source
+    itself) can return or bind a tainted value."""
+    return called is None or any(fn.key in summaries for fn in called)
 
 
 def module_name_for(path: Path) -> str:
@@ -479,9 +561,8 @@ class ProjectGraph:
     def _navigate_class(cls: ClassInfo, rest: List[str]):
         if not rest:
             return cls
-        if len(rest) == 1 and rest[0] in cls.methods:
-            return FunctionInfo(module=cls.module, cls=cls, name=rest[0],
-                                node=cls.methods[rest[0]].node)
+        if len(rest) == 1:
+            return cls.methods.get(rest[0])
         return None
 
     # -- class hierarchy -----------------------------------------------------
@@ -533,7 +614,7 @@ class ProjectGraph:
 
     def find_method(self, cls: ClassInfo, name: str,
                     skip_root: bool = False
-                    ) -> Optional[Tuple[ClassInfo, MethodInfo]]:
+                    ) -> Optional[Tuple[ClassInfo, FunctionInfo]]:
         """Locate ``name`` in the class's resolved ancestor chain.
 
         ``skip_root`` ignores definitions on the ``SimComponent`` root —
@@ -584,9 +665,10 @@ class ProjectGraph:
             if found is None:
                 continue
             _owner, method = found
-            covered |= method.self_attrs
-            wildcard = wildcard or method.wildcard_state
-            queue.extend(method.self_calls - visited)
+            attrs, calls, whole = method.self_refs
+            covered |= attrs
+            wildcard = wildcard or whole
+            queue.extend(calls - visited)
         return covered, wildcard
 
     # -- taint fixpoint (SIM013) ---------------------------------------------
@@ -602,12 +684,14 @@ class ProjectGraph:
         functions = [fn for _name, module in sorted(self.modules.items())
                      for fn in module.all_functions()]
         summaries: Dict[Tuple[str, str, str], str] = {}
+        callees = [self._callees(fn) for fn in functions]
         changed = True
         # Fixpoint: each pass may discover taint flowing one call deeper.
         while changed:
             changed = False
-            for fn in functions:
-                if fn.key in summaries:
+            for fn, called in zip(functions, callees):
+                if fn.key in summaries or not _reaches_taint(called,
+                                                             summaries):
                     continue
                 origin = self._returns_taint(fn, summaries)
                 if origin is not None:
@@ -615,16 +699,34 @@ class ProjectGraph:
                     changed = True
         return summaries
 
+    def _callees(self, fn: FunctionInfo) -> Optional[List[FunctionInfo]]:
+        """The project functions ``fn`` calls, or None when it reads a
+        source directly: taint enters a function only through a call."""
+        called: List[FunctionInfo] = []
+        for node in fn.nodes:
+            if isinstance(node, ast.Call):
+                if node in fn.module.sources:
+                    return None
+                target = self.call_target(fn, node)
+                if target is not None:
+                    called.append(target)
+        return called
+
+    def can_taint(self, fn: FunctionInfo,
+                  summaries: Dict[Tuple[str, str, str], str]) -> bool:
+        """False when nothing in ``fn`` can be tainted: none of its calls
+        reads a source or reaches a function in ``summaries``."""
+        return _reaches_taint(self._callees(fn), summaries)
+
     def _returns_taint(self, fn: FunctionInfo,
                        summaries: Dict[Tuple[str, str, str], str]
                        ) -> Optional[str]:
         tainted_locals = self.tainted_locals(fn, summaries)
-        for node in ast.walk(fn.node):
-            if isinstance(node, ast.Return) and node.value is not None:
-                origin = self.expr_taint(fn, node.value, tainted_locals,
-                                         summaries)
-                if origin is not None:
-                    return origin
+        for node in fn.returns:
+            origin = self.expr_taint(fn, node.value, tainted_locals,
+                                     summaries)
+            if origin is not None:
+                return origin
         return None
 
     def tainted_locals(self, fn: FunctionInfo,
@@ -638,10 +740,7 @@ class ProjectGraph:
         tainted: Dict[str, str] = {}
         for _ in range(2):
             before = len(tainted)
-            for stmt in ast.walk(fn.node):
-                if not isinstance(stmt, (ast.Assign, ast.AnnAssign,
-                                         ast.AugAssign)):
-                    continue
+            for stmt in fn.assigns:
                 value = stmt.value
                 if value is None:
                     continue
@@ -701,14 +800,10 @@ class ProjectGraph:
                         and isinstance(value.func, ast.Name)
                         and value.func.id == "super")
             if (is_self or is_super) and fn.cls is not None:
+                # The *defining* class's method: that is how the summary
+                # table keys methods.
                 found = self.find_method(fn.cls, func.attr)
-                if found is not None:
-                    # Key by the *defining* class: that is how the
-                    # summary table enumerates methods.
-                    owner, method = found
-                    return FunctionInfo(module=owner.module, cls=owner,
-                                        name=func.attr, node=method.node)
-                return None
+                return None if found is None else found[1]
             base, attrs = attribute_chain(func)
             if isinstance(base, ast.Name):
                 resolved = self.resolve(fn.module,

@@ -2,8 +2,8 @@
 
 Rules sharing one analysis live together: :mod:`.determinism`
 (SIM002/SIM003/SIM013, over the project graph's source classification
-and taint fixpoint), :mod:`.ownership` (SIM005/SIM008, one walk of
-mutated attribute chains) and :mod:`.timing` (SIM004/SIM007/SIM009, one
+and taint fixpoint), :mod:`.ownership` (SIM005/SIM008, one
+classification of mutated attribute chains) and :mod:`.timing` (SIM004/SIM007/SIM009, one
 scan of simulated-time sinks).  SIM010–SIM012 check the component
 protocol against the graph's class tables; SIM001 and SIM006 are
 single-statement checks.

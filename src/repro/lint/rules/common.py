@@ -5,6 +5,9 @@ from __future__ import annotations
 import ast
 from typing import FrozenSet, List, Optional
 
+from ..findings import LintContext
+from ..graph import ModuleInfo
+
 #: constructors that build mutable containers
 MUTABLE_CALLS = frozenset({
     "list", "dict", "set", "bytearray", "deque", "defaultdict",
@@ -15,6 +18,12 @@ MUTABLE_CALLS = frozenset({
 IMMUTABLE_CALLS = frozenset({
     "tuple", "frozenset", "MappingProxyType", "mappingproxy",
 })
+
+
+def module_of(tree: ast.Module, ctx: LintContext) -> ModuleInfo:
+    """This file's graph module, with its node index; a one-off one when
+    a rule is driven on a snippet without a graph."""
+    return ctx.module or ModuleInfo(ctx.path, "", tree)
 
 
 def call_name(node: ast.Call) -> Optional[str]:

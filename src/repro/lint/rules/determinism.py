@@ -36,15 +36,10 @@ import ast
 from typing import Iterator, Optional
 
 from ..findings import Finding, LintContext
-from ..graph import GLOBAL_RNG, WALL_CLOCK, ModuleInfo
+from ..graph import GLOBAL_RNG, WALL_CLOCK
 from ..registry import Rule, register_rule
+from .common import module_of
 from .timing import TIMING_CALLS, timing_sinks
-
-
-def _module(tree: ast.Module, ctx: LintContext) -> ModuleInfo:
-    """This file's graph module; a one-off one when a rule is driven on
-    a snippet without a graph."""
-    return ctx.module or ModuleInfo(ctx.path, "", tree)
 
 
 @register_rule
@@ -60,7 +55,7 @@ class UnseededRandom(Rule):
 
     def check(self, tree: ast.Module,
               ctx: LintContext) -> Iterator[Finding]:
-        module = _module(tree, ctx)
+        module = module_of(tree, ctx)
         for node, origin in module.bound_sources:
             if origin.startswith(GLOBAL_RNG):
                 yield self.finding(
@@ -92,7 +87,7 @@ class WallClockRead(Rule):
               ctx: LintContext) -> Iterator[Finding]:
         if not ctx.hot_path:
             return
-        for call, origin in _module(tree, ctx).sources.items():
+        for call, origin in module_of(tree, ctx).sources.items():
             if origin.startswith(WALL_CLOCK):
                 yield self.finding(
                     ctx, call,
@@ -129,8 +124,10 @@ class TaintedTimeFlow(Rule):
             return
         summaries = graph.taint_summaries()
         for fn in module.all_functions():
+            if not graph.can_taint(fn, summaries):
+                continue
             tainted = graph.tainted_locals(fn, summaries)
-            for node, what, values in timing_sinks(fn.node, TIMING_CALLS):
+            for node, what, values in timing_sinks(fn.nodes, TIMING_CALLS):
                 origin = _laundered(graph, fn, values, tainted, summaries)
                 if origin is None:
                     continue

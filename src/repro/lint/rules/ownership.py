@@ -1,4 +1,4 @@
-"""Ownership rules: SIM005 and SIM008 over one walk of mutated chains.
+"""Ownership rules: SIM005 and SIM008 over one classification of writes.
 
 Every piece of simulator state has one writer, the component that owns
 it.  A write from anywhere else couples components to each other's
@@ -8,8 +8,9 @@ covers every writer, so it can silently resurrect or lose the foreign
 mutation.  The sanctioned shape is one hop to a peer and then a method
 on the owner (``sl.note_writeback()``, ``dram.seed_open_row(a)``).
 
-One walk visits every assignment target and the receiver of every
-in-place mutator call, and classifies the attribute chain it mutates:
+One pass over the module's node index visits every assignment target
+and the receiver of every in-place mutator call, and classifies the
+attribute chain it mutates:
 
 - **SIM005** foreign-stats-mutation: an assignment through ``.stats``
   anywhere but directly on ``self`` (``core.stats.llc_misses += 1``,
@@ -26,13 +27,12 @@ in-place mutator call, and classifies the attribute chain it mutates:
 from __future__ import annotations
 
 import ast
-import functools
 from typing import Iterator, List, Optional, Tuple
 
 from ..findings import Finding, LintContext
 from ..graph import attribute_chain
 from ..registry import Rule, register_rule
-from .common import calls_method, target_names
+from .common import calls_method, module_of, target_names
 
 #: container/mapping methods that mutate their receiver in place
 MUTATOR_METHODS = frozenset({
@@ -91,23 +91,22 @@ def _classify(target: ast.expr,
         f"its owner")
 
 
-@functools.lru_cache(maxsize=1)
-def _ownership_hits(tree: ast.Module) -> List[Tuple[str, ast.AST, str]]:
-    """``(code, node, message)`` for every classified mutation in
-    ``tree``; cached so both codes share one walk of the file."""
-    hits = []
-    for node in ast.walk(tree):
+def _ownership_hits(nodes: List[ast.AST]
+                    ) -> Iterator[Tuple[str, ast.AST, str]]:
+    """``(code, node, message)`` for every classified mutation among
+    ``nodes``."""
+    for node in nodes:
         if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
             mutated = [(target, None) for target in target_names(node)]
-        elif calls_method(node, MUTATOR_METHODS):
+        elif (isinstance(node, ast.Call)
+              and calls_method(node, MUTATOR_METHODS)):
             mutated = [(node.func.value, f".{node.func.attr}() call")]
         else:
             continue
         for target, how in mutated:
             hit = _classify(target, how)
             if hit is not None:
-                hits.append((hit[0], node, hit[1]))
-    return hits
+                yield hit[0], node, hit[1]
 
 
 class _OwnershipRule(Rule):
@@ -115,7 +114,8 @@ class _OwnershipRule(Rule):
 
     def check(self, tree: ast.Module,
               ctx: LintContext) -> Iterator[Finding]:
-        for code, node, message in _ownership_hits(tree):
+        for code, node, message in _ownership_hits(
+                module_of(tree, ctx).nodes):
             if code == self.code:
                 yield self.finding(ctx, node, message)
 

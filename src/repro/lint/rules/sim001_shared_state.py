@@ -22,7 +22,8 @@ from typing import Iterator
 
 from ..findings import Finding, LintContext
 from ..registry import Rule, register_rule
-from .common import call_name, is_final_annotation, is_mutable_container
+from .common import (call_name, is_final_annotation, is_mutable_container,
+                     module_of)
 
 
 def _is_dataclass_field(node: ast.AST) -> bool:
@@ -49,7 +50,7 @@ class SharedMutableState(Rule):
     def check(self, tree: ast.Module,
               ctx: LintContext) -> Iterator[Finding]:
         yield from self._scan_body(tree.body, ctx, class_level=False)
-        for node in ast.walk(tree):
+        for node in module_of(tree, ctx).nodes:
             if isinstance(node, ast.ClassDef):
                 yield from self._scan_body(node.body, ctx, class_level=True,
                                            class_name=node.name)

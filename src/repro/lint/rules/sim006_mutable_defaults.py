@@ -15,7 +15,7 @@ from typing import Iterator
 
 from ..findings import Finding, LintContext
 from ..registry import Rule, register_rule
-from .common import is_mutable_container
+from .common import is_mutable_container, module_of
 
 
 @register_rule
@@ -29,7 +29,7 @@ class MutableDefaultArgument(Rule):
 
     def check(self, tree: ast.Module,
               ctx: LintContext) -> Iterator[Finding]:
-        for node in ast.walk(tree):
+        for node in module_of(tree, ctx).nodes:
             if not isinstance(node, (ast.FunctionDef,
                                      ast.AsyncFunctionDef)):
                 continue

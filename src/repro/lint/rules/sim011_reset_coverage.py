@@ -90,7 +90,7 @@ class ResetCoverage(Rule):
         for name, method in cls.methods.items():
             if name in ("reset_stats", "__init__"):
                 continue
-            for node in ast.walk(method.node):
+            for node in method.assigns:
                 if not isinstance(node, ast.AugAssign):
                     continue
                 base, attrs = attribute_chain(node.target)

@@ -30,18 +30,17 @@ import ast
 from typing import Iterator, List, Optional, Set, Tuple
 
 from ..findings import Finding, LintContext
+from ..graph import FunctionInfo
 from ..registry import Rule, register_rule
 
 _CONFIG_KEY = "config"
 
 
-def _literal_config_keys(method_node: ast.AST) -> Optional[Set[str]]:
+def _literal_config_keys(method: FunctionInfo) -> Optional[Set[str]]:
     """String keys of every dict literal returned by ``config_state``;
     None when any return value is not a plain dict literal."""
     keys: Set[str] = set()
-    for node in ast.walk(method_node):
-        if not isinstance(node, ast.Return) or node.value is None:
-            continue
+    for node in method.returns:
         value = node.value
         if not isinstance(value, ast.Dict):
             return None
@@ -75,16 +74,15 @@ def _is_state_config_read(node: ast.expr, state_names: Set[str]) -> bool:
     return False
 
 
-def _self_attr_reads(method_node: ast.AST
+def _self_attr_reads(method: FunctionInfo
                      ) -> List[Tuple[str, ast.Attribute]]:
     """``self.X`` reads inside dict literals returned by config_state
     (call targets like ``self._describe()`` are behaviour, not state)."""
-    call_funcs = {id(node.func) for node in ast.walk(method_node)
+    call_funcs = {id(node.func) for node in method.nodes
                   if isinstance(node, ast.Call)}
     out: List[Tuple[str, ast.Attribute]] = []
-    for ret in ast.walk(method_node):
-        if not (isinstance(ret, ast.Return)
-                and isinstance(ret.value, ast.Dict)):
+    for ret in method.returns:
+        if not isinstance(ret.value, ast.Dict):
             continue
         for node in ast.walk(ret.value):
             if (isinstance(node, ast.Attribute)
@@ -125,20 +123,19 @@ class ConfigStateDrift(Rule):
         found = graph.find_method(cls, "config_state", skip_root=True)
         produced: Optional[Set[str]] = set()
         if found is not None:
-            produced = _literal_config_keys(found[1].node)
+            produced = _literal_config_keys(found[1])
         if produced is None:      # computed descriptor: do not guess
             return
-        node = reseat.node
-        state_names = {arg.arg for arg in node.args.args[1:2]}
+        state_names = {arg.arg for arg in reseat.node.args.args[1:2]}
         cfg_locals: Set[str] = set()
-        for stmt in ast.walk(node):
+        for stmt in reseat.assigns:
             if isinstance(stmt, ast.Assign) and _is_state_config_read(
                     stmt.value, state_names):
                 for target in stmt.targets:
                     if isinstance(target, ast.Name):
                         cfg_locals.add(target.id)
         reported: Set[str] = set()
-        for sub in ast.walk(node):
+        for sub in reseat.nodes:
             if not isinstance(sub, ast.Subscript):
                 continue
             sl = sub.slice
@@ -167,7 +164,7 @@ class ConfigStateDrift(Rule):
             return
         known = graph.inherited_attrs(cls)
         reported: Set[str] = set()
-        for attr, node in _self_attr_reads(config_state.node):
+        for attr, node in _self_attr_reads(config_state):
             if attr in known or attr in reported:
                 continue
             # Method calls (self.helper()) are not attribute state.

@@ -35,12 +35,12 @@ from __future__ import annotations
 
 import ast
 import re
-from collections import deque
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from ..findings import Finding, LintContext
+from ..graph import ModuleInfo
 from ..registry import Rule, register_rule
-from .common import call_name, calls_method, target_names
+from .common import call_name, calls_method, module_of, target_names
 
 #: cycle-valued target names
 _CYCLE_NAME = re.compile(
@@ -51,7 +51,6 @@ SCHEDULE_CALLS = frozenset({"schedule", "schedule_at"})
 TIMING_CALLS = SCHEDULE_CALLS | {"send"}
 _SCHEDULE_AT = frozenset({"schedule_at"})
 
-_FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 #: set operators that yield a set when an operand is one
 _SET_OPS = (ast.BitOr, ast.BitAnd, ast.BitXor, ast.Sub)
 
@@ -67,12 +66,12 @@ def _terminal_name(target: ast.expr) -> str:
     return ""
 
 
-def timing_sinks(root: ast.AST, calls: FrozenSet[str]
+def timing_sinks(nodes: List[ast.AST], calls: FrozenSet[str]
                  ) -> Iterator[Tuple[ast.AST, str, List[ast.expr]]]:
-    """Every place under ``root`` where a value becomes simulated time:
+    """Every place among ``nodes`` where a value becomes simulated time:
     ``(assignment, first cycle-named target, [value])`` and ``(call,
     method name, arguments)`` for a method call named in ``calls``."""
-    for node in ast.walk(root):
+    for node in nodes:
         if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
             if node.value is None:
                 continue
@@ -86,16 +85,16 @@ def timing_sinks(root: ast.AST, calls: FrozenSet[str]
                 kw.value for kw in node.keywords]
 
 
-def _collect_assignments(scope: ast.AST,
+def _collect_assignments(scope: List[ast.AST],
                          aug_as_binop: bool) -> _Assignments:
-    """Name -> every expression assigned to it within ``scope``.
+    """Name -> every expression assigned to it among the ``scope`` nodes.
 
     ``x op= y`` records ``x op y`` when ``aug_as_binop``, else just
     ``y``.  Tuple unpacking, loop targets and ``with ... as`` bindings
     are not recorded: a name bound only that way has no assignments.
     """
     assigns: _Assignments = {}
-    for node in ast.walk(scope):
+    for node in scope:
         if isinstance(node, ast.Assign):
             for target in node.targets:
                 if isinstance(target, ast.Name):
@@ -129,28 +128,24 @@ def _names_where(assigns: _Assignments,
         names = found
 
 
-def _scoped(tree: ast.Module, want: Callable[[ast.AST], bool],
+def _scoped(module: ModuleInfo, want: Callable[[ast.AST], bool],
             aug_as_binop: bool
             ) -> Iterator[Tuple[_Assignments, List[ast.AST]]]:
     """The nodes ``want`` accepts, grouped by scope, with that scope's
     assignments.  A node's scope is its outermost enclosing function;
     module-level nodes come last, against the whole module's
     assignments."""
-    functions: List[ast.AST] = []
-    module_level: List[ast.AST] = []
-    queue = deque([tree])
-    while queue:
-        for child in ast.iter_child_nodes(queue.popleft()):
-            if isinstance(child, _FUNC_NODES):
-                functions.append(child)
-            else:
-                module_level.append(child)
-                queue.append(child)
-    for scope, nodes in [(fn, ast.walk(fn)) for fn in functions] + [
-            (tree, module_level)]:
+    in_functions: Set[int] = set()
+    for function in module.scopes():
+        nodes = module.walk(function)
         picked = [node for node in nodes if want(node)]
         if picked:
-            yield _collect_assignments(scope, aug_as_binop), picked
+            in_functions.update(map(id, picked))
+            yield _collect_assignments(nodes, aug_as_binop), picked
+    picked = [node for node in module.nodes
+              if want(node) and id(node) not in in_functions]
+    if picked:
+        yield _collect_assignments(module.nodes, aug_as_binop), picked
 
 
 def _contains_true_div(node: ast.AST) -> bool:
@@ -179,7 +174,8 @@ class FloatCycleArithmetic(Rule):
               ctx: LintContext) -> Iterator[Finding]:
         if not ctx.hot_path:
             return
-        for node, what, values in timing_sinks(tree, SCHEDULE_CALLS):
+        for node, what, values in timing_sinks(module_of(tree, ctx).nodes,
+                                               SCHEDULE_CALLS):
             if isinstance(node, ast.Call):
                 if any(_contains_true_div(arg) for arg in values):
                     yield self.finding(
@@ -238,7 +234,8 @@ class PastEventSchedule(Rule):
         if not ctx.hot_path:
             return
         for assigns, calls in _scoped(
-                tree, lambda node: calls_method(node, _SCHEDULE_AT),
+                module_of(tree, ctx),
+                lambda node: calls_method(node, _SCHEDULE_AT),
                 aug_as_binop=True):
             safe = _names_where(assigns, _is_safe, set())
             for call in calls:
@@ -281,7 +278,7 @@ class UnorderedIterationIntoTiming(Rule):
         if not ctx.hot_path:
             return
         for assigns, loops in _scoped(
-                tree, lambda node: isinstance(node, ast.For),
+                module_of(tree, ctx), lambda node: isinstance(node, ast.For),
                 aug_as_binop=False):
             setlike = _names_where(assigns, _is_setlike, set(assigns))
             for loop in loops:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.uarch.uop import UopType
+from repro.core.inflight import InflightUop
+from repro.uarch.uop import MicroOp, UopType
 from repro.workloads.memory_image import MemoryImage
 
 from .helpers import TraceWriter, run_trace, tiny_config
@@ -176,3 +177,25 @@ def test_deadlock_reported_not_hung():
         system.run(max_cycles=100)
     # A drained wheel is a deadlock proper, not a cycle-budget timeout.
     assert not isinstance(excinfo.value, SimTimeoutError)
+
+
+def test_find_miss_root_keeps_depth_of_first_path_reached():
+    """The backward walk is depth-first (second operand first) and visits
+    each ancestor once, so a root first reached along a longer path keeps
+    that path's depth: X.p1 = A -> R and X.p2 = B -> C -> R give depth 3,
+    not the minimum edge count 2."""
+    system, _ = run_trace(TraceWriter().trace())
+
+    def uop(seq, op, p1=None):
+        iu = InflightUop(MicroOp(seq=seq, op=op), dispatch_cycle=0)
+        iu.p1 = p1
+        return iu
+
+    root = uop(0, UopType.LOAD)
+    root.was_llc_miss = True          # data still outstanding
+    a = uop(1, UopType.ADD, p1=root)
+    c = uop(2, UopType.ADD, p1=root)
+    b = uop(3, UopType.ADD, p1=c)
+    x = uop(4, UopType.LOAD, p1=a)
+    x.p2 = b
+    assert system.cores[0].find_miss_root(x) == (root, 3)

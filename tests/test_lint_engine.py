@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import lint_paths
+from repro.lint import engine, lint_paths
 from repro.lint.baseline import Baseline
 from repro.lint.cli import main as simlint_main
 from repro.lint.engine import (PARSE_ERROR_RULE, LintResult,
@@ -122,6 +122,28 @@ def test_suppression_text_inside_docstring_is_ignored(tmp_path):
                  '"""\n')
     result = lint_paths([path])
     assert result.findings == []
+
+
+def test_only_files_with_simlint_text_are_tokenized(tmp_path, monkeypatch):
+    """The tokenizer runs only where a suppression comment could be; a
+    ``disable=`` quoted in a docstring is tokenized and still not
+    judged by SIM099."""
+    tokenized = []
+    comment_lines = engine._comment_lines
+
+    def counting(source):
+        tokenized.append(source)
+        return comment_lines(source)
+
+    monkeypatch.setattr(engine, "_comment_lines", counting)
+    plain = write(tmp_path, "plain.py", "x = 1  # an ordinary comment\n")
+    quoted = write(tmp_path, "quoted.py",
+                   '"""Example::\n\n'
+                   '    x = []  # simlint: disable=SIM001\n'
+                   '"""\n')
+    result = lint_paths([plain, quoted])
+    assert tokenized == [quoted.read_text()]
+    assert result.findings == [] and result.suppressed == []
 
 
 # -- baseline ---------------------------------------------------------------

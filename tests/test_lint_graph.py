@@ -2,8 +2,12 @@
 
 import ast
 import textwrap
+from pathlib import Path
 
+from repro.lint.engine import iter_python_files
 from repro.lint.graph import ProjectGraph, module_name_for
+
+SRC = Path(__file__).parent.parent / "src"
 
 
 def build(files):
@@ -225,3 +229,56 @@ def test_method_taint_keys_by_defining_class():
     # Child.pick's self.draw() resolves to Base.draw, so the taint
     # reaches it through the hierarchy.
     assert ("m", "Child", "pick") in summaries
+
+
+# -- node index ---------------------------------------------------------------
+
+def _outermost_functions(tree):
+    """Functions not nested in another function, in ast.walk order."""
+    found, queue = [], [tree]
+    for node in queue:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.append(child)
+            else:
+                queue.append(child)
+    return found
+
+
+def test_node_index_is_ast_walk_order_for_every_module_and_function():
+    """Rules and SIM013's first-origin messages rely on the index
+    yielding exactly what ``ast.walk`` would, in the same order."""
+    graph = ProjectGraph()
+    for path in iter_python_files([SRC]):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        module = graph.add_module(path, tree)
+        assert module.nodes == list(ast.walk(tree)), path
+        for fn in module.all_functions():
+            assert fn.nodes == list(ast.walk(fn.node)), fn.qualname
+        assert list(module.scopes()) == _outermost_functions(tree), path
+        for function in module.scopes():
+            assert module.walk(function) == list(ast.walk(function))
+
+
+def test_node_index_slices_nested_and_conditional_functions():
+    graph = build({"m.py": """\
+        if True:
+            def guarded(a):
+                def inner(b):
+                    return b + 1
+                return inner(a)
+
+        class C:
+            class Nested:
+                def deep(self):
+                    return [x for x in range(3)]
+
+            def method(self, y):
+                return lambda z: y + z
+    """})
+    module = graph.modules["m"]
+    names = [fn.name for fn in module.scopes()]
+    assert names == ["guarded", "method", "deep"]
+    for function in module.scopes():
+        assert module.walk(function) == list(ast.walk(function))
+    assert [fn.name for fn in module.all_functions()] == ["method"]
