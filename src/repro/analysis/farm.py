@@ -1,56 +1,45 @@
 """The experiment farm: a shared work queue + result store over RunJobs.
 
-:mod:`repro.analysis.parallel` fans a job list across one host's
-processes; the farm lifts the same jobs into a *shared directory* so a
-sweep can be served by any number of workers on any number of hosts:
+The farm lifts :mod:`repro.analysis.parallel`'s jobs into a *shared
+directory*, so any number of workers on any number of hosts can serve
+one sweep:
 
-- :class:`JobQueue` — a SQLite-backed queue (``<dir>/queue.sqlite``)
-  with **lease/heartbeat/reclaim** semantics: a worker leases one job at
-  a time, renews the lease while executing, and a job whose lease
-  expires (worker killed, host lost) silently returns to ``pending`` for
-  someone else.  A job that fails :data:`MAX_ATTEMPTS` times parks as
-  ``failed`` with its error, mirroring the parallel runner's retry-once
-  policy.
-- the **result store** (``<dir>/results/``) — exactly the parallel
-  runner's on-disk cache format (one ``run-<hash>.pkl`` per
-  :func:`~repro.analysis.parallel.job_hash`, atomic writes), so farm
-  results and ``run_jobs`` results are interchangeable bit-for-bit, and
-  enqueueing a job whose result is already cached completes instantly.
-  Warmup checkpoints (``warmup-ckpt/``) are shared through the same
-  directory, so a whole farm warms each workload once.
-- :func:`run_worker` — the ``repro farm worker`` loop: lease, execute,
-  store, complete; exits when the queue drains (or polls forever with
-  ``wait=True``).
-- :func:`run_farm` — ``repro farm run``: expand a spec, enqueue it, and
-  serve it with an **async scheduler** (:func:`serve_queue`) that
-  multiplexes leasing, dispatching into a local process pool,
-  heartbeating in-flight leases, and reclaiming lost ones on one event
-  loop.  Without a ``queue_dir`` it degenerates to a plain
-  :func:`~repro.analysis.parallel.run_jobs` call — the single-host path
-  and the farm path produce bit-identical results either way.
+- :class:`JobQueue` — a SQLite queue (``<dir>/queue.sqlite``) with
+  lease/heartbeat/reclaim semantics: a job whose lease expires (worker
+  killed, host lost) returns to ``pending`` for someone else, and a job
+  that fails :data:`MAX_ATTEMPTS` times parks as ``failed`` with its
+  error.
+- the result store (``<dir>/results/``) — the parallel runner's on-disk
+  cache format, so farm and ``run_jobs`` results are interchangeable
+  bit-for-bit and enqueueing an already-cached job completes it at once.
+  Warmup checkpoints are shared through the same directory, so a whole
+  farm warms each workload once.
+- :func:`run_worker` (``repro farm worker``) and :func:`serve_queue`
+  (``repro farm run``) drain the queue through the parallel module's
+  one drain loop; they differ only in when they stop.
+- :func:`run_farm` — expand a spec, enqueue it and serve it.  Without a
+  ``queue_dir`` it is a plain :func:`~repro.analysis.parallel.run_jobs`
+  call, with bit-identical results.
 
-Wall-clock reads and threads live here in the analysis layer, where
-SIM003 permits them; simulated time never sees any of this.
+Wall-clock reads and threads live in the analysis layer, where SIM003
+permits them; simulated time never sees any of this.
 """
 
 from __future__ import annotations
 
-import asyncio
 import os
 import pickle
 import socket
 import sqlite3
-import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..sim.runner import RunResult
-from .parallel import (RunJob, WarmBase, _cache_load, _cache_store,
-                       _execute_with_timeout, job_hash)
+from .parallel import (MAX_ATTEMPTS, POLL_S, LeasedJob, ProgressFn, RunJob,
+                       _cache_load, _cache_store, _drain, job_hash, run_jobs,
+                       state_after_failure)
 from .spec import ExperimentSpec, render_outputs
 
 __all__ = ["FarmError", "JobQueue", "LeasedJob", "QueueStatus",
@@ -58,11 +47,7 @@ __all__ = ["FarmError", "JobQueue", "LeasedJob", "QueueStatus",
            "queue_status", "results_dir", "run_farm", "run_worker",
            "serve_queue", "write_outputs"]
 
-#: attempts before a job parks as failed (1 initial + 1 retry, matching
-#: the parallel runner's retry-once policy)
-MAX_ATTEMPTS = 2
 DEFAULT_LEASE_S = 60.0
-POLL_S = 0.5
 
 STATES = ("pending", "leased", "done", "failed")
 
@@ -74,15 +59,6 @@ class FarmError(RuntimeError):
 def results_dir(queue_dir: str) -> str:
     """The queue's shared result store (parallel-cache format)."""
     return os.path.join(queue_dir, "results")
-
-
-@dataclass(frozen=True)
-class LeasedJob:
-    """One leased queue entry: execute it, then complete or fail it."""
-
-    hash: str
-    job: RunJob
-    attempts: int
 
 
 @dataclass(frozen=True)
@@ -115,7 +91,8 @@ class JobQueue:
     def __init__(self, queue_dir: str):
         self.queue_dir = queue_dir
         self.db_path = os.path.join(queue_dir, "queue.sqlite")
-        os.makedirs(results_dir(queue_dir), exist_ok=True)
+        self.store_dir = results_dir(queue_dir)
+        os.makedirs(self.store_dir, exist_ok=True)
         with closing(self._connect()) as conn, conn:
             conn.execute("""
                 CREATE TABLE IF NOT EXISTS jobs (
@@ -157,7 +134,7 @@ class JobQueue:
                 digest = job_hash(job)
                 state = "pending"
                 finished = None
-                if _cache_load(results_dir(self.queue_dir), job) is not None:
+                if _cache_load(self.store_dir, job) is not None:
                     state, finished = "done", now
                 cursor = conn.execute(
                     "INSERT OR IGNORE INTO jobs (hash, spec, label, job, "
@@ -213,6 +190,10 @@ class JobQueue:
                 (now + lease_s, digest, worker))
             return bool(cursor.rowcount)
 
+    def store(self, leased: LeasedJob, result: RunResult) -> None:
+        """Write a leased job's result to the shared result store."""
+        _cache_store(self.store_dir, leased.job, result)
+
     def complete(self, digest: str, worker: str,
                  now: Optional[float] = None) -> None:
         now = time.time() if now is None else now
@@ -234,7 +215,7 @@ class JobQueue:
                 "AND state = 'leased'", (digest, worker)).fetchone()
             if row is None:
                 return "lost"           # reclaimed from under us
-            state = "failed" if row[0] >= MAX_ATTEMPTS else "pending"
+            state = state_after_failure(row[0])
             conn.execute(
                 "UPDATE jobs SET state = ?, error = ?, worker = NULL, "
                 "lease_expires = NULL, finished_at = ? WHERE hash = ?",
@@ -286,38 +267,11 @@ class JobQueue:
 
 
 # ---------------------------------------------------------------------------
-# the standalone worker loop (repro farm worker)
+# the queue's consumers: repro farm worker and repro farm run
 # ---------------------------------------------------------------------------
 
 def default_worker_id() -> str:
     return f"{socket.gethostname()}-{os.getpid()}"
-
-
-class _LeaseKeeper:
-    """Background thread renewing one lease while its job executes."""
-
-    def __init__(self, queue: JobQueue, digest: str, worker: str,
-                 lease_s: float):
-        self._queue = queue
-        self._digest = digest
-        self._worker = worker
-        self._lease_s = lease_s
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-
-    def _run(self) -> None:
-        while not self._stop.wait(self._lease_s / 3):
-            if not self._queue.heartbeat(self._digest, self._worker,
-                                         self._lease_s):
-                return              # lease lost; nothing left to renew
-
-    def __enter__(self) -> "_LeaseKeeper":
-        self._thread.start()
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self._stop.set()
-        self._thread.join(timeout=5.0)
 
 
 def run_worker(queue_dir: str, worker_id: Optional[str] = None,
@@ -330,126 +284,66 @@ def run_worker(queue_dir: str, worker_id: Optional[str] = None,
     Returns the number of jobs this worker executed.  Exits when the
     queue has nothing pending or leased (unless ``wait``, which polls
     forever — the many-host deployment mode), or after ``max_jobs``.
-    Failures are recorded in the queue (with automatic retry up to
-    :data:`MAX_ATTEMPTS`), never raised: one poisonous job must not take
-    a farm worker down with it.
-
-    The lease loop owns one :class:`~repro.analysis.parallel.WarmBase`
-    slot: the warm base of the last leased sweep point stays in memory,
-    so consecutive points of one sweep fork from it instead of reloading
-    the shared warmup checkpoint from the store.
+    Failures are recorded in the queue, retried up to
+    :data:`MAX_ATTEMPTS`, and never raised: one poisonous job must not
+    take a farm worker down with it.  Jobs execute in-process, so the
+    points of a sweep fork from one warm base in memory.
     """
     queue = JobQueue(queue_dir)
     worker = worker_id or default_worker_id()
-    store = results_dir(queue_dir)
-    warm_base = WarmBase()
     log = log or (lambda _line: None)
-    executed = 0
-    while max_jobs is None or executed < max_jobs:
-        leased = queue.lease(worker, lease_s)
-        if leased is None:
-            status = queue.status()
-            busy = (status.counts.get("pending", 0)
-                    + status.counts.get("leased", 0))
-            if busy == 0 and not wait:
-                break
-            time.sleep(poll_s)
-            continue
-        log(f"[{worker}] run {leased.job.label} "
-            f"(attempt {leased.attempts})")
-        with _LeaseKeeper(queue, leased.hash, worker, lease_s):
-            try:
-                result = _execute_with_timeout(leased.job, timeout, store,
-                                               warm_base)
-            except Exception as exc:
-                state = queue.fail(leased.hash, worker, repr(exc))
-                log(f"[{worker}] FAIL {leased.job.label}: {exc!r} "
-                    f"-> {state}")
-                continue
-        _cache_store(store, leased.job, result)
-        queue.complete(leased.hash, worker)
-        executed += 1
-        log(f"[{worker}] done {leased.job.label}")
-    return executed
 
+    def idle_or_full(executed: int) -> bool:
+        if max_jobs is not None and executed >= max_jobs:
+            return True
+        counts = queue.status().counts
+        return not wait and counts["pending"] + counts["leased"] == 0
 
-# ---------------------------------------------------------------------------
-# the async local scheduler (repro farm run)
-# ---------------------------------------------------------------------------
+    def note(leased: LeasedJob, state: str, error: str) -> None:
+        label = leased.job.label
+        if state == "leased":
+            log(f"[{worker}] run {label} (attempt {leased.attempts})")
+        elif state == "done":
+            log(f"[{worker}] done {label}")
+        else:
+            log(f"[{worker}] FAIL {label}: {error} -> {state}")
 
-async def _serve(queue: JobQueue, want: Dict[str, RunJob], jobs: int,
-                 lease_s: float, timeout: Optional[float],
-                 progress: Optional[Callable[[int, int, str], None]]
-                 ) -> None:
-    """One event loop multiplexing lease/dispatch/heartbeat/reclaim.
-
-    Dispatches into a local :class:`ProcessPoolExecutor` while the queue
-    stays authoritative: external ``repro farm worker`` processes can
-    serve the same directory concurrently and the loop simply observes
-    their jobs flipping to ``done``.
-    """
-    loop = asyncio.get_running_loop()
-    worker = f"local-pool-{os.getpid()}"
-    store = results_dir(queue.queue_dir)
-    inflight: Dict[Any, LeasedJob] = {}        # future -> lease
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        while True:
-            states = queue.states(list(want))
-            done = sum(1 for s in states.values() if s == "done")
-            failed = [h for h, s in states.items() if s == "failed"]
-            if failed:
-                status = queue.status()
-                detail = "; ".join(f"{label}: {error}"
-                                   for label, error in status.failures)
-                raise FarmError(
-                    f"{len(failed)} job(s) failed after {MAX_ATTEMPTS} "
-                    f"attempts: {detail}")
-            if done == len(want):
-                return
-            while len(inflight) < jobs:
-                leased = queue.lease(worker, lease_s)
-                if leased is None:
-                    break
-                future = loop.run_in_executor(
-                    pool, _execute_with_timeout, leased.job, timeout,
-                    store)
-                inflight[future] = leased
-            if not inflight:
-                # someone else holds the remaining leases; watch for
-                # their completion (or their lease expiring)
-                await asyncio.sleep(POLL_S)
-                continue
-            ready, _pending = await asyncio.wait(
-                set(inflight), timeout=max(lease_s / 3, 0.05),
-                return_when=asyncio.FIRST_COMPLETED)
-            for future in ready:
-                leased = inflight.pop(future)
-                error = future.exception()
-                if error is not None:
-                    queue.fail(leased.hash, worker, repr(error))
-                else:
-                    _cache_store(store, leased.job, future.result())
-                    queue.complete(leased.hash, worker)
-                    if progress:
-                        states = queue.states(list(want))
-                        progress(sum(1 for s in states.values()
-                                     if s == "done"),
-                                 len(want), leased.job.label)
-            for leased in inflight.values():
-                queue.heartbeat(leased.hash, worker, lease_s)
+    return _drain(queue, idle_or_full, note, timeout=timeout, worker=worker,
+                  lease_s=lease_s, poll_s=poll_s)
 
 
 def serve_queue(queue_dir: str, jobs_list: Sequence[RunJob],
                 jobs: int = 1, lease_s: float = DEFAULT_LEASE_S,
                 timeout: Optional[float] = None,
-                progress: Optional[Callable[[int, int, str], None]] = None
-                ) -> None:
-    """Serve ``jobs_list`` from a queue with a local async pool, until
-    every job is done (raises :class:`FarmError` on permanent failures)."""
+                progress: Optional[ProgressFn] = None) -> None:
+    """Serve a queue with ``jobs`` local workers until every job of
+    ``jobs_list`` is done; raises :class:`FarmError` on a permanent
+    failure.  External ``repro farm worker`` processes may serve the
+    same queue meanwhile.  ``progress`` is ``(done, total, label,
+    elapsed)``."""
     queue = JobQueue(queue_dir)
-    want = {job_hash(job): job for job in jobs_list}
-    asyncio.run(_serve(queue, want, max(1, jobs), lease_s, timeout,
-                       progress))
+    want = list(dict.fromkeys(job_hash(job) for job in jobs_list))
+    started = time.monotonic()
+
+    def all_done(_completed: int) -> bool:
+        current = list(queue.states(want).values())
+        failed = current.count("failed")
+        if failed:
+            detail = "; ".join(f"{label}: {error}"
+                               for label, error in queue.status().failures)
+            raise FarmError(
+                f"{failed} job(s) failed after {MAX_ATTEMPTS} "
+                f"attempts: {detail}")
+        return current.count("done") == len(want)
+
+    def note(leased: LeasedJob, state: str, _error: str) -> None:
+        if progress and state == "done":
+            done = list(queue.states(want).values()).count("done")
+            progress(done, len(want), leased.job.label,
+                     time.monotonic() - started)
+
+    _drain(queue, all_done, note, jobs=max(1, jobs), timeout=timeout,
+           worker=f"local-{os.getpid()}", lease_s=lease_s)
 
 
 def collect_results(queue_dir: str,
@@ -510,12 +404,11 @@ def run_farm(spec: ExperimentSpec, queue_dir: Optional[str] = None,
              lease_s: float = DEFAULT_LEASE_S,
              timeout: Optional[float] = None,
              cache_dir: Optional[str] = None,
-             progress: Optional[Callable[[int, int, str], None]] = None
-             ) -> FarmRunReport:
+             progress: Optional[ProgressFn] = None) -> FarmRunReport:
     """Execute a spec end to end and emit its declared outputs.
 
-    With a ``queue_dir`` the jobs go through the shared queue and the
-    async scheduler — other ``repro farm worker`` processes (any host
+    With a ``queue_dir`` the jobs go through the shared queue and
+    :func:`serve_queue` — other ``repro farm worker`` processes (any host
     sharing the directory) may serve the same queue concurrently, and
     results land in the shared store.  Without one, this is exactly
     ``run_jobs`` over the expansion (the single-host degenerate case).
@@ -524,12 +417,8 @@ def run_farm(spec: ExperimentSpec, queue_dir: Optional[str] = None,
     """
     jobs_list = spec.jobs()
     if queue_dir is None:
-        from .parallel import run_jobs
         results = run_jobs(jobs_list, jobs=jobs, cache_dir=cache_dir,
-                           timeout=timeout,
-                           progress=(lambda done, total, label, _el:
-                                     progress(done, total, label))
-                           if progress else None)
+                           timeout=timeout, progress=progress)
     else:
         queue = JobQueue(queue_dir)
         queue.enqueue(jobs_list, spec_name=spec.name)

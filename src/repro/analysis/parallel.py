@@ -1,26 +1,26 @@
-"""Parallel experiment execution: fan simulation jobs across processes.
+"""Parallel experiment execution: run a list of jobs, in input order.
 
-The figure drivers, sweeps, and CLI all reduce to "run this list of
-configurations and collect one :class:`~repro.sim.runner.RunResult` each".
-Those runs are embarrassingly parallel — every :class:`System` is fully
-isolated (no module- or class-level simulator state) — so this module
-provides the one execution layer they share:
+The figure drivers, sweeps, CLI and farm all reduce to "run these
+configurations and collect one :class:`~repro.sim.runner.RunResult`
+each".  Every :class:`System` is fully isolated (no module- or
+class-level simulator state), so the runs are embarrassingly parallel
+and share one execution layer:
 
 - :class:`RunJob` — a small, picklable, hashable description of one run
-  (workload + seed + dotted config overrides; the workload fixes the
-  machine shape).  Jobs carry *specifications*, not built objects, so
-  shipping one to a worker process is cheap and the job doubles as a
-  cache key.
-- :func:`run_jobs` — execute a job list with ``jobs`` worker processes
-  (``ProcessPoolExecutor``), a per-job wall-clock timeout, one automatic
-  retry per failed job, deterministic input-order results, an optional
-  on-disk result cache keyed by a hash of the job, and progress/ETA
-  reporting.
+  by value (workload spec, seed, dotted config overrides); shipping it
+  to a worker is cheap and it doubles as its own cache key.
+- :func:`execute_job` — build and run one job, forking the points of a
+  sweep from one warmed base machine (:class:`WarmBase`).
+- :func:`_drain` — the one scheduling loop: lease a job from a queue,
+  execute it in-process (``jobs == 1``) or in a process pool, store the
+  result, then complete or fail the job.  :func:`state_after_failure`
+  is the one retry-once decision.
+- :func:`run_jobs` — drain a job list through an in-memory queue, with
+  a per-job timeout, an optional on-disk result cache and progress/ETA
+  reporting.  The farm drains its SQLite queue through the same loop.
 
-``jobs=1`` runs everything in-process through the exact same job-execution
-code path, which is what makes the serial and parallel paths bit-identical
-for a fixed seed (each worker builds the same config and workload from the
-same spec and the simulator is deterministic).
+In-process and pooled execution run the same job code, so results are
+bit-identical for a fixed seed.
 """
 
 from __future__ import annotations
@@ -31,9 +31,12 @@ import pickle
 import signal
 import sys
 import tempfile
+import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (FIRST_COMPLETED, Future, ProcessPoolExecutor,
+                                wait)
 from dataclasses import dataclass
+from functools import partial
 from types import MappingProxyType
 from typing import (Any, Callable, Dict, Final, List, Mapping, Optional,
                     Sequence, Tuple, Union)
@@ -141,20 +144,15 @@ class RunJob:
     def warmup_key(self) -> tuple:
         """Identity of the *warmed machine state* this job starts from.
 
-        Workload + warmup identity only: since schema v4 the shared
-        warmup executes under a canonical base config
-        (:func:`warmup_base_config`) and each sweep point
-        :meth:`~repro.sim.system.System.fork`-s from it, so
-        ``prefetcher``/``emc``/``overrides`` — and ``max_cycles``,
-        ``trace``, the label — are all excluded.  Since schema v5 so are
-        ``fabric`` and ``num_cores``: the warmup always runs on the
-        neutral ring at the workload's natural core count and the
-        fork re-seats into the target fabric/core count.  ``predictor``
-        is excluded for the same reason (the neutral warmup runs with
-        the EMC off, so no predictor state ever warms; each point forks
-        into its own predictor kind).  An entire config sweep over one
-        workload resolves to one checkpoint: the first point pays for
-        the warmup, everyone else forks.
+        Workload + warmup identity only.  The shared warmup runs under
+        the canonical :func:`warmup_base_config` — neutral ring, natural
+        core count, EMC and prefetcher off — and each sweep point
+        :meth:`~repro.sim.system.System.fork`-s into its own config, so
+        ``prefetcher``, ``emc``, ``overrides``, ``fabric``,
+        ``num_cores``, ``predictor``, ``max_cycles``, ``trace`` and the
+        label are all excluded.  A whole config sweep over one workload
+        resolves to one checkpoint: the first point pays for the warmup,
+        everyone else forks.
         """
         return (self.workload, self.n_instrs, self.num_mcs, self.seed,
                 self.warmup_instrs)
@@ -251,16 +249,14 @@ def warmup_checkpoint_path(cache_dir: Optional[str],
 
 
 class WarmBase:
-    """One executing loop's most recent warmed base machine, in memory.
+    """One executing process's most recent warmed base machine.
 
-    A serial loop (:func:`run_jobs` with ``jobs=1``,
-    :func:`repro.analysis.farm.run_worker`) owns one and hands it to every
-    :func:`execute_job` call it makes.  The slot holds one base at a time,
-    keyed by its warmup-checkpoint path: the sweep points after the first
-    fork from it instead of reloading the checkpoint that same loop wrote
-    (or loaded) a moment earlier.  The checkpoint file stays the
-    authority across processes and runs; the slot only saves re-reading
-    it.
+    The in-process drain loop owns one, and each pool worker process
+    gets one from :func:`_init_pool_worker`.  It holds one base at a
+    time, keyed by its warmup-checkpoint path, so the sweep points after
+    the first fork from memory instead of reloading the checkpoint.  The
+    file stays the authority across processes and runs; the slot only
+    saves re-reading it.
     """
 
     def __init__(self) -> None:
@@ -376,6 +372,144 @@ def _execute_with_timeout(job: RunJob, timeout: Optional[float],
         signal.signal(signal.SIGALRM, previous)
 
 
+#: the pool worker process's warm base, created by :func:`_init_pool_worker`
+_pool_warm_base: Optional[WarmBase] = None
+
+
+def _init_pool_worker() -> None:
+    """Pool ``initializer``: give this worker process its own warm base."""
+    global _pool_warm_base
+    _pool_warm_base = WarmBase()
+
+
+def _execute_pooled(job: RunJob, timeout: Optional[float],
+                    cache_dir: Optional[str]) -> RunResult:
+    """Pool entry point: run one job against this process's warm base,
+    so the worker's later points of a sweep fork from memory."""
+    return _execute_with_timeout(job, timeout, cache_dir, _pool_warm_base)
+
+
+# ---------------------------------------------------------------------------
+# the drain loop: lease -> execute -> store -> complete or fail
+# ---------------------------------------------------------------------------
+
+#: attempts before a job parks as failed: one initial run + one retry
+MAX_ATTEMPTS = 2
+#: seconds between looks at a queue that has nothing to lease
+POLL_S = 0.5
+
+
+@dataclass(frozen=True)
+class LeasedJob:
+    """One leased queue entry: execute it, then complete or fail it."""
+
+    hash: str
+    job: RunJob
+    attempts: int
+
+
+def state_after_failure(attempts: int) -> str:
+    """The retry decision every queue's ``fail`` makes: back to
+    ``pending`` while a retry is left, else park as ``failed``."""
+    return "failed" if attempts >= MAX_ATTEMPTS else "pending"
+
+
+class _LeaseKeeper(threading.Thread):
+    """Renews one lease every ``lease_s / 3`` seconds while its job
+    executes, until stopped or the lease is lost; a lease that never
+    expires (``lease_s=None``) starts no thread."""
+
+    def __init__(self, queue: Any, digest: str, worker: str,
+                 lease_s: Optional[float]):
+        super().__init__(daemon=True)
+        self._lease_s = lease_s
+        self._halt = threading.Event()
+        if lease_s:
+            self._renew = partial(queue.heartbeat, digest, worker, lease_s)
+            self.start()
+
+    def run(self) -> None:
+        while not self._halt.wait(self._lease_s / 3) and self._renew():
+            pass
+
+    def stop(self) -> None:
+        self._halt.set()
+        if self._lease_s:
+            self.join(timeout=5.0)
+
+
+def _resolved(fn: Callable[..., RunResult], *args: Any) -> Future:
+    """Run ``fn`` here and now; its outcome as an already-done future."""
+    future: Future = Future()
+    try:
+        future.set_result(fn(*args))
+    except Exception as exc:
+        future.set_exception(exc)
+    return future
+
+
+def _drain(queue: Any, until: Callable[[int], bool],
+           note: Callable[[LeasedJob, str, str], None], jobs: int = 1,
+           timeout: Optional[float] = None, worker: str = "local",
+           lease_s: Optional[float] = None, poll_s: float = POLL_S) -> int:
+    """Lease a job from ``queue``, execute it, store its result, then
+    complete or fail it, until ``until(completed)`` returns true (or
+    raises); returns how many jobs this loop completed.
+
+    ``queue`` is a farm ``JobQueue`` or :func:`run_jobs`' in-memory
+    queue.  ``jobs == 1`` executes in-process against one
+    :class:`WarmBase`; more keeps up to ``jobs`` in flight in a process
+    pool.  Each lease is renewed by a :class:`_LeaseKeeper`.  ``note``
+    hears ``(lease, state, error)`` as a job is leased, done or failed.
+    """
+    store = queue.store_dir
+    warm_base = WarmBase()
+    inflight: Dict[Future, Tuple[LeasedJob, _LeaseKeeper]] = {}
+    completed = 0
+    pool = (ProcessPoolExecutor(max_workers=jobs,
+                                initializer=_init_pool_worker)
+            if jobs > 1 else None)
+    try:
+        while not until(completed):
+            while len(inflight) < jobs:
+                leased = queue.lease(worker, lease_s)
+                if leased is None:
+                    break
+                note(leased, "leased", "")
+                # Submit before the keeper starts: the first submit forks
+                # the pool's workers, and fork must see no other thread.
+                future = pool and pool.submit(_execute_pooled, leased.job,
+                                              timeout, store)
+                keeper = _LeaseKeeper(queue, leased.hash, worker, lease_s)
+                if future is None:      # in-process, while the keeper runs
+                    future = _resolved(_execute_with_timeout, leased.job,
+                                       timeout, store, warm_base)
+                inflight[future] = (leased, keeper)
+            if not inflight:
+                time.sleep(poll_s)      # others hold the remaining leases
+                continue
+            ready, _ = wait(inflight, timeout=poll_s,
+                            return_when=FIRST_COMPLETED)
+            for future in ready:
+                leased, keeper = inflight.pop(future)
+                keeper.stop()
+                error = future.exception()
+                if error is None:
+                    queue.store(leased, future.result())
+                    queue.complete(leased.hash, worker)
+                    completed += 1
+                    note(leased, "done", "")
+                else:
+                    state = queue.fail(leased.hash, worker, repr(error))
+                    note(leased, state, repr(error))
+    finally:
+        for _leased, keeper in inflight.values():
+            keeper.stop()
+        if pool is not None:
+            pool.shutdown()
+    return completed
+
+
 # ---------------------------------------------------------------------------
 # on-disk result cache
 # ---------------------------------------------------------------------------
@@ -459,19 +593,48 @@ def _stderr_progress(done: int, total: int, label: str,
     sys.stderr.flush()
 
 
-def _run_one(job: RunJob, timeout: Optional[float],
-             cache_dir: Optional[str] = None,
-             warm_base: Optional[WarmBase] = None) -> RunResult:
-    """Serial path: execute with the same retry-once policy as the pool."""
-    try:
-        return _execute_with_timeout(job, timeout, cache_dir, warm_base)
-    except Exception as first:                          # retry once
-        try:
-            return _execute_with_timeout(job, timeout, cache_dir, warm_base)
-        except Exception as second:
-            raise ParallelRunError(
-                f"job {job.label or job.workload!r} failed twice: "
-                f"{second!r} (first attempt: {first!r})") from second
+class _MemoryQueue:
+    """The in-memory queue :func:`run_jobs` drains: a farm
+    ``JobQueue``'s ``lease``/``store``/``complete``/``fail`` over one
+    job list.  Cached jobs start ``done``, leases never expire, and a
+    job listed twice is one entry whose result fills both positions.
+    Entry ``i`` is leased as ``str(i)``.
+    """
+
+    def __init__(self, jobs_list: Sequence[RunJob],
+                 cache_dir: Optional[str]):
+        self.store_dir = cache_dir
+        index: Dict[RunJob, int] = {}
+        #: input position -> entry index
+        self.positions = [index.setdefault(job, len(index))
+                          for job in jobs_list]
+        self.jobs = list(index)
+        self.results = [_cache_load(cache_dir, job) for job in self.jobs]
+        self.states = ["pending" if result is None else "done"
+                       for result in self.results]
+        #: one error per failed attempt
+        self.errors: List[List[str]] = [[] for _ in self.jobs]
+
+    def lease(self, _worker: str, _lease_s: Optional[float]
+              ) -> Optional[LeasedJob]:
+        if "pending" not in self.states:
+            return None
+        i = self.states.index("pending")
+        self.states[i] = "leased"
+        return LeasedJob(str(i), self.jobs[i], len(self.errors[i]) + 1)
+
+    def store(self, leased: LeasedJob, result: RunResult) -> None:
+        self.results[int(leased.hash)] = result
+        _cache_store(self.store_dir, leased.job, result)
+
+    def complete(self, digest: str, _worker: str) -> None:
+        self.states[int(digest)] = "done"
+
+    def fail(self, digest: str, _worker: str, error: str) -> str:
+        i = int(digest)
+        self.errors[i].append(error)
+        self.states[i] = state_after_failure(len(self.errors[i]))
+        return self.states[i]
 
 
 def run_jobs(jobs_list: Sequence[RunJob], jobs: int = 1,
@@ -481,87 +644,50 @@ def run_jobs(jobs_list: Sequence[RunJob], jobs: int = 1,
              ) -> List[RunResult]:
     """Execute ``jobs_list`` and return results in input order.
 
-    - ``jobs``: worker processes; ``<= 1`` runs serially in-process (the
-      same code path, so results are bit-identical for a fixed seed).
-    - ``cache_dir``: directory of pickled results keyed by
-      :func:`job_hash`; hits skip execution entirely, misses are stored
-      after the run.  Unreadable entries are recomputed with a stderr
-      warning, not fatal.  Jobs with ``warmup_instrs`` additionally
-      share warmed-machine checkpoints under ``cache_dir/warmup-ckpt/``
-      (see :func:`warmup_checkpoint_path`), so only the first job of
-      each (workload, warmup) group builds its workload and pays for its
-      warmup — every config point of a sweep forks from that one warm
-      base.  The serial loop keeps the base in a :class:`WarmBase` slot
-      and forks later points from memory; pool workers load the
-      checkpoint per job.  Without ``cache_dir`` there is no slot and
-      every job warms its own base.
-    - ``timeout``: per-job wall-clock seconds; a timed-out job counts as a
-      failure and is retried once like any other failure.
+    - ``jobs``: worker processes; ``<= 1`` runs in-process through the
+      same job code, so results are bit-identical for a fixed seed.
+    - ``cache_dir``: pickled results keyed by :func:`job_hash`; hits
+      skip execution, misses are stored after the run, unreadable
+      entries are recomputed with a stderr warning.  Jobs with
+      ``warmup_instrs`` also share warmed-machine checkpoints under
+      ``cache_dir/warmup-ckpt/`` (:func:`warmup_checkpoint_path`): the
+      first job of each (workload, warmup) group builds and warms, every
+      other point of the sweep forks from that base, which each
+      executing process keeps in a :class:`WarmBase`.  Without a
+      ``cache_dir`` every job warms its own base.
+    - ``timeout``: per-job wall-clock seconds; a timeout is a failure.
     - ``progress``: ``True`` for a stderr progress/ETA line, or a callable
       ``(done, total, label, elapsed_seconds)``.
 
-    A job that fails twice raises :class:`ParallelRunError`.
+    A job listed twice runs once and fills both positions.  A failed job
+    is retried once; failing twice raises :class:`ParallelRunError`.
     """
-    jobs_list = list(jobs_list)
-    total = len(jobs_list)
     report: Optional[ProgressFn]
     report = _stderr_progress if progress is True else (progress or None)
-
-    results: List[Optional[RunResult]] = [None] * total
-    pending: List[int] = []
-    done = 0
+    queue = _MemoryQueue(jobs_list, cache_dir)
+    total = len(queue.positions)
     started = time.monotonic()
-    for i, job in enumerate(jobs_list):
-        cached = _cache_load(cache_dir, job)
-        if cached is not None:
-            results[i] = cached
-            done += 1
-            if report:
-                report(done, total, f"{job.label} (cached)",
-                       time.monotonic() - started)
-        else:
-            pending.append(i)
-
-    def finish(i: int, result: RunResult) -> None:
-        nonlocal done
-        results[i] = result
-        _cache_store(cache_dir, jobs_list[i], result)
-        done += 1
-        if report:
-            report(done, total, jobs_list[i].label,
+    if report:
+        cached = [i for i in queue.positions if queue.states[i] == "done"]
+        for done, i in enumerate(cached, 1):
+            report(done, total, f"{queue.jobs[i].label} (cached)",
                    time.monotonic() - started)
 
-    if jobs <= 1 or len(pending) <= 1:
-        warm_base = WarmBase() if cache_dir else None
-        for i in pending:
-            finish(i, _run_one(jobs_list[i], timeout, cache_dir, warm_base))
-        return results          # type: ignore[return-value]
+    def finished(_completed: int) -> bool:
+        if "failed" in queue.states:
+            i = queue.states.index("failed")
+            first, *_, last = queue.errors[i]
+            raise ParallelRunError(
+                f"job {queue.jobs[i].label or queue.jobs[i].workload!r} "
+                f"failed twice: {last} (first attempt: {first})")
+        return queue.states.count("done") == len(queue.jobs)
 
-    workers = min(jobs, len(pending))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        attempts: Dict[Any, Tuple[int, int]] = {}   # future -> (index, tries)
-        first_error: Dict[int, BaseException] = {}
+    def note(leased: LeasedJob, state: str, _error: str) -> None:
+        if report and state == "done":
+            done = sum(queue.states[i] == "done" for i in queue.positions)
+            report(done, total, leased.job.label,
+                   time.monotonic() - started)
 
-        def submit(i: int, tries: int) -> None:
-            future = pool.submit(_execute_with_timeout, jobs_list[i],
-                                 timeout, cache_dir)
-            attempts[future] = (i, tries)
-
-        for i in pending:
-            submit(i, 1)
-        while attempts:
-            ready, _ = wait(list(attempts), return_when=FIRST_COMPLETED)
-            for future in ready:
-                i, tries = attempts.pop(future)
-                error = future.exception()
-                if error is None:
-                    finish(i, future.result())
-                elif tries == 1:
-                    first_error[i] = error
-                    submit(i, 2)                    # retry once
-                else:
-                    raise ParallelRunError(
-                        f"job {jobs_list[i].label or jobs_list[i].workload!r}"
-                        f" failed twice: {error!r} "
-                        f"(first attempt: {first_error[i]!r})") from error
-    return results              # type: ignore[return-value]
+    workers = min(jobs, queue.states.count("pending"))
+    _drain(queue, finished, note, jobs=max(1, workers), timeout=timeout)
+    return [queue.results[i] for i in queue.positions]  # type: ignore[misc]

@@ -20,8 +20,9 @@ from dataclasses import replace
 from types import MappingProxyType
 from typing import Final, List, Mapping, Optional
 
-from .analysis.parallel import (ParallelRunError, RunJob, build_job_config,
-                                build_job_workload, run_jobs)
+from .analysis.parallel import (ParallelRunError, RunJob, _stderr_progress,
+                                build_job_config, build_job_workload,
+                                run_jobs)
 from .analysis.report import format_fabric_summary, format_table
 from .sim.runner import PREFETCHER_CONFIGS, RunResult, run_system
 from .trace import Tracer
@@ -336,12 +337,8 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def _farm_progress(done: int, total: int, label: str) -> None:
-    print(f"[{done}/{total}] {label}", file=sys.stderr)
-
-
 def cmd_farm_run(args) -> int:
-    """Expand a YAML spec and run it (queue + async pool, or run_jobs)."""
+    """Expand a YAML spec and run it (through a queue, or run_jobs)."""
     import os
 
     from .analysis.farm import FarmError, run_farm
@@ -358,7 +355,7 @@ def cmd_farm_run(args) -> int:
         report = run_farm(spec, queue_dir=args.queue_dir, jobs=args.jobs,
                           out_dir=out_dir, lease_s=args.lease,
                           timeout=args.timeout, cache_dir=args.cache_dir,
-                          progress=_farm_progress)
+                          progress=_stderr_progress)
     except FarmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
