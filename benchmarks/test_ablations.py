@@ -7,31 +7,30 @@ Not figures from the paper — these quantify our implementation decisions:
 - pending-chain buffer (0 = park-in-context, the default)
 """
 
-from dataclasses import replace
-
-from repro.sim.runner import run_system
-from repro.uarch.params import quad_core_config
-from repro.workloads.mixes import build_mix
-from repro.analysis.experiments import scaled
+from repro.analysis.experiments import run, run_all, scaled
+from repro.analysis.parallel import RunJob, run_grid
 
 from conftest import print_header, print_table
 
 MIX = "H3"
 
 
-def _run(n, **emc_overrides):
-    cfg = quad_core_config(prefetcher="none", emc=True)
-    cfg.emc = replace(cfg.emc, **emc_overrides)
-    return run_system(cfg, build_mix(MIX, n, seed=1))
+def _emc_base():
+    return RunJob(("mix", MIX), scaled(4000), emc=True)
+
+
+def _ablation(knob, values):
+    """The EMC run of MIX at each value of ``emc.<knob>``, by value."""
+    results = run_grid(_emc_base(), {f"emc.{knob}": values}, run_all)
+    return {value: result for (value,), result in results.items()}
 
 
 def test_ablation_tlb_policy(once):
     def sweep():
-        n = scaled(4000)
-        base = run_system(quad_core_config(), build_mix(MIX, n, seed=1))
+        base = run(_emc_base().at({"emc": False}))
         out = {"baseline": (base.aggregate_ipc, None)}
-        for policy in ("fetch", "cancel"):
-            r = _run(n, tlb_miss_policy=policy)
+        for policy, r in _ablation("tlb_miss_policy",
+                                   ("fetch", "cancel")).items():
             out[policy] = (r.aggregate_ipc, r.stats.emc)
         return out
 
@@ -52,11 +51,7 @@ def test_ablation_tlb_policy(once):
 
 
 def test_ablation_chain_depth(once):
-    def sweep():
-        n = scaled(4000)
-        return {depth: _run(n, max_load_depth=depth) for depth in (1, 2, 3)}
-
-    results = once(sweep)
+    results = once(_ablation, "max_load_depth", (1, 2, 3))
     print_header("Ablation — max chain load depth")
     print_table(
         ["depth", "perf", "uops/chain", "emc_misses"],
@@ -70,11 +65,7 @@ def test_ablation_chain_depth(once):
 
 
 def test_ablation_contexts(once):
-    def sweep():
-        n = scaled(4000)
-        return {c: _run(n, num_contexts=c) for c in (1, 2, 4)}
-
-    results = once(sweep)
+    results = once(_ablation, "num_contexts", (1, 2, 4))
     print_header("Ablation — EMC issue contexts")
     print_table(
         ["contexts", "perf", "chains", "rejected"],
@@ -89,12 +80,7 @@ def test_ablation_contexts(once):
 
 
 def test_ablation_chain_cache(once):
-    def sweep():
-        n = scaled(4000)
-        return {size: _run(n, chain_cache_entries=size)
-                for size in (0, 32)}
-
-    results = once(sweep)
+    results = once(_ablation, "chain_cache_entries", (0, 32))
     print_header("Ablation — chain cache (extension; 0 = off)")
     print_table(
         ["entries", "perf", "chains", "cache_hits", "gen_cycles"],
@@ -110,11 +96,7 @@ def test_ablation_chain_cache(once):
 
 
 def test_ablation_pending_buffer(once):
-    def sweep():
-        n = scaled(4000)
-        return {q: _run(n, pending_chain_entries=q) for q in (0, 4)}
-
-    results = once(sweep)
+    results = once(_ablation, "pending_chain_entries", (0, 4))
     print_header("Ablation — pending-chain buffer "
                  "(0 = park-in-context, paper-style)")
     print_table(

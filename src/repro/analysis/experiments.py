@@ -7,12 +7,15 @@ simulations (e.g. the H1–H10 EMC runs feed Figures 12, 15, 16, 17, 18, 19,
 22 and 23).
 
 Execution routes through the parallel experiment layer
-(:mod:`repro.analysis.parallel`): every memoized run is a :class:`RunJob`,
-each driver hands the full set of jobs it needs to :func:`run_all` (one
-:func:`run_jobs` fan-out) before assembling rows, and the worker count /
-on-disk cache come from :func:`set_parallelism` (or the ``REPRO_JOBS`` and
-``REPRO_CACHE_DIR`` environment variables).  With ``jobs=1`` everything
-runs in-process.
+(:mod:`repro.analysis.parallel`).  Each driver is a thin grid builder: a
+base :class:`RunJob` plus the axes it varies (workload, prefetcher, EMC,
+overrides).  :func:`~repro.analysis.parallel.run_grid` expands them
+through :meth:`RunJob.at`, runs the grid in one memoized
+:func:`run_all` fan-out and hands back every result keyed by its grid
+point.  The worker count /
+on-disk cache come from :func:`set_parallelism` (or the ``REPRO_JOBS``
+and ``REPRO_CACHE_DIR`` environment variables).  With ``jobs=1``
+everything runs in-process.
 
 Scale: instruction counts default to laptop-friendly sizes and can be
 scaled with the ``REPRO_BENCH_SCALE`` environment variable (a float
@@ -30,7 +33,7 @@ from ..sim.runner import RunResult
 from ..workloads.mixes import MIX_NAMES
 from ..workloads.spec import HIGH_INTENSITY, PROFILES
 from .parallel import (Overrides, RunJob, default_cache_dir, default_jobs,
-                       run_jobs)
+                       run_grid, run_jobs)
 
 
 def _scale() -> float:
@@ -53,6 +56,15 @@ ORACLE: Final[Overrides] = (("oracle_dependent_hits", True),)
 def _n(n_instrs: Optional[int], default: int) -> int:
     """An explicit per-core instruction count, else the scaled default."""
     return n_instrs if n_instrs is not None else scaled(default)
+
+
+def _mixes(names: Iterable[str]) -> List[tuple]:
+    return [("mix", name) for name in names]
+
+
+def _homog(names: Iterable[str]) -> List[tuple]:
+    """Four copies of each benchmark on the quad-core machine."""
+    return [("homog", name, 4) for name in names]
 
 
 # ---------------------------------------------------------------------------
@@ -130,11 +142,11 @@ def weighted_speedup(result: RunResult,
     performance metric.  The alone runs are memoized single-core runs of
     each benchmark on the baseline machine (no prefetching, no EMC)."""
     n = _n(n_instrs, N_MIX)
-    solos = run_all(RunJob(("named", core.benchmark), n, seed=seed)
-                    for core in result.stats.cores)
+    solos = run_grid(RunJob((), n, seed=seed), {"workload": [
+        ("named", core.benchmark) for core in result.stats.cores]}, run_all)
     total = 0.0
-    for core, solo in zip(result.stats.cores, solos):
-        alone = solo.stats.cores[0]
+    for core in result.stats.cores:
+        alone = solos[("named", core.benchmark),].stats.cores[0]
         if alone.ipc():
             total += core.ipc() / alone.ipc()
     return total
@@ -168,13 +180,13 @@ def fig01_latency_breakdown(benchmarks: Optional[Sequence[str]] = None,
     """
     names = list(benchmarks) if benchmarks else list(PROFILES)
     n = _n(n_instrs, N_SINGLE)
-    results = run_all(RunJob(("homog", name, 4), n, trace=True)
-                      for name in names)
+    results = run_grid(RunJob((), n, trace=True),
+                         {"workload": _homog(names)}, run_all)
     rows = []
-    for name, result in zip(names, results):
+    for (workload,), result in results.items():
         dram, onchip = result.latency_attribution.dram_onchip_split()
         mpki = sum(c.mpki() for c in result.stats.cores) / 4
-        rows.append(LatencySplitRow(name, mpki, dram, onchip))
+        rows.append(LatencySplitRow(workload[1], mpki, dram, onchip))
     rows.sort(key=lambda r: r.mpki)
     return rows
 
@@ -195,14 +207,15 @@ def fig02_dependent_misses(benchmarks: Optional[Sequence[str]] = None,
                            ) -> List[DependentMissRow]:
     names = list(benchmarks) if benchmarks else list(PROFILES)
     n = _n(n_instrs, N_SINGLE)
-    results = iter(run_all(RunJob(("homog", name, 4), n, overrides=overrides)
-                           for name in names for overrides in ((), ORACLE)))
+    results = run_grid(RunJob((), n), {
+        "workload": _homog(names), "overrides": ((), ORACLE)}, run_all)
     rows = []
-    for name, base, oracle in zip(names, results, results):
+    for workload in _homog(names):
+        base, oracle = results[workload, ()], results[workload, ORACLE]
         speedup = (oracle.throughput / base.throughput
                    if base.throughput else 0.0)
         rows.append(DependentMissRow(
-            name, base.stats.dependent_miss_fraction(), speedup))
+            workload[1], base.stats.dependent_miss_fraction(), speedup))
     return rows
 
 
@@ -217,23 +230,26 @@ def fig03_prefetch_coverage(benchmarks: Optional[Sequence[str]] = None,
     names = list(benchmarks) if benchmarks else list(HIGH_INTENSITY)
     prefetchers = ("ghb", "stream", "markov+stream")
     n = _n(n_instrs, N_SINGLE)
-    results = iter(run_all(RunJob(("homog", name, 4), n, prefetcher=pf)
-                           for name in names for pf in prefetchers))
-    return {name: {pf: next(results).stats.dependent_prefetch_coverage()
-                   for pf in prefetchers}
-            for name in names}
+    results = run_grid(RunJob((), n), {
+        "workload": _homog(names), "prefetcher": prefetchers}, run_all)
+    out: Dict[str, Dict[str, float]] = {}
+    for (workload, pf), result in results.items():
+        out.setdefault(workload[1], {})[pf] = (
+            result.stats.dependent_prefetch_coverage())
+    return out
 
 
 def prefetcher_bandwidth_overhead(prefetcher: str,
                                   n_instrs: Optional[int] = None) -> float:
     """DRAM-traffic increase of a prefetcher over no prefetching (§1)."""
     n = _n(n_instrs, N_MIX)
-    results = iter(run_all(RunJob(("mix", mix), n, prefetcher=pf)
-                           for mix in MIX_NAMES for pf in ("none", prefetcher)))
+    results = run_grid(RunJob((), n), {
+        "workload": _mixes(MIX_NAMES), "prefetcher": ("none", prefetcher)},
+        run_all)
     base_reads = pf_reads = 0
-    for base, with_pf in zip(results, results):
-        base_reads += base.dram_reads
-        pf_reads += with_pf.dram_reads
+    for workload in _mixes(MIX_NAMES):
+        base_reads += results[workload, "none"].dram_reads
+        pf_reads += results[workload, prefetcher].dram_reads
     return pf_reads / base_reads - 1.0 if base_reads else 0.0
 
 
@@ -246,9 +262,9 @@ def fig06_chain_lengths(benchmarks: Optional[Sequence[str]] = None,
                         ) -> Dict[str, float]:
     names = list(benchmarks) if benchmarks else list(HIGH_INTENSITY)
     n = _n(n_instrs, N_SINGLE)
-    results = run_all(RunJob(("homog", name, 4), n) for name in names)
-    return {name: result.stats.avg_dependent_chain_ops()
-            for name, result in zip(names, results)}
+    results = run_grid(RunJob((), n), {"workload": _homog(names)}, run_all)
+    return {workload[1]: result.stats.avg_dependent_chain_ops()
+            for (workload,), result in results.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -269,24 +285,21 @@ class PerfRow:
 
 
 def _normalized_rows(row_type, metric: Callable[[RunResult], float],
-                     job_for: Callable[[str, str, bool], RunJob],
-                     workloads: Sequence[str],
+                     base: RunJob, workloads: Sequence[tuple],
                      prefetchers: Sequence[str]) -> list:
-    """One ``row_type`` per workload: ``metric`` over every prefetcher ×
-    EMC point, normalized to the workload's no-prefetch, no-EMC run.
-    ``job_for(workload, prefetcher, emc)`` describes each run."""
-    combos = [(pf, emc) for pf in prefetchers for emc in (False, True)]
-    run_all([job_for(wl, "none", False) for wl in workloads]
-            + [job_for(wl, pf, emc) for wl in workloads
-               for pf, emc in combos])
+    """One ``row_type`` per workload: ``metric`` at every prefetcher × EMC
+    point of ``base``, normalized to the workload's run of ``base`` itself
+    (no prefetcher, no EMC)."""
+    results = run_grid(base, {"workload": workloads,
+                              "prefetcher": prefetchers,
+                              "emc": (False, True)}, run_all)
     rows = []
     for wl in workloads:
-        base = metric(run(job_for(wl, "none", False)))
-        row = row_type(workload=wl)
-        for pf, emc in combos:
-            value = metric(run(job_for(wl, pf, emc)))
-            row.normalized[(pf, emc)] = value / base if base else 0.0
-        rows.append(row)
+        ref = metric(run(base.at({"workload": wl})))
+        rows.append(row_type(workload=wl[1], normalized={
+            (pf, emc): metric(result) / ref if ref else 0.0
+            for (point_wl, pf, emc), result in results.items()
+            if point_wl == wl}))
     return rows
 
 
@@ -303,10 +316,8 @@ def fig12_quadcore_hetero(prefetchers: Sequence[str] = ("none", "ghb"),
                           n_instrs: Optional[int] = None) -> List[PerfRow]:
     mixes = list(mixes) if mixes else list(MIX_NAMES)
     n = _n(n_instrs, N_MIX)
-    return _normalized_rows(
-        PerfRow, _throughput,
-        lambda wl, pf, emc: RunJob(("mix", wl), n, prefetcher=pf, emc=emc),
-        mixes, prefetchers)
+    return _normalized_rows(PerfRow, _throughput, RunJob((), n),
+                            _mixes(mixes), prefetchers)
 
 
 def fig13_quadcore_homogeneous(prefetchers: Sequence[str] = ("none", "ghb"),
@@ -315,11 +326,8 @@ def fig13_quadcore_homogeneous(prefetchers: Sequence[str] = ("none", "ghb"),
                                ) -> List[PerfRow]:
     names = list(benchmarks) if benchmarks else list(HIGH_INTENSITY)
     n = _n(n_instrs, N_SINGLE)
-    return _normalized_rows(
-        PerfRow, _throughput,
-        lambda wl, pf, emc: RunJob(("homog", wl, 4), n, prefetcher=pf,
-                                   emc=emc),
-        names, prefetchers)
+    return _normalized_rows(PerfRow, _throughput, RunJob((), n),
+                            _homog(names), prefetchers)
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +341,9 @@ def fig14_eightcore(mixes: Optional[Sequence[str]] = None,
     mixes = list(mixes) if mixes else ["H1", "H3", "H4", "H8"]
     n = _n(n_instrs, N_SWEEP)
     return {num_mcs: _normalized_rows(
-        PerfRow, _throughput,
-        lambda wl, pf, emc, m=num_mcs: RunJob(
-            ("eight", wl), n, prefetcher=pf, emc=emc, num_mcs=m),
-        mixes, prefetchers) for num_mcs in (1, 2)}
+        PerfRow, _throughput, RunJob((), n, num_mcs=num_mcs),
+        [("eight", mix) for mix in mixes], prefetchers)
+        for num_mcs in (1, 2)}
 
 
 # ---------------------------------------------------------------------------
@@ -375,16 +382,17 @@ def emc_behaviour(mixes: Optional[Sequence[str]] = None,
     """
     mixes = list(mixes) if mixes else list(MIX_NAMES)
     n = _n(n_instrs, N_MIX)
-    results = run_all([RunJob(("mix", mix), n) for mix in mixes]
-                      + [RunJob(("mix", mix), n, emc=True, trace=True)
-                         for mix in mixes])
+    axes = {"workload": _mixes(mixes)}
+    base_runs = run_grid(RunJob((), n), axes, run_all)
+    emc_runs = run_grid(RunJob((), n, emc=True, trace=True), axes, run_all)
     rows = []
-    for mix, base, emc in zip(mixes, results, results[len(mixes):]):
+    for (workload,), emc in emc_runs.items():
+        base = base_runs[workload,]
         stats = emc.stats
         att = emc.latency_attribution
         saved = att.savings()
         rows.append(EMCBehaviourRow(
-            mix=mix,
+            mix=workload[1],
             emc_miss_fraction=stats.emc_miss_fraction(),
             row_conflict_delta=(emc.dram_row_conflict_rate
                                 - base.dram_row_conflict_rate),
@@ -416,25 +424,25 @@ def fig20_dram_sweep(geometries: Sequence[Tuple[int, int]] = (
     1-channel 1-rank without EMC."""
     mixes = list(mixes) if mixes else ["H3", "H4", "H8"]
     n = _n(n_instrs, N_SWEEP)
-    points = [(channels, ranks, emc) for channels, ranks in geometries
-              for emc in (False, True)]
     # The ``with_dram_geometry`` derivation as dotted overrides: the
     # queue scales with the geometry (§5).
-    results = iter(run_all(
-        RunJob(("mix", mix), n, emc=emc, overrides=(
-            ("dram.channels", channels),
-            ("dram.queue_entries", max(32, 64 * channels * ranks // 2)),
-            ("dram.ranks_per_channel", ranks)))
-        for channels, ranks, emc in points for mix in mixes))
+    shapes = {(("dram.channels", channels),
+               ("dram.queue_entries", max(32, 64 * channels * ranks // 2)),
+               ("dram.ranks_per_channel", ranks)): (channels, ranks)
+              for channels, ranks in geometries}
+    results = run_grid(RunJob((), n), {"overrides": list(shapes),
+                                       "emc": (False, True),
+                                       "workload": _mixes(mixes)}, run_all)
+    totals: Dict[tuple, float] = {}
+    for (shape, emc, _workload), result in results.items():
+        totals[shape, emc] = totals.get((shape, emc), 0.0) + result.throughput
     rows = []
     baseline = None
-    for channels, ranks, emc in points:
-        total = 0.0
-        for _mix in mixes:
-            total += next(results).throughput
+    for (shape, emc), total in totals.items():
         avg = total / len(mixes)
         if baseline is None:
             baseline = avg
+        channels, ranks = shapes[shape]
         rows.append({"channels": channels, "ranks": ranks, "emc": emc,
                      "throughput": avg, "normalized": avg / baseline})
     return rows
@@ -451,18 +459,16 @@ def fig21_emc_prefetch_overlap(prefetchers: Sequence[str] = (
     """Fraction of EMC LLC-path requests that hit on prefetched lines."""
     mixes = list(mixes) if mixes else list(MIX_NAMES)
     n = _n(n_instrs, N_MIX)
-    results = iter(run_all(RunJob(("mix", mix), n, prefetcher=pf, emc=True)
-                           for pf in prefetchers for mix in mixes))
-    out = {}
-    for pf in prefetchers:
-        hits = requests = 0
-        for _mix in mixes:
-            stats = next(results).stats
-            hits += stats.emc.llc_hits_on_prefetched
-            requests += max(1, stats.emc.llc_requests
-                            + stats.emc.direct_dram_requests)
-        out[pf] = hits / requests if requests else 0.0
-    return out
+    results = run_grid(RunJob((), n, emc=True), {
+        "prefetcher": prefetchers, "workload": _mixes(mixes)}, run_all)
+    hits: Dict[str, int] = dict.fromkeys(prefetchers, 0)
+    requests: Dict[str, int] = dict.fromkeys(prefetchers, 0)
+    for (pf, _workload), result in results.items():
+        emc = result.stats.emc
+        hits[pf] += emc.llc_hits_on_prefetched
+        requests[pf] += emc.llc_requests + emc.direct_dram_requests
+    return {pf: hits[pf] / requests[pf] if requests[pf] else 0.0
+            for pf in prefetchers}
 
 
 # ---------------------------------------------------------------------------
@@ -482,10 +488,8 @@ def fig23_energy_hetero(prefetchers: Sequence[str] = ("none", "ghb"),
                         n_instrs: Optional[int] = None) -> List[EnergyRow]:
     mixes = list(mixes) if mixes else list(MIX_NAMES)
     n = _n(n_instrs, N_MIX)
-    return _normalized_rows(
-        EnergyRow, _energy,
-        lambda wl, pf, emc: RunJob(("mix", wl), n, prefetcher=pf, emc=emc),
-        mixes, prefetchers)
+    return _normalized_rows(EnergyRow, _energy, RunJob((), n),
+                            _mixes(mixes), prefetchers)
 
 
 def fig24_energy_homogeneous(prefetchers: Sequence[str] = ("none", "ghb"),
@@ -494,11 +498,8 @@ def fig24_energy_homogeneous(prefetchers: Sequence[str] = ("none", "ghb"),
                              ) -> List[EnergyRow]:
     names = list(benchmarks) if benchmarks else list(HIGH_INTENSITY)
     n = _n(n_instrs, N_SINGLE)
-    return _normalized_rows(
-        EnergyRow, _energy,
-        lambda wl, pf, emc: RunJob(("homog", wl, 4), n, prefetcher=pf,
-                                   emc=emc),
-        names, prefetchers)
+    return _normalized_rows(EnergyRow, _energy, RunJob((), n),
+                            _homog(names), prefetchers)
 
 
 # ---------------------------------------------------------------------------
@@ -516,11 +517,12 @@ def sec65_overheads(mixes: Optional[Sequence[str]] = None,
     """
     mixes = list(mixes) if mixes else list(MIX_NAMES)
     n = _n(n_instrs, N_MIX)
-    results = iter(run_all(RunJob(("mix", mix), n, emc=emc)
-                           for mix in mixes for emc in (False, True)))
+    results = run_grid(RunJob((), n), {
+        "workload": _mixes(mixes), "emc": (False, True)}, run_all)
     base_data = base_ctrl = emc_data = emc_ctrl = 0
     emc_tagged_data = emc_tagged_ctrl = 0
-    for b, e in zip(results, results):
+    for workload in _mixes(mixes):
+        b, e = results[workload, False], results[workload, True]
         base_data += b.ring.data_hops
         base_ctrl += b.ring.control_hops
         emc_data += e.ring.data_hops

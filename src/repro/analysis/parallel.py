@@ -9,6 +9,10 @@ and share one execution layer:
 - :class:`RunJob` — a small, picklable, hashable description of one run
   by value (workload spec, seed, dotted config overrides); shipping it
   to a worker is cheap and it doubles as its own cache key.
+- :meth:`RunJob.at` and :func:`grid` — the one grid expander: every
+  sweep (figure drivers, ``repro compare``/``sweep``, farm specs) is
+  ``base.at(point)`` for each point of one cross product, and
+  :func:`run_grid` hands back each result keyed by its point.
 - :func:`execute_job` — build and run one job, forking the points of a
   sweep from one warmed base machine (:class:`WarmBase`).
 - :func:`_drain` — the one scheduling loop: lease a job from a queue,
@@ -26,6 +30,7 @@ bit-identical for a fixed seed.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import pickle
 import signal
@@ -35,7 +40,7 @@ import threading
 import time
 from concurrent.futures import (FIRST_COMPLETED, Future, ProcessPoolExecutor,
                                 wait)
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from types import MappingProxyType
 from typing import (Any, Callable, Dict, Final, List, Mapping, Optional,
@@ -103,6 +108,22 @@ class RunJob:
     num_cores: int = 0                # 0 = the workload's natural count
     predictor: str = "map-i"          # EMC bypass predictor: map-i | hermes
 
+    def at(self, point: Mapping[str, Any]) -> RunJob:
+        """This job at one grid point; ``self`` is left as it is.
+
+        A name that is a :class:`RunJob` field sets that field (a base job
+        may leave ``workload`` as ``()`` for its points to fill).  Any
+        other name is a dotted :class:`SystemConfig` path, appended in
+        sorted order to the job's ``overrides``.
+        """
+        changes = {k: v for k, v in point.items() if k in _JOB_FIELDS}
+        dotted = tuple(sorted((k, v) for k, v in point.items()
+                              if k not in _JOB_FIELDS))
+        if dotted:
+            changes["overrides"] = (changes.get("overrides", self.overrides)
+                                    + dotted)
+        return replace(self, **changes)
+
     def key(self) -> tuple:
         """Identity of the run — everything except the display label."""
         return (self.workload, self.n_instrs, self.prefetcher, self.emc,
@@ -156,6 +177,18 @@ class RunJob:
         """
         return (self.workload, self.n_instrs, self.num_mcs, self.seed,
                 self.warmup_instrs)
+
+
+#: the names a grid point sets on a job directly (see :meth:`RunJob.at`)
+_JOB_FIELDS: Final[frozenset] = frozenset(f.name for f in fields(RunJob))
+
+
+def grid(axes: Mapping[str, Sequence[Any]]) -> List[Dict[str, Any]]:
+    """Every point of ``axes``: the cross product in declaration order,
+    the last axis varying fastest."""
+    names = list(axes)
+    return [dict(zip(names, values))
+            for values in itertools.product(*(axes[n] for n in names))]
 
 
 # ---------------------------------------------------------------------------
@@ -691,3 +724,23 @@ def run_jobs(jobs_list: Sequence[RunJob], jobs: int = 1,
     workers = min(jobs, queue.states.count("pending"))
     _drain(queue, finished, note, jobs=max(1, workers), timeout=timeout)
     return [queue.results[i] for i in queue.positions]  # type: ignore[misc]
+
+
+def run_grid(base: RunJob, axes: Mapping[str, Sequence[Any]],
+             run: Callable[..., List[RunResult]] = run_jobs,
+             label: Optional[Callable[[Dict[str, Any]], str]] = None,
+             **run_kwargs: Any) -> Dict[tuple, RunResult]:
+    """Run ``base.at(point)`` for every point of :func:`grid` ``(axes)`` in
+    one ``run(jobs_list, **run_kwargs)`` batch (:func:`run_jobs` by
+    default), each job labelled ``label(point)`` if given.
+
+    Returns each result keyed by its point's values in axis order, in
+    grid order, so callers read results by point, never by position.
+    """
+    points = grid(axes)
+    jobs_list = [base.at(point if label is None
+                         else {**point, "label": label(point)})
+                 for point in points]
+    results = run(jobs_list, **run_kwargs)
+    return {tuple(point.values()): result
+            for point, result in zip(points, results)}

@@ -7,10 +7,13 @@ sizing, …) — plus ``include:``/``exclude:`` filters, ``samples:`` seeds,
 a ``warmup:`` window, and the ``outputs:`` (tables and ASCII figures) to
 emit from the results.  ``load_spec`` validates the file with
 line-precise errors and expands it *deterministically* into the existing
-picklable :class:`~repro.analysis.parallel.RunJob` list, so everything
-downstream (config-hash caching, fork-based shared warmup, the work
-queue in :mod:`repro.analysis.farm`) is exactly the machinery the
-figure drivers already use.
+picklable :class:`~repro.analysis.parallel.RunJob` list through the one
+grid expander the figure drivers and the CLI use
+(:func:`~repro.analysis.parallel.grid` and
+:meth:`~repro.analysis.parallel.RunJob.at`), so everything downstream
+(config-hash caching, fork-based shared warmup, the work queue in
+:mod:`repro.analysis.farm`) is exactly the machinery the figure drivers
+already use.
 
 The full key-by-key schema reference lives in
 ``docs/experiments-farm.md``; :data:`DOCUMENTED_KEYS` is the registry a
@@ -43,9 +46,8 @@ from ..uarch.params import (PREDICTORS, TOPOLOGIES, quad_core_config,
 from ..workloads.mixes import MIX_NAMES
 from ..workloads.spec import PROFILES
 from .figures import bar_chart
-from .parallel import RunJob
+from .parallel import RunJob, grid
 from .report import format_markdown_table, format_table
-from .sweep import grid_overrides
 
 __all__ = ["ExperimentSpec", "FigureSpec", "SpecError", "TableSpec",
            "DOCUMENTED_KEYS", "METRICS", "RESERVED_AXES", "load_spec",
@@ -234,58 +236,53 @@ class ExperimentSpec:
 
     def points(self) -> List[Dict[str, Any]]:
         """Filtered matrix points (no seeds), in deterministic order."""
-        return [point for point in grid_overrides(dict(self.axes))
+        return [point for point in grid(dict(self.axes))
                 if (not self.include
                     or any(_matches(point, e) for e in self.include))
                 and not any(_matches(point, e) for e in self.exclude)]
 
+    def runs(self) -> List[Tuple[Dict[str, Any], int]]:
+        """``(point, seed)`` of every job, seeds innermost: the order of
+        :meth:`jobs` and of the results :func:`render_outputs` reads."""
+        return [(point, seed) for point in self.points()
+                for seed in self.seeds]
+
     def jobs(self) -> List[RunJob]:
         """Expand to one :class:`RunJob` per (filtered point, seed).
 
-        Deterministic: axes in declaration order, seeds innermost.
-        Raises :class:`SpecError` if two points collapse onto the same
-        job identity.
+        Each job is :meth:`RunJob.at` of the point, with the ``workload``
+        string parsed and the ``topology`` axis naming the ``fabric``
+        field.  Deterministic: axes in declaration order, seeds
+        innermost.  Raises :class:`SpecError` if two points collapse onto
+        the same job identity.
         """
+        base = RunJob((), self.n_instrs, max_cycles=self.max_cycles,
+                      trace=self.trace, warmup_instrs=self.warmup)
         out: List[RunJob] = []
         seen: Dict[tuple, str] = {}
-        for point in self.points():
-            for seed in self.seeds:
-                job = self._job(point, seed)
-                key = job.key()
-                if key in seen:
-                    raise SpecError(
-                        f"duplicate experiment point: {job.label!r} is "
-                        f"the same run as {seen[key]!r} (matrix values "
-                        "normalize to one job identity)", self.path)
-                seen[key] = job.label
-                out.append(job)
+        for point, seed in self.runs():
+            fields = dict(point, workload=_parse_workload(
+                point["workload"], self.path, None))
+            if "topology" in fields:
+                fields["fabric"] = fields.pop("topology")
+            job = base.at({"seed": seed, **fields,
+                           "label": self._label(point, seed)})
+            key = job.key()
+            if key in seen:
+                raise SpecError(
+                    f"duplicate experiment point: {job.label!r} is "
+                    f"the same run as {seen[key]!r} (matrix values "
+                    "normalize to one job identity)", self.path)
+            seen[key] = job.label
+            out.append(job)
         return out
 
-    def _job(self, point: Mapping[str, Any], seed: int) -> RunJob:
-        workload = _parse_workload(point["workload"], self.path, None)
-        prefetcher = point.get("prefetcher", "none")
-        emc = bool(point.get("emc", False))
-        num_mcs = int(point.get("num_mcs", 1))
-        # The spec's "topology" axis is the interconnect fabric
-        # (ring|mesh); the machine shape is fixed by the workload.
-        fabric = point.get("topology", "ring")
-        num_cores = int(point.get("num_cores", 0))
-        predictor = point.get("predictor", "map-i")
-        overrides = tuple(sorted(
-            (axis, value) for axis, value in point.items()
-            if axis not in RESERVED_AXES))
+    def _label(self, point: Mapping[str, Any], seed: int) -> str:
         knobs = ",".join(f"{k}={_fmt(v)}" for k, v in point.items()
                          if k != "workload")
-        label = (f"{self.name}/{point['workload']}"
-                 + (f"[{knobs}]" if knobs else "")
-                 + (f"#s{seed}" if len(self.seeds) > 1 else ""))
-        return RunJob(workload=workload, n_instrs=self.n_instrs,
-                      prefetcher=prefetcher, emc=emc, num_mcs=num_mcs,
-                      seed=seed, overrides=overrides,
-                      max_cycles=self.max_cycles, trace=self.trace,
-                      label=label, warmup_instrs=self.warmup,
-                      fabric=fabric, num_cores=num_cores,
-                      predictor=predictor)
+        return (f"{self.name}/{point['workload']}"
+                + (f"[{knobs}]" if knobs else "")
+                + (f"#s{seed}" if len(self.seeds) > 1 else ""))
 
 
 def _fmt(value: Any) -> str:
@@ -404,7 +401,7 @@ def _validate_axis(axis: str, values: List[Any], filename: str,
                            f"emc values must be booleans, got {value!r}")
     elif axis == "num_mcs":
         for i, value in enumerate(values):
-            if value not in (1, 2):
+            if value not in (1, 2) or isinstance(value, bool):
                 raise _err(filename, lines, path + (i,),
                            f"num_mcs must be 1 or 2, got {value!r}")
     elif axis == "topology":
@@ -716,19 +713,12 @@ class _Row:
 
 def _rows(spec: ExperimentSpec,
           results: Sequence[RunResult]) -> List[_Row]:
-    points = spec.points()
-    expected = len(points) * len(spec.seeds)
-    if expected != len(results):
+    runs = spec.runs()
+    if len(runs) != len(results):
         raise ValueError(f"result count mismatch: spec expands to "
-                         f"{expected} jobs, got {len(results)} results")
-    rows = []
-    index = 0
-    for point in points:
-        for seed in spec.seeds:
-            rows.append(_Row(point=point, seed=seed,
-                             result=results[index]))
-            index += 1
-    return rows
+                         f"{len(runs)} jobs, got {len(results)} results")
+    return [_Row(point=point, seed=seed, result=result)
+            for (point, seed), result in zip(runs, results)]
 
 
 def _mean(values: List[float]) -> float:

@@ -22,7 +22,7 @@ from typing import Final, List, Mapping, Optional
 
 from .analysis.parallel import (ParallelRunError, RunJob, _stderr_progress,
                                 build_job_config, build_job_workload,
-                                run_jobs)
+                                run_grid)
 from .analysis.report import format_fabric_summary, format_table
 from .sim.runner import PREFETCHER_CONFIGS, RunResult, run_system
 from .trace import Tracer
@@ -164,25 +164,18 @@ def cmd_trace(args) -> int:
 
 def cmd_compare(args) -> int:
     """All prefetchers x EMC on one workload, normalized."""
-    combos = [(prefetcher, emc) for prefetcher in args.prefetchers
-              for emc in (False, True)]
-    base = _job(args, ("mix", args.mix))
-    results = run_jobs(
-        [replace(base, prefetcher=prefetcher, emc=emc,
-                 label=f"{args.mix}/{prefetcher}{'+emc' if emc else ''}")
-         for prefetcher, emc in combos],
+    results = run_grid(
+        _job(args, ("mix", args.mix)),
+        {"prefetcher": args.prefetchers, "emc": (False, True)},
+        label=lambda p: f"{args.mix}/{p['prefetcher']}"
+                        f"{'+emc' if p['emc'] else ''}",
         jobs=args.jobs, cache_dir=args.cache_dir,
         progress=True if args.jobs > 1 else None)
-    rows = []
-    base_perf: Optional[float] = None
-    for (prefetcher, emc), result in zip(combos, results):
-        perf = result.aggregate_ipc
-        if base_perf is None:
-            base_perf = perf
-        rows.append((f"{prefetcher}{'+emc' if emc else ''}",
-                     perf, perf / base_perf,
-                     result.stats.emc_miss_fraction(),
-                     result.dram_reads))
+    base_perf = results[args.prefetchers[0], False].aggregate_ipc
+    rows = [(f"{prefetcher}{'+emc' if emc else ''}",
+             result.aggregate_ipc, result.aggregate_ipc / base_perf,
+             result.stats.emc_miss_fraction(), result.dram_reads)
+            for (prefetcher, emc), result in results.items()]
     print(f"workload {args.mix}, {args.n_instrs} instrs/core, "
           f"normalized to {args.prefetchers[0]} without EMC:")
     print(format_table(
@@ -206,7 +199,6 @@ def _parse_value(text: str):
 
 
 def cmd_sweep(args) -> int:
-    from .analysis.sweep import sweep_jobs
     grid = {}
     for spec in args.grid:
         if "=" not in spec:
@@ -220,16 +212,19 @@ def cmd_sweep(args) -> int:
     base = replace(_job(args, ("mix", args.mix)),
                    label=f"{args.mix}/{args.prefetcher}"
                    f"{'+emc' if args.emc else ''}")
-    result = sweep_jobs(grid, base, jobs=args.jobs, cache_dir=args.cache_dir,
-                        progress=True if args.jobs > 1 else None)
-    headers = list(grid) + ["perf", "emc_frac"]
-    rows = [tuple(p.overrides[k] for k in grid)
-            + (p.performance, p.result.stats.emc_miss_fraction())
-            for p in result.points]
-    print(format_table(headers, rows,
-                       formats={"perf": ".3f", "emc_frac": ".2f"}))
-    best = result.best()
-    print(f"best: {best.overrides} -> {best.performance:.3f}")
+    results = run_grid(
+        base, grid,
+        label=lambda p: f"{base.label}["
+                        + ",".join(f"{k}={v}" for k, v in p.items()) + "]",
+        jobs=args.jobs, cache_dir=args.cache_dir,
+        progress=True if args.jobs > 1 else None)
+    print(format_table(
+        list(grid) + ["perf", "emc_frac"],
+        [values + (result.aggregate_ipc, result.stats.emc_miss_fraction())
+         for values, result in results.items()],
+        formats={"perf": ".3f", "emc_frac": ".2f"}))
+    best, result = max(results.items(), key=lambda kv: kv[1].aggregate_ipc)
+    print(f"best: {dict(zip(grid, best))} -> {result.aggregate_ipc:.3f}")
     return 0
 
 

@@ -11,8 +11,7 @@ import pytest
 from repro.analysis import parallel
 from repro.analysis.parallel import (ParallelRunError, RunJob,
                                      build_job_config, execute_job,
-                                     job_hash, run_jobs)
-from repro.analysis.sweep import sweep_jobs
+                                     job_hash, run_grid, run_jobs)
 
 N = 400   # per-core instructions: tiny but structurally complete
 
@@ -242,17 +241,16 @@ def test_progress_callback_sees_every_job():
 
 def test_sweep_jobs_matches_serial_sweep(tmp_path):
     grid = {"emc.num_contexts": [1, 2], "emc.max_load_depth": [1, 2]}
-    serial = sweep_jobs(grid, mix("H4", emc=True))
-    fanned = sweep_jobs(grid, mix("H4", emc=True), jobs=2,
-                        cache_dir=str(tmp_path))
-    assert len(serial.points) == len(fanned.points) == 4
-    for s, p in zip(serial.points, fanned.points):
-        assert s.overrides == p.overrides
-        _assert_identical(s.result, p.result)
+    serial = run_grid(mix("H4", emc=True), grid)
+    fanned = run_grid(mix("H4", emc=True), grid, jobs=2,
+                      cache_dir=str(tmp_path))
+    assert len(serial) == len(fanned) == 4
+    assert list(serial) == list(fanned)
+    for point, result in serial.items():
+        _assert_identical(result, fanned[point])
 
 
 def test_sweep_jobs_base_overrides_are_kept():
     base = mix("H4", overrides=(("llc.latency", 20),))
-    result = sweep_jobs({"emc.enabled": [True]}, base)
-    cfg = result.points[0].result.config
+    cfg = run_grid(base, {"emc.enabled": [True]})[True,].config
     assert cfg.llc.latency == 20 and cfg.emc.enabled

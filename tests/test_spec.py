@@ -184,6 +184,14 @@ def test_num_mcs_axis_validated():
     _fails(bad, "num_mcs must be 1 or 2", line=8)
 
 
+def test_num_mcs_axis_rejects_booleans():
+    # YAML ``true`` equals 1 but would reach the job as a bool, a distinct
+    # cache identity from the 1-MC run.
+    bad = BASE.replace("emc: [false, true]",
+                       "emc: [true]\n  num_mcs: [true]")
+    _fails(bad, "num_mcs must be 1 or 2", line=8)
+
+
 def test_num_mcs_needs_an_eight_core_workload():
     # A quad workload has one memory controller: num_mcs=2 would expand to
     # a distinct job identity that runs the very same 1-MC machine.
@@ -364,6 +372,22 @@ def test_example_spec_parses_to_golden_count():
     assert spec.n_instrs == 1200
     assert [t.filename for t in spec.tables] == ["perf.md"]
     assert [f.filename for f in spec.figures] == ["speedup.txt"]
+
+
+def test_predictor_sweep_expands_to_pinned_jobs():
+    """The example's (label, job identity) list, recorded before the
+    spec expansion moved onto ``RunJob.at``: cache and queue keys of an
+    existing farm must not move."""
+    spec = load_spec(os.path.join(REPO, "examples", "farm",
+                                  "predictor_sweep.yaml"))
+    assert [(job.label, job.key()) for job in spec.jobs()] == [
+        ("predictor-sweep/H4[emc=on,predictor=map-i]",
+         (("mix", "H4"), 1200, "none", True, 1, 1, (), 50000000, False,
+          300, "ring", 0, "map-i")),
+        ("predictor-sweep/H4[emc=on,predictor=hermes]",
+         (("mix", "H4"), 1200, "none", True, 1, 1, (), 50000000, False,
+          300, "ring", 0, "hermes")),
+    ]
 
 
 def test_docs_reference_covers_every_schema_key():
