@@ -93,6 +93,20 @@ def test_full_window_stall_cycles_accumulate():
     assert stats.cores[0].full_window_stall_cycles > 0
 
 
+def test_full_window_stall_cycles_stop_at_finish():
+    """A finished core keeps running wrapped passes for interference, but
+    its stall cycles count only up to ``finished_at``, like every other
+    frozen core statistic."""
+    from repro.sim.system import System
+    from repro.uarch.params import quad_core_config
+    from repro.workloads.mixes import build_mix
+    system = System(quad_core_config(emc=True, seed=1),
+                    build_mix("H3", 1500, seed=1))
+    stats = system.run()
+    for core in stats.cores:
+        assert core.full_window_stall_cycles <= core.finished_at, core
+
+
 def test_retire_is_in_order():
     """A fast op behind a slow miss cannot retire first: instruction count
     over time is gated by the head."""
