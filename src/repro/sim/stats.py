@@ -262,9 +262,9 @@ class EnergyCounters:
     rob_chain_reads: int = 0
 
     # -- mutation API (SIM008: counters change only via their owner) -----
-    def note_core_uop(self) -> None:
-        """A uop executed on a core's functional units."""
-        self.core_uops += 1
+    def note_core_uops(self, count: int) -> None:
+        """``count`` uops dispatched to a core's functional units."""
+        self.core_uops += count
 
     def note_l1_access(self) -> None:
         """One L1 lookup (hit or miss)."""

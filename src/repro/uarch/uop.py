@@ -72,6 +72,13 @@ UOP_LATENCY: Final[Mapping["UopType", int]] = MappingProxyType({
     # LOAD/STORE latency comes from the memory system, not this table.
 })
 
+# Each op carries its latency as a plain attribute (None for LOAD/STORE),
+# so the core's issue loop reads ``op.latency`` instead of hashing the
+# enum member into the table (``Enum.__hash__`` is Python code).
+for _op in UopType:
+    _op.latency = UOP_LATENCY.get(_op)
+del _op
+
 MASK64 = (1 << 64) - 1
 
 

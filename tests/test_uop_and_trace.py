@@ -31,6 +31,7 @@ def test_latency_table_covers_non_memory_ops():
             continue
         assert op in UOP_LATENCY, op
         assert UOP_LATENCY[op] >= 1
+        assert op.latency == UOP_LATENCY[op], op
 
 
 def test_trace_len_and_meta():
