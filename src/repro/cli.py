@@ -296,8 +296,10 @@ def cmd_figure(args) -> int:
 def cmd_bench(args) -> int:
     """Time the pinned simulator-throughput microbench (best-of-N)."""
     from .analysis.bench import check_trend, load_baseline, run_bench
+    from .core.ooo_core import tick_implementation
     result, path = run_bench(repeats=args.repeats, out_dir=args.out_dir)
     print(result.format())
+    print(f"core tick: {tick_implementation()}")
     if path:
         print(f"wrote {path}")
     if args.baseline is not None:
@@ -319,6 +321,7 @@ def cmd_profile(args) -> int:
     """Profile the pinned bench run on the host (cProfile/pyinstrument)."""
     from .analysis.bench import BENCH_JOB
     from .analysis.profile import profile_run
+    from .core.ooo_core import tick_implementation
     job = BENCH_JOB
     if args.n_instrs is not None:
         job = replace(job, n_instrs=args.n_instrs)
@@ -329,6 +332,7 @@ def cmd_profile(args) -> int:
                           out_path=args.out)
     for report in reports:
         print(report.format())
+    print(f"core tick: {tick_implementation()}")
     return 0
 
 

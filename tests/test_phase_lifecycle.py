@@ -88,7 +88,9 @@ def test_warmup_budget_overrun_raises_sim_timeout():
 
 def test_warmup_reports_laggard_cores_on_deadlock():
     system = System(quad_core_config(), build_mix("H4", N, seed=1))
-    system.cores[0]._can_fetch = lambda: False      # wedge one core
+    # Wedge one core through state the tick reads (both the C kernel and
+    # the Python body): a fetch block that no branch will ever lift.
+    system.cores[0]._fetch_blocked = True
     with pytest.raises(DeadlockError, match=r"cores \[0\]"):
         system.warmup(100)
 
