@@ -46,6 +46,7 @@ from types import MappingProxyType
 from typing import (Any, Callable, Dict, Final, List, Mapping, Optional,
                     Sequence, Tuple, Union)
 
+from ..sim.component import SnapshotError
 from ..sim.runner import (RunResult, apply_config_overrides, run_built,
                           run_system)
 from ..sim.system import System
@@ -313,7 +314,9 @@ def _warm_shared_base(job: RunJob, checkpoint: Optional[str],
 
     Tried in order: the loop's in-memory slot, the checkpoint file, a
     fresh warmup under :func:`warmup_base_config` (written to the
-    checkpoint when there is one).  A fresh warmup builds the workload
+    checkpoint when there is one).  A checkpoint file that is unreadable
+    or carries another ``CHECKPOINT_VERSION`` is warned about once and
+    overwritten by the fresh warmup.  A fresh warmup builds the workload
     once at ``workload_cores`` so a growing fork can take its added
     cores from the same build.
     """
@@ -323,8 +326,12 @@ def _warm_shared_base(job: RunJob, checkpoint: Optional[str],
         return base, "checkpoint", None
     built = None
     if checkpoint and os.path.exists(checkpoint):
-        base, warmed_from = System.from_checkpoint(checkpoint), "checkpoint"
-    else:
+        try:
+            base, warmed_from = (System.from_checkpoint(checkpoint),
+                                 "checkpoint")
+        except SnapshotError as exc:
+            print(f"warning: {exc}; warming fresh", file=sys.stderr)
+    if base is None:
         base_cfg = warmup_base_config(job)
         built = build_job_workload(job, max(workload_cores,
                                             base_cfg.num_cores))

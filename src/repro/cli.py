@@ -293,13 +293,20 @@ def cmd_figure(args) -> int:
     return subprocess.call(cmd, env=env)
 
 
+def _print_kernels() -> None:
+    """Name the core tick and the workload layout that ran (C or Python)."""
+    from .core.ooo_core import tick_implementation
+    from .workloads.generators import layout_implementation
+    print(f"core tick: {tick_implementation()}")
+    print(f"workload layout: {layout_implementation()}")
+
+
 def cmd_bench(args) -> int:
     """Time the pinned simulator-throughput microbench (best-of-N)."""
     from .analysis.bench import check_trend, load_baseline, run_bench
-    from .core.ooo_core import tick_implementation
     result, path = run_bench(repeats=args.repeats, out_dir=args.out_dir)
     print(result.format())
-    print(f"core tick: {tick_implementation()}")
+    _print_kernels()
     if path:
         print(f"wrote {path}")
     if args.baseline is not None:
@@ -321,7 +328,6 @@ def cmd_profile(args) -> int:
     """Profile the pinned bench run on the host (cProfile/pyinstrument)."""
     from .analysis.bench import BENCH_JOB
     from .analysis.profile import profile_run
-    from .core.ooo_core import tick_implementation
     job = BENCH_JOB
     if args.n_instrs is not None:
         job = replace(job, n_instrs=args.n_instrs)
@@ -332,7 +338,7 @@ def cmd_profile(args) -> int:
                           out_path=args.out)
     for report in reports:
         print(report.format())
-    print(f"core tick: {tick_implementation()}")
+    _print_kernels()
     return 0
 
 

@@ -53,8 +53,8 @@ DRAIN_MAX_EVENTS = 2_000_000
 
 #: on-disk checkpoint container format marker / layout version
 CHECKPOINT_FORMAT = "repro-checkpoint"
-CHECKPOINT_VERSION = 3  # v3: slotted state dataclasses; v2 pickles
-                        # (dict-backed CacheLineState/MicroOp) don't load
+CHECKPOINT_VERSION = 4  # v4: memory images carry immutable regions;
+                        # v3 images pickled one dict of every word
 
 
 class _SharingPickler(pickle.Pickler):
@@ -586,7 +586,8 @@ class System(SimComponent):
         after they are built, so the fork shares the parent's ``Trace``
         and ``MicroOp`` objects, and references to them in the snapshot
         (rename tables, in-flight uops) keep their identity.  Memory
-        images mutate during execution: each is copied.  The snapshot
+        images mutate during execution: each is copied, which copies its
+        write overlay and shares its immutable regions.  The snapshot
         and ``added_workload`` are copied through a pickle round trip, so
         the fork shares no mutable object with the parent or the caller;
         both machines can then run independently.
@@ -637,7 +638,8 @@ class System(SimComponent):
                     "num_cores")
             added = []
         cfg.validate()
-        # Share the immutable traces by reference; copy the images.
+        # Share the immutable traces by reference; copy the images (their
+        # regions stay shared).
         images = {id(image): image.copy() for image in self.images}
         shared: Dict[int, object] = dict(images)
         for trace, _image in self._workload:
@@ -687,10 +689,17 @@ class System(SimComponent):
         checkpointed: running it produces the same statistics as running
         the original straight through.  A fresh ``tracer`` may be
         attached (the boundary resets tracers, so a resumed traced run
-        matches a straight-through traced run).
+        matches a straight-through traced run).  A file that does not
+        unpickle, is not a checkpoint, or carries another
+        ``CHECKPOINT_VERSION`` raises :class:`SnapshotError`.
         """
         with open(path, "rb") as fh:
-            payload = pickle.load(fh)
+            try:
+                payload = pickle.load(fh)
+            except Exception as exc:
+                # pickle surfaces corruption as almost any exception type.
+                raise SnapshotError(f"{path}: unreadable checkpoint: "
+                                    f"{exc!r}") from exc
         if (not isinstance(payload, dict)
                 or payload.get("format") != CHECKPOINT_FORMAT):
             raise SnapshotError(f"{path}: not a simulator checkpoint")

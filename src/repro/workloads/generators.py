@@ -24,9 +24,12 @@ Kernels:
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from pathlib import Path
+from typing import Dict, List, Optional, Tuple
 
+from ..core.kernel import load_source, source_hash
 from ..uarch.isa import execute_alu
 from ..uarch.uop import MASK64, MicroOp, Trace, UopType
 from .memory_image import MemoryImage
@@ -122,16 +125,14 @@ class PointerChaseParams:
     region_base: int = 0x10000000
 
 
-def _build_chase_order(rng: random.Random, params: PointerChaseParams
-                       ) -> List[int]:
+def _build_chase_order(rng: random.Random, n: int, nodes_per_page: int,
+                       locality: float, adjacency: float) -> List[int]:
     """Traversal order over node indices with page-level clustering.
 
     The order is built as runs: stay on the current page with probability
-    ``page_locality`` per step, otherwise jump to a random page that still
-    has unvisited nodes.  O(n) overall via swap-remove bookkeeping.
+    ``locality`` per step, otherwise jump to a random page that still has
+    unvisited nodes.  O(n) overall via swap-remove bookkeeping.
     """
-    nodes_per_page = max(1, PAGE // params.node_bytes)
-    n = params.num_nodes
     num_pages = -(-n // nodes_per_page)
     per_page: List[List[int]] = [[] for _ in range(num_pages)]
     for i in range(n):
@@ -156,7 +157,7 @@ def _build_chase_order(rng: random.Random, params: PointerChaseParams
     def next_page_pos(current_pos: int) -> int:
         # Page changes prefer the allocation-order neighbour (mcf-style
         # semi-sequential traversal of node arrays), else a random jump.
-        if rng.random() < params.page_adjacency:
+        if rng.random() < adjacency:
             current = live_pages[current_pos]
             pos = bisect.bisect_right(live_pages, current)
             if pos < len(live_pages):
@@ -172,7 +173,6 @@ def _build_chase_order(rng: random.Random, params: PointerChaseParams
     order: List[int] = []
     order_append = order.append
     random = rng.random
-    locality = params.page_locality
     page_pos = rng.randrange(len(live_pages))
     while live_pages:
         page = live_pages[page_pos]
@@ -188,6 +188,68 @@ def _build_chase_order(rng: random.Random, params: PointerChaseParams
     return order
 
 
+def _lay_out_chain_py(rng: random.Random, n: int, nodes_per_page: int,
+                      locality: float, adjacency: float, base: int,
+                      node_bytes: int, words: array) -> int:
+    """Lay out one linked list of ``n`` nodes at ``base`` into ``words``
+    and return its first node: the reference for ``_layout.c``.
+
+    Node ``i`` lives at ``base + i * node_bytes``; ``words[2 * i]`` is its
+    ``->next`` (the following node in traversal order, wrapping) and
+    ``words[2 * i + 1]`` its ``->ptr``, into a *recently visited* node
+    (graph edges into recently touched allocations), which gives the
+    second indirection genuine temporal page locality.
+    """
+    order = _build_chase_order(rng, n, nodes_per_page, locality, adjacency)
+    addrs = [base + node * node_bytes for node in order]
+    # ``back = rng.randint(1, maxback)`` is replicated inline via
+    # getrandbits — exactly CPython's Random._randbelow_with_getrandbits —
+    # to skip three call frames per node (sequence equivalence is pinned
+    # by a regression test).
+    maxback = 64 if n >= 64 else n
+    k = maxback.bit_length()
+    getrandbits = rng.getrandbits
+    for pos, (node, next_addr) in enumerate(zip(order,
+                                                addrs[1:] + addrs[:1])):
+        r = getrandbits(k)
+        while r >= maxback:
+            r = getrandbits(k)
+        # back = 1 + r, target = order[pos - back]
+        words[2 * node] = next_addr
+        words[2 * node + 1] = addrs[pos - 1 - r] + 16
+    return order[0]
+
+
+LAYOUT_SOURCE = Path(__file__).with_name("_layout.c")
+
+#: The C layout kernel (``chain(state, ...)``, ``_layout.c``), or None for
+#: the pure-Python layout; tests set it to None to run the reference.
+_kernel = load_source(f"{__package__}._layout", LAYOUT_SOURCE,
+                      "pure-Python layout")
+
+
+def layout_implementation() -> str:
+    """Which chain layout runs: ``"C <source hash>"`` or ``"python"``."""
+    return "python" if _kernel is None else f"C {source_hash(LAYOUT_SOURCE)}"
+
+
+def _lay_out_chain(rng: random.Random, n: int, params: PointerChaseParams,
+                   base: int) -> Tuple[int, array]:
+    """One chain's first node and its node words (see
+    :func:`_lay_out_chain_py`), through the C kernel when it loaded.
+    Either way ``rng`` ends in the same state."""
+    nodes_per_page = max(1, PAGE // params.node_bytes)
+    words = array("Q", bytes(16 * n))
+    args = (n, nodes_per_page, params.page_locality, params.page_adjacency,
+            base, params.node_bytes, words)
+    if _kernel is None:
+        return _lay_out_chain_py(rng, *args), words
+    version, state, gauss_next = rng.getstate()
+    state, first = _kernel.chain(state, *args)
+    rng.setstate((version, state, gauss_next))
+    return first, words
+
+
 def pointer_chase(builder: TraceBuilder, n_instrs: int,
                   params: PointerChaseParams, pc_base: int = 0x1000) -> None:
     """Linked-structure traversal: every ``next`` load is a potential source
@@ -196,56 +258,24 @@ def pointer_chase(builder: TraceBuilder, n_instrs: int,
     ``parallel_chains`` independent lists are chased round-robin — the
     memory-level parallelism real pointer chasers exhibit (mcf walks many
     arc lists concurrently).  Steps of one list stay strictly serialized.
+    Each list is one immutable region of the image: two words per node.
     """
     image, rng = builder.image, builder.rng
     nb = params.node_bytes
     nchains = max(1, params.parallel_chains)
     nodes_per_chain = max(64, params.num_nodes // nchains)
 
-    orders = []
-    chain_bases = []
-    sub = PointerChaseParams(**{**params.__dict__,
-                                "num_nodes": nodes_per_chain})
+    starts = []
     for j in range(nchains):
         base = params.region_base + j * nodes_per_chain * nb * 2
-        chain_bases.append(base)
-        order = _build_chase_order(rng, sub)
-        orders.append(order)
-        n = len(order)
-        addr_of = [base + i * nb for i in range(n)]
-        # ->next pointers first (the pass consumes no randomness), then
-        # the ->ptr pass below draws per node in the same order as the
-        # original interleaved loop — the RNG call sequence is unchanged,
-        # and the two passes write disjoint words (+0 vs +8).
-        visit_addrs = [addr_of[i] for i in order]
-        image.bulk_write(
-            zip(visit_addrs, visit_addrs[1:] + visit_addrs[:1]),
-            aligned=True)
-        # ->ptr: a *recently visited* node (graph edges into recently
-        # touched allocations), giving the second indirection genuine
-        # temporal page locality.  ``back = rng.randint(1, maxback)`` is
-        # replicated inline via getrandbits — exactly CPython's
-        # Random._randbelow_with_getrandbits — to skip three call frames
-        # per node (sequence equivalence is pinned by a regression test).
-        maxback = 64 if n >= 64 else n
-        k = maxback.bit_length()
-        getrandbits = rng.getrandbits
-
-        def back_pointers():
-            for pos, node in enumerate(order):
-                r = getrandbits(k)
-                while r >= maxback:
-                    r = getrandbits(k)
-                # back = 1 + r, target = order[pos - back]
-                yield addr_of[node] + 8, addr_of[order[pos - 1 - r]] + 16
-
-        image.bulk_write(back_pointers(), aligned=True)
+        first, words = _lay_out_chain(rng, nodes_per_chain, params, base)
+        image.add_region(base, nb, 2, words)
+        starts.append(base + first * nb)
 
     R_NEXT, R_TMP, R_VAL, R_PTR2, R_ACC, R_SP = 2, 3, 4, 5, 6, 7
     R_PTR0 = 16                       # pointer register per parallel chain
     for j in range(nchains):
-        builder.set_reg(R_PTR0 + j, chain_bases[j] + orders[j][0] * nb,
-                        pc=pc_base + j)
+        builder.set_reg(R_PTR0 + j, starts[j], pc=pc_base + j)
     builder.set_reg(R_ACC, 0, pc=pc_base + 8)
     builder.set_reg(R_SP, 0x7FFF0000, pc=pc_base + 9)
 

@@ -160,6 +160,24 @@ def test_fork_shares_traces_but_never_memory_images(grow):
     assert again.run() == stats
 
 
+def test_fork_shares_image_regions_and_copies_writes():
+    parent = warmed()
+    child, _ = parent.fork()
+    for p_image, c_image in zip(parent.images, child.images):
+        assert len(c_image.regions) == len(p_image.regions)
+        assert all(c.data is p.data
+                   for c, p in zip(c_image.regions, p_image.regions))
+    # Core 0 runs mcf: its chains are regions.  A store into a region
+    # word lands in the child's overlay only.
+    p_image, c_image = parent.images[0], child.images[0]
+    region = c_image.regions[0]
+    old = p_image.read(region.base)
+    c_image.write(region.base, old ^ 1)
+    assert c_image.read(region.base) == old ^ 1
+    assert p_image.read(region.base) == old == region.data[0]
+    assert len(c_image) == len(p_image)
+
+
 # ---------------------------------------------------------------------------
 # shared warmup across a config sweep
 # ---------------------------------------------------------------------------

@@ -167,6 +167,42 @@ def _count_calls(monkeypatch, calls):
                     calls.append(path) or load(path, tracer=tracer)))
 
 
+def _garbage(path):
+    with open(path, "wb") as fh:
+        fh.write(b"truncated")
+
+
+def _stale_v3(path):
+    with open(path, "rb") as fh:
+        payload = pickle.load(fh)
+    payload["version"] = 3
+    with open(path, "wb") as fh:
+        pickle.dump(payload, fh)
+
+
+@pytest.mark.parametrize("spoil", [_garbage, _stale_v3],
+                         ids=["garbage", "version_3"])
+def test_unreadable_warmup_checkpoint_is_rewarmed(tmp_path, capsys, spoil):
+    job = RunJob(workload=("mix", "H4"), n_instrs=N, warmup_instrs=100)
+    uncached = execute_job(job)
+    cache = str(tmp_path)
+    execute_job(job, cache)
+    path = warmup_checkpoint_path(cache, job)
+    spoil(path)
+    capsys.readouterr()
+    result = execute_job(job, cache)
+    assert result.warmed_from == "fresh"
+    assert result.stats == uncached.stats
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("warning:")]
+    assert len(warnings) == 1 and path in warnings[0]
+    # The fresh warmup rewrote the file: the next job resumes silently.
+    again = execute_job(job, cache)
+    assert again.warmed_from == "checkpoint"
+    assert again.stats == uncached.stats
+    assert "warning:" not in capsys.readouterr().err
+
+
 def test_sweep_points_share_one_warmup_checkpoint(tmp_path, monkeypatch):
     base = RunJob(workload=("mix", "H4"), n_instrs=N, warmup_instrs=100)
     # Same warmup identity, different measurement budget: the second job

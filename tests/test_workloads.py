@@ -194,8 +194,10 @@ def test_unknown_profile_rejected():
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=1000))
 def test_any_seed_generates_valid_mcf_trace(seed):
-    trace, image = build_trace("gcc", n_instrs=200, seed=seed)
-    replay(trace, image.copy())   # must not raise
+    # mcf takes the multi-chain path (four chains); gcc is one chain.
+    for name in ("mcf", "gcc"):
+        trace, image = build_trace(name, n_instrs=200, seed=seed)
+        replay(trace, image.copy())   # must not raise
 
 
 @settings(max_examples=20, deadline=None)
