@@ -22,7 +22,7 @@ from ..emc.chain import ChainUop, DependenceChain
 from ..memsys.cache import SetAssocCache, line_addr
 from ..memsys.request import MemRequest
 from ..memsys.vm import PageTable
-from ..sim.component import (KIND_FULL, CarryoverReport, SimComponent,
+from ..sim.component import (CarryoverReport, SimComponent,
                              SnapshotError, rebase_clock,
                              require_empty)
 from ..sim.stats import CoreStats, CounterBank
@@ -287,15 +287,15 @@ class OutOfOrderCore(SimComponent):
     def config_state(self) -> dict:
         return {"core_id": self.core_id}
 
-    def snapshot(self, kind: str = KIND_FULL) -> dict:
+    def snapshot(self) -> dict:
         self._require_quiesced()
-        state = self._header(kind)
+        state = self._header()
         state.update(
             fetch_index=self._fetch_index,
             rename=dict(self.rename),
             regfile=dict(self.regfile),
-            l1=self.l1.snapshot(kind),
-            page_table=self.page_table.snapshot(kind),
+            l1=self.l1.snapshot(),
+            page_table=self.page_table.snapshot(),
             fetch_blocked=self._fetch_blocked,
             dep_miss_counter=self.dep_miss_counter,
             chain_gen_busy_until=self._chain_gen_busy_until,
@@ -307,13 +307,6 @@ class OutOfOrderCore(SimComponent):
         )
         return state
 
-    def restore(self, state: dict) -> None:
-        state = self._check(state)
-        self._adopt(state)
-        self.l1.restore(state["l1"])
-        self._chain_cache.clear()
-        self._chain_cache.update(state["chain_cache"])
-
     def reseat(self, state: dict, report: CarryoverReport,
                path: str = "") -> None:
         """Adopt a snapshot across a config change.  Everything but the
@@ -321,18 +314,6 @@ class OutOfOrderCore(SimComponent):
         (trimmed to the live ``emc.chain_cache_entries`` capacity,
         newest-first) is config-independent."""
         state = self._check(state)
-        self._adopt(state)
-        self.l1.reseat(state["l1"], report, f"{path}/l1")
-        saved_cc = state["chain_cache"]
-        cap = self.system.cfg.emc.chain_cache_entries
-        keep = list(saved_cc.items())[max(0, len(saved_cc) - cap):] \
-            if cap else []
-        self._chain_cache.clear()
-        self._chain_cache.update(keep)
-        report.record(f"{path}/chain_cache", len(keep), len(saved_cc))
-
-    def _adopt(self, state: dict) -> None:
-        """Shared restore/reseat body for the config-independent fields."""
         self._fetch_index = state["fetch_index"]
         self.rob.clear()
         self.ready.clear()
@@ -344,7 +325,8 @@ class OutOfOrderCore(SimComponent):
         self.rename.update(state["rename"])
         self.regfile.clear()
         self.regfile.update(state["regfile"])
-        self.page_table.restore(state["page_table"])
+        self.page_table.reseat(state["page_table"], report,
+                               f"{path}/page_table")
         self._fetch_blocked = state["fetch_blocked"]
         self.dep_miss_counter = state["dep_miss_counter"]
         self._chain_gen_busy_until = state["chain_gen_busy_until"]
@@ -354,6 +336,14 @@ class OutOfOrderCore(SimComponent):
         self.stats_frozen = state["stats_frozen"]
         self.wrap_count = state["wrap_count"]
         self._warmup_limit = state["warmup_limit"]
+        self.l1.reseat(state["l1"], report, f"{path}/l1")
+        saved_cc = state["chain_cache"]
+        cap = self.system.cfg.emc.chain_cache_entries
+        keep = list(saved_cc.items())[max(0, len(saved_cc) - cap):] \
+            if cap else []
+        self._chain_cache.clear()
+        self._chain_cache.update(keep)
+        report.record(f"{path}/chain_cache", len(keep), len(saved_cc))
 
     def _can_fetch(self) -> bool:
         if self.stats_frozen and self.system.all_finished:

@@ -17,7 +17,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional
 
 from ..memsys.cache import SetAssocCache, line_addr
-from ..sim.component import (KIND_FULL, CarryoverReport, SimComponent,
+from ..sim.component import (CarryoverReport, SimComponent,
                              SnapshotError, require_empty)
 from ..trace import Stage
 from ..uarch.isa import effective_address, execute_alu
@@ -109,7 +109,7 @@ class EMC(SimComponent):
         return {"mc_id": self.mc_id,
                 "num_contexts": len(self.contexts)}
 
-    def snapshot(self, kind: str = KIND_FULL) -> dict:
+    def snapshot(self) -> dict:
         require_empty(self, pending_lines=self._pending_lines,
                       pending_chains=self._pending_chains)
         busy = [c.context_id for c in self.contexts
@@ -119,20 +119,12 @@ class EMC(SimComponent):
                 f"EMC {self.mc_id}: cannot snapshot with busy contexts "
                 f"{busy} / {self._inflight} in-flight uops "
                 f"(quiesce the machine first)")
-        state = self._header(kind)
-        state["dcache"] = self.dcache.snapshot(kind)
-        state["tlbs"] = self.tlbs.snapshot(kind)
-        state["miss_predictor"] = self.miss_predictor.snapshot(kind)
+        state = self._header()
+        state["dcache"] = self.dcache.snapshot()
+        state["tlbs"] = self.tlbs.snapshot()
+        state["miss_predictor"] = self.miss_predictor.snapshot()
         state["rr"] = self._rr
         return state
-
-    def restore(self, state: dict) -> None:
-        state = self._check(state)
-        self._clear_inflight()
-        self.dcache.restore(state["dcache"])
-        self.tlbs.restore(state["tlbs"])
-        self.miss_predictor.restore(state["miss_predictor"])
-        self._rr = state["rr"]
 
     def reseat(self, state: dict, report: CarryoverReport,
                path: str = "") -> None:

@@ -4,7 +4,7 @@ The bypass decision — should an EMC load skip the on-chip hierarchy and
 go straight to DRAM? — is a swappable mechanism, mirroring the
 interconnect split: :class:`OffChipPredictor` owns everything the rest
 of the simulator sees (the ``predict_miss``/``update`` contract, the
-per-core learned tables, snapshot/restore/reseat including cross-kind
+per-core learned tables, snapshot/reseat including cross-kind
 re-seating), while each concrete predictor provides only its table
 payload and the prediction function over it.
 
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from ..sim.component import KIND_FULL, CarryoverReport, SimComponent
+from ..sim.component import CarryoverReport, SimComponent
 from ..uarch.params import (CACHE_LINE_BYTES, PAGE_BYTES, PREDICTORS,
                             PredictorConfig)
 
@@ -106,17 +106,11 @@ class OffChipPredictor(SimComponent):
     def config_state(self) -> dict:
         return {"kind": self.kind}
 
-    def snapshot(self, kind: str = KIND_FULL) -> dict:
-        state = self._header(kind)
+    def snapshot(self) -> dict:
+        state = self._header()
         state["tables"] = {core: self._copy_table(table)
                           for core, table in self._tables.items()}
         return state
-
-    def restore(self, state: dict) -> None:
-        state = self._check(state)
-        self._tables.clear()
-        for core, table in state["tables"].items():
-            self._tables[core] = self._copy_table(table)
 
     def reseat(self, state: dict, report: CarryoverReport,
                path: str = "") -> None:

@@ -13,7 +13,7 @@ from collections import OrderedDict
 from typing import Dict, Optional
 
 from ..memsys.vm import PageTable, PageTableEntry
-from ..sim.component import (KIND_FULL, CarryoverReport, SimComponent)
+from ..sim.component import CarryoverReport, SimComponent
 from ..uarch.params import PAGE_BYTES
 
 
@@ -75,17 +75,11 @@ class EMCTlb(SimComponent):
     def config_state(self) -> dict:
         return {"capacity": self.capacity}
 
-    def snapshot(self, kind: str = KIND_FULL) -> dict:
-        state = self._header(kind)
+    def snapshot(self) -> dict:
+        state = self._header()
         state["entries"] = OrderedDict(self._entries)
         state["stats"] = (self.hits, self.misses, self.shootdowns)
         return state
-
-    def restore(self, state: dict) -> None:
-        state = self._check(state)
-        self._entries.clear()
-        self._entries.update(state["entries"])
-        self.hits, self.misses, self.shootdowns = state["stats"]
 
     def reseat(self, state: dict, report: CarryoverReport,
                path: str = "") -> None:
@@ -116,16 +110,11 @@ class EMCTlbFile(SimComponent):
     def config_state(self) -> dict:
         return {"num_cores": len(self.tlbs)}
 
-    def snapshot(self, kind: str = KIND_FULL) -> dict:
-        state = self._header(kind)
-        state["tlbs"] = {core: tlb.snapshot(kind)
+    def snapshot(self) -> dict:
+        state = self._header()
+        state["tlbs"] = {core: tlb.snapshot()
                          for core, tlb in self.tlbs.items()}
         return state
-
-    def restore(self, state: dict) -> None:
-        state = self._check(state)
-        for core, tlb in self.tlbs.items():
-            tlb.restore(state["tlbs"][core])
 
     def reseat(self, state: dict, report: CarryoverReport,
                path: str = "") -> None:

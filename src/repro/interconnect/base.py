@@ -6,7 +6,7 @@ Ring`, the XY-routed :class:`~repro.interconnect.mesh.Mesh2D`) provide
 only the routing — the ordered list of directed link keys a message
 crosses — while this base owns everything the rest of the simulator
 sees: the ``send`` contract, per-link next-free clocks, the stats
-accounting, and snapshot/restore/reseat/rebase.  That split is what
+accounting, and snapshot/reseat/rebase.  That split is what
 makes the fabric swappable: `System` and the memory hierarchy talk to
 ``Interconnect`` and never to a topology.
 """
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Dict, Final, List, Mapping, Tuple
 
-from ..sim.component import (KIND_FULL, CarryoverReport, SimComponent,
+from ..sim.component import (CarryoverReport, SimComponent,
                              dataclass_state, rebase_clock_map,
                              reset_dataclass_stats, restore_dataclass)
 from ..sim.events import EventWheel
@@ -109,17 +109,11 @@ class Interconnect(SimComponent):
     def config_state(self) -> dict:
         return {"topology": self.topology, "num_stops": self.num_stops}
 
-    def snapshot(self, kind: str = KIND_FULL) -> dict:
-        state = self._header(kind)
+    def snapshot(self) -> dict:
+        state = self._header()
         state["link_free"] = dict(self._link_free)
         state["stats"] = dataclass_state(self.stats)
         return state
-
-    def restore(self, state: dict) -> None:
-        state = self._check(state)
-        self._link_free.clear()
-        self._link_free.update(state["link_free"])
-        restore_dataclass(self.stats, state["stats"])
 
     def reseat(self, state: dict, report: CarryoverReport,
                path: str = "") -> None:

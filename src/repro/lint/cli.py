@@ -144,13 +144,13 @@ def cmd_sanitize(args) -> int:
         reports.append(sanitize_parallel_runner(
             args.mix, args.n_instrs, prefetcher=args.prefetcher,
             emc=args.emc, seed=args.seed, jobs=args.jobs,
-            warmup_instrs=args.warmup))
+            warmup_instrs=args.warmup, **overrides))
     if args.checkpoint_roundtrip:
         warmup = args.warmup or max(1, args.n_instrs // 4)
         reports.append(sanitize_checkpoint_roundtrip(
             args.mix, args.n_instrs, warmup,
             prefetcher=args.prefetcher, emc=args.emc, seed=args.seed,
-            trace=not args.no_trace))
+            trace=not args.no_trace, **overrides))
     if args.fork_identity:
         warmup = args.warmup or max(1, args.n_instrs // 2)
         reports.append(sanitize_fork_identity(

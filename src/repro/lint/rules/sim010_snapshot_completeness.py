@@ -1,6 +1,6 @@
 """SIM010: snapshot-completeness for SimComponent subclasses.
 
-The snapshot/restore/reseat protocol (``repro.sim.component``) is the
+The snapshot/reseat protocol (``repro.sim.component``) is the
 substrate under warmup sharing, quiesced checkpoints, and ``System.fork``:
 a mutable attribute a component's ``__init__`` creates but its protocol
 methods never touch is *silently dropped* by every checkpoint and fork —
@@ -23,9 +23,10 @@ are derived from constructor inputs and are exactly what snapshots
 deliberately do not carry.
 
 An attribute counts as **covered** when ``self.<attr>`` is mentioned
-anywhere in the transitive self-call closure of ``snapshot``/``restore``/
-``reseat``/``config_state`` (resolved against the subclass, so shared
-helpers like ``_adopt`` count), or when that closure hands the whole
+anywhere in the transitive self-call closure of ``snapshot``/``reseat``/
+``config_state`` (resolved against the subclass, so shared helpers like
+``_reseat_dram`` count; ``restore`` is defined once, on the protocol
+root, and only reseats), or when that closure hands the whole
 instance to ``dataclass_state``/``restore_dataclass`` or uses dynamic
 ``getattr(self, ...)`` access.
 
@@ -46,7 +47,7 @@ from ..registry import Rule, register_rule
 from .common import MUTABLE_CALLS, call_name, is_mutable_container
 
 #: protocol methods whose closure defines snapshot coverage
-PROTOCOL_ROOTS = ("snapshot", "restore", "reseat", "config_state")
+PROTOCOL_ROOTS = ("snapshot", "reseat", "config_state")
 
 
 def _is_state_value(value: Optional[ast.expr]) -> bool:
@@ -80,8 +81,8 @@ class SnapshotCompleteness(Rule):
     name = "snapshot-completeness"
     description = (
         "A SimComponent subclass's __init__ creates mutable state (a "
-        "fresh container or a scalar literal) that no snapshot/restore/"
-        "reseat/config_state implementation in its class hierarchy ever "
+        "fresh container or a scalar literal) that no snapshot/reseat/"
+        "config_state implementation in its class hierarchy ever "
         "mentions: checkpoints and forks silently drop it.  Cover the "
         "attribute in the protocol, or exempt a transient with "
         "'# simlint: disable=SIM010' plus a justification.")
@@ -122,6 +123,6 @@ class SnapshotCompleteness(Rule):
                 yield self.finding(
                     ctx, anchor,
                     f"{cls.name}.__init__ assigns state attribute "
-                    f"{name!r} that snapshot/restore/reseat/config_state "
+                    f"{name!r} that snapshot/reseat/config_state "
                     f"(and their helpers) never cover; checkpoints and "
                     f"forks will silently drop it")

@@ -111,6 +111,19 @@ def diff_trees(first: Dict[str, Any],
     return divergences
 
 
+def compare_trees(first: Dict[str, Any], second: Dict[str, Any],
+                  label: str = "", notes: str = "") -> SanitizeReport:
+    """The report of one gate: every field of two flattened trees
+    compared, passing only when none diverges."""
+    divergences = diff_trees(first, second)
+    return SanitizeReport(
+        deterministic=not divergences,
+        fields_compared=len(set(first) | set(second)),
+        divergences=divergences,
+        label=label,
+        notes=notes)
+
+
 def sanitize_runs(run_fn: Callable[[], Any],
                   label: str = "") -> SanitizeReport:
     """Call ``run_fn`` twice and diff the flattened results.
@@ -119,14 +132,8 @@ def sanitize_runs(run_fn: Callable[[], Any],
     System) — sharing is exactly what the sanitizer exists to catch.  It
     may return any flatten-able tree (a dataclass, dict, or scalar).
     """
-    first = flatten_tree(run_fn())
-    second = flatten_tree(run_fn())
-    divergences = diff_trees(first, second)
-    return SanitizeReport(
-        deterministic=not divergences,
-        fields_compared=len(set(first) | set(second)),
-        divergences=divergences,
-        label=label)
+    return compare_trees(flatten_tree(run_fn()), flatten_tree(run_fn()),
+                         label=label)
 
 
 def snapshot_run(result, attribution=None) -> Dict[str, Any]:
@@ -145,6 +152,11 @@ def snapshot_run(result, attribution=None) -> Dict[str, Any]:
     if attribution is not None:
         flatten_tree(attribution, "trace.attribution", tree)
     return tree
+
+
+def _label(cfg_overrides: Dict[str, Any]) -> str:
+    """The `` key=value`` label suffix naming a gate's config overrides."""
+    return "".join(f" {k}={v}" for k, v in sorted(cfg_overrides.items()))
 
 
 def sanitize_quad_mix(mix: str, n_instrs: int, prefetcher: str = "none",
@@ -178,10 +190,7 @@ def sanitize_quad_mix(mix: str, n_instrs: int, prefetcher: str = "none",
             f"seed={seed}"
     if warmup_instrs:
         label += f" warmup={warmup_instrs}"
-    if cfg_overrides:
-        label += "".join(f" {k}={v}" for k, v in
-                         sorted(cfg_overrides.items()))
-    return sanitize_runs(run_once, label=label)
+    return sanitize_runs(run_once, label=label + _label(cfg_overrides))
 
 
 # ---------------------------------------------------------------------------
@@ -270,14 +279,8 @@ def diff_system_states(first: Any, second: Any,
     component snapshots), localizing each divergence to a component +
     field path — e.g. ``cores[2].l1.sets[14][...]`` — so a checkpoint or
     determinism failure names the offending structure directly."""
-    a = flatten_state(first)
-    b = flatten_state(second)
-    divergences = diff_trees(a, b)
-    return SanitizeReport(
-        deterministic=not divergences,
-        fields_compared=len(set(a) | set(b)),
-        divergences=divergences,
-        label=label)
+    return compare_trees(flatten_state(first), flatten_state(second),
+                         label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +290,8 @@ def diff_system_states(first: Any, second: Any,
 def sanitize_parallel_runner(mix: str, n_instrs: int,
                              prefetcher: str = "none", emc: bool = False,
                              seed: int = 1, jobs: int = 2,
-                             warmup_instrs: int = 0) -> SanitizeReport:
+                             warmup_instrs: int = 0,
+                             **cfg_overrides) -> SanitizeReport:
     """Serial vs parallel-runner equivalence gate (``--jobs`` mode).
 
     Builds the same two-job list (the mix with the EMC off and on) twice
@@ -295,14 +299,16 @@ def sanitize_parallel_runner(mix: str, n_instrs: int,
     once with ``jobs=1`` (in-process) and once with ``jobs=N`` (worker
     processes), then requires every result bit-identical.  Divergence
     means the worker path leaks state the serial path does not (or vice
-    versa).
+    versa).  ``cfg_overrides`` apply to both jobs (dotted config paths,
+    as in :func:`sanitize_quad_mix`).
     """
     from ..analysis.parallel import RunJob, run_jobs
 
     def build_jobs():
         return [RunJob(workload=("mix", mix), n_instrs=n_instrs,
                        prefetcher=prefetcher, emc=on, seed=seed,
-                       warmup_instrs=warmup_instrs)
+                       warmup_instrs=warmup_instrs,
+                       overrides=tuple(sorted(cfg_overrides.items())))
                 for on in (emc, not emc)]
 
     serial = run_jobs(build_jobs(), jobs=1)
@@ -313,26 +319,27 @@ def sanitize_parallel_runner(mix: str, n_instrs: int,
         for tree, result in ((first, a), (second, b)):
             for field, value in snapshot_run(result).items():
                 tree[f"job{index}.{field}"] = value
-    divergences = diff_trees(first, second)
-    return SanitizeReport(
-        deterministic=not divergences,
-        fields_compared=len(set(first) | set(second)),
-        divergences=divergences,
-        label=f"serial-vs-jobs={jobs} {mix} n={n_instrs} seed={seed}")
+    return compare_trees(
+        first, second,
+        label=f"serial-vs-jobs={jobs} {mix} n={n_instrs} seed={seed}"
+              f"{_label(cfg_overrides)}")
 
 
 def sanitize_checkpoint_roundtrip(mix: str, n_instrs: int,
                                   warmup_instrs: int,
                                   prefetcher: str = "none",
                                   emc: bool = False, seed: int = 1,
-                                  trace: bool = False) -> SanitizeReport:
+                                  trace: bool = False,
+                                  **cfg_overrides) -> SanitizeReport:
     """Checkpoint/resume bit-identity gate.
 
     Run 1 warms up inline, writes the boundary checkpoint, and measures;
     run 2 resumes from that checkpoint file and measures.  The full
     result tree (every stats counter, and the traced attribution when
     ``trace``) must match bit for bit — the warmed machine state must be
-    indistinguishable from its pickled round trip.
+    indistinguishable from its pickled round trip.  ``cfg_overrides``
+    apply to the machine (dotted config paths, as in
+    :func:`sanitize_quad_mix`).
     """
     import os
     import tempfile
@@ -343,7 +350,8 @@ def sanitize_checkpoint_roundtrip(mix: str, n_instrs: int,
     from ..trace import Tracer
 
     job = RunJob(workload=("mix", mix), n_instrs=n_instrs,
-                 prefetcher=prefetcher, emc=emc, seed=seed)
+                 prefetcher=prefetcher, emc=emc, seed=seed,
+                 overrides=tuple(sorted(cfg_overrides.items())))
 
     def run_once(checkpoint: str) -> Dict[str, Any]:
         result = run_system(build_job_config(job), build_job_workload(job),
@@ -360,14 +368,11 @@ def sanitize_checkpoint_roundtrip(mix: str, n_instrs: int,
                 "checkpoint round trip: first run did not write "
                 f"{checkpoint}")
         second = run_once(checkpoint)       # resumes from checkpoint
-    divergences = diff_trees(first, second)
-    return SanitizeReport(
-        deterministic=not divergences,
-        fields_compared=len(set(first) | set(second)),
-        divergences=divergences,
+    return compare_trees(
+        first, second,
         label=f"checkpoint-roundtrip {mix}"
               f"{'+emc' if emc else ''} n={n_instrs} "
-              f"warmup={warmup_instrs} seed={seed}")
+              f"warmup={warmup_instrs} seed={seed}{_label(cfg_overrides)}")
 
 
 def sanitize_fork_identity(mix: str = "H1", n_instrs: int = 4000,
@@ -398,7 +403,7 @@ def sanitize_fork_identity(mix: str = "H1", n_instrs: int = 4000,
 
     from ..analysis.parallel import (RunJob, build_job_config,
                                      build_job_workload)
-    from ..sim.runner import run_system
+    from ..sim.runner import run_built, run_system
     from ..sim.system import System
 
     job = RunJob(workload=("mix", mix), n_instrs=n_instrs, seed=seed)
@@ -408,38 +413,33 @@ def sanitize_fork_identity(mix: str = "H1", n_instrs: int = 4000,
         system.warmup(warmup_instrs)
         return system
 
-    divergences: List[Divergence] = []
-    compared = 0
+    first: Dict[str, Any] = {}
+    second: Dict[str, Any] = {}
+
+    def compare(part: str, a: Dict[str, Any], b: Dict[str, Any]) -> None:
+        first.update((f"{part}.{key}", value) for key, value in a.items())
+        second.update((f"{part}.{key}", value) for key, value in b.items())
 
     # -- part 1: no-override fork is the identity -----------------------
     parent = warmed_parent()
     parent_state = flatten_state(parent.snapshot())
     fork, report = parent.fork()
-    fork_state = flatten_state(fork.snapshot())
-    for div in diff_trees(parent_state, fork_state):
-        divergences.append(Divergence(f"identity.{div.field}",
-                                      div.first, div.second))
-    compared += len(set(parent_state) | set(fork_state))
-    for path, (kept, total) in report.entries.items():
-        compared += 1
-        if kept != total:
-            divergences.append(Divergence(
-                f"identity.carryover[{path}]", f"{kept}/{total}", "1.0"))
+    compare("identity", parent_state, flatten_state(fork.snapshot()))
+    carried = report.entries.items()
+    compare("identity",
+            {f"carryover[{path}]": f"{kept}/{total}"
+             for path, (kept, total) in carried},
+            {f"carryover[{path}]": f"{total}/{total}"
+             for path, (_kept, total) in carried})
 
     # -- part 2: warmup-inert overrides match a from-scratch warmup -----
     inert = {"emc.num_contexts": 4, "emc.data_cache_ways": 8}
     forked, _ = warmed_parent().fork(inert)
-    forked.run()
-    first = snapshot_run_stats(forked)
     inert_job = replace(job, overrides=tuple(sorted(inert.items())))
     scratch = run_system(build_job_config(inert_job),
                          build_job_workload(inert_job),
                          warmup_instrs=warmup_instrs)
-    second = snapshot_run(scratch)
-    for div in diff_trees(first, second):
-        divergences.append(Divergence(f"inert.{div.field}",
-                                      div.first, div.second))
-    compared += len(set(first) | set(second))
+    compare("inert", snapshot_run(run_built(forked)), snapshot_run(scratch))
 
     # -- part 3: aggressive forks are deterministic and viable ----------
     aggressive = {"emc.enabled": True, "prefetch.kind": "stream",
@@ -447,36 +447,13 @@ def sanitize_fork_identity(mix: str = "H1", n_instrs: int = 4000,
     parent = warmed_parent()
     fork_a, report_a = parent.fork(aggressive)
     fork_b, _ = parent.fork(aggressive)
-    state_a = flatten_state(fork_a.snapshot())
-    state_b = flatten_state(fork_b.snapshot())
-    for div in diff_trees(state_a, state_b):
-        divergences.append(Divergence(f"fork-determinism.{div.field}",
-                                      div.first, div.second))
-    compared += len(set(state_a) | set(state_b))
+    compare("fork-determinism", flatten_state(fork_a.snapshot()),
+            flatten_state(fork_b.snapshot()))
     fork_a.run()                        # raises on deadlock/timeout
 
-    return SanitizeReport(
-        deterministic=not divergences,
-        fields_compared=compared,
-        divergences=divergences,
+    return compare_trees(
+        first, second,
         label=f"fork-identity {mix} n={n_instrs} "
               f"warmup={warmup_instrs} seed={seed}",
         notes="aggressive-fork " + report_a.format())
 
-
-def snapshot_run_stats(system) -> Dict[str, Any]:
-    """Flatten a finished :class:`~repro.sim.system.System`'s results into
-    the same tree shape :func:`snapshot_run` builds from a RunResult."""
-    tree: Dict[str, Any] = {}
-    flatten_tree(system.stats, "stats", tree)
-    dram_stats = system.dram_stats
-    accesses = sum(d.accesses for d in dram_stats)
-    conflicts = sum(d.row_conflicts for d in dram_stats)
-    tree["dram.accesses"] = accesses
-    tree["dram.reads"] = sum(d.reads for d in dram_stats)
-    tree["dram.row_conflict_rate"] = (conflicts / accesses
-                                      if accesses else 0.0)
-    tree["ring.messages"] = system.ring.stats.messages
-    flatten_tree([c.ipc() for c in system.stats.cores],
-                 "per_core_ipc", tree)
-    return tree

@@ -11,7 +11,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..sim.component import (KIND_FULL, CarryoverReport, SimComponent,
+from ..sim.component import (CarryoverReport, SimComponent,
                              dataclass_state, reset_dataclass_stats,
                              restore_dataclass)
 from ..uarch.params import CACHE_LINE_BYTES
@@ -146,18 +146,11 @@ class SetAssocCache(SimComponent):
         return {"num_sets": self.num_sets, "ways": self.ways,
                 "line_bytes": self.line_bytes}
 
-    def snapshot(self, kind: str = KIND_FULL) -> dict:
-        state = self._header(kind)
+    def snapshot(self) -> dict:
+        state = self._header()
         state["sets"] = [OrderedDict(cset) for cset in self._sets]
         state["stats"] = dataclass_state(self.stats)
         return state
-
-    def restore(self, state: dict) -> None:
-        state = self._check(state)
-        for cset, saved in zip(self._sets, state["sets"]):
-            cset.clear()
-            cset.update(saved)
-        restore_dataclass(self.stats, state["stats"])
 
     def reseat(self, state: dict, report: CarryoverReport,
                path: str = "") -> None:
@@ -172,7 +165,10 @@ class SetAssocCache(SimComponent):
         state = self._check(state, match_config=False)
         saved_cfg = state["config"]
         if saved_cfg == self.config_state():
-            self.restore(state)
+            for cset, saved in zip(self._sets, state["sets"]):
+                cset.clear()
+                cset.update(saved)
+            restore_dataclass(self.stats, state["stats"])
             total = sum(len(s) for s in state["sets"])
             report.record(path, total, total)
             return

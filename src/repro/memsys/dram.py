@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from ..sim.component import (KIND_FULL, CarryoverReport, SimComponent,
+from ..sim.component import (CarryoverReport, SimComponent,
                              dataclass_state, rebase_clock, require_empty,
                              reset_dataclass_stats, restore_dataclass)
 from ..sim.events import EventWheel
@@ -110,21 +110,25 @@ class DRAMChannel(SimComponent):
     def config_state(self) -> dict:
         # Address-interpretation geometry only: timing parameters
         # (t_cas/t_rcd/...) live in cfg and never shape the payload, so
-        # pure timing overrides restore/reseat losslessly.
+        # pure timing overrides reseat losslessly.
         return {"channel_id": self.channel_id,
                 "channels": self.cfg.channels,
                 "nbanks": len(self.banks),
                 "row_bytes": self.cfg.row_bytes}
 
-    def snapshot(self, kind: str = KIND_FULL) -> dict:
+    def snapshot(self) -> dict:
         require_empty(self, queue=self.queue)
-        state = self._header(kind)
+        state = self._header()
         state["banks"] = [dataclass_state(bank) for bank in self.banks]
         state["bus_free_at"] = self.bus_free_at
         state["marked_remaining"] = self.marked_remaining
         return state
 
-    def restore(self, state: dict) -> None:
+    def reseat(self, state: dict, report: CarryoverReport,
+               path: str = "") -> None:
+        """Same geometry only: a channel whose geometry changed starts
+        cold instead (:meth:`start_cold`), and the DRAMSystem accounts
+        its open rows."""
         state = self._check(state)
         for bank, saved in zip(self.banks, state["banks"]):
             restore_dataclass(bank, saved)
@@ -349,28 +353,24 @@ class DRAMSystem(SimComponent):
                 * self.cfg.banks_per_rank,
                 "row_bytes": self.cfg.row_bytes}
 
-    def snapshot(self, kind: str = KIND_FULL) -> dict:
-        state = self._header(kind)
+    def snapshot(self) -> dict:
+        state = self._header()
         state["stats"] = dataclass_state(self.stats)
-        state["channels"] = {cid: ch.snapshot(kind)
+        state["channels"] = {cid: ch.snapshot()
                              for cid, ch in self.channels.items()}
         return state
 
-    def restore(self, state: dict) -> None:
-        state = self._check(state)
-        restore_dataclass(self.stats, state["stats"])
-        for cid, channel in self.channels.items():
-            channel.restore(state["channels"][cid])
-
     def reseat(self, state: dict, report: CarryoverReport,
                path: str = "") -> None:
-        """Same geometry restores verbatim; across a geometry change the
+        """Same geometry adopts verbatim; across a geometry change the
         aggregate stats carry, channels start cold, and the hierarchy
         re-seeds open rows across the new channel map (the per-bank
         clocks and counters genuinely cannot carry)."""
         state = self._check(state, match_config=False)
         if state["config"] == self.config_state():
-            self.restore(state)
+            restore_dataclass(self.stats, state["stats"])
+            for cid, channel in self.channels.items():
+                channel.reseat(state["channels"][cid], report, path)
             opens = sum(
                 1 for ch in state["channels"].values()
                 for bank in ch["banks"] if bank["open_row"] is not None)

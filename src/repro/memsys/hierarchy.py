@@ -16,8 +16,7 @@ from typing import Callable, List
 from ..interconnect import Interconnect
 from ..prefetch import build_prefetcher
 from ..prefetch.base import FDPThrottle, NullPrefetcher
-from ..sim.component import (KIND_FULL, CarryoverReport, SimComponent,
-                             rebase_clock)
+from ..sim.component import CarryoverReport, SimComponent, rebase_clock
 from ..trace import Stage
 from .cache import line_addr
 from .dram import DRAMRequest, DRAMSystem, open_row_addrs
@@ -74,7 +73,7 @@ class MemoryHierarchy(SimComponent):
     # ------------------------------------------------------------------
     # Architectural: LLC contents, DRAM bank state, prefetcher tables,
     # FDP degree, per-slice port clocks.  The shared SimStats tree is
-    # owned (reset/restored) by the System, not here.
+    # owned (reset/reseated) by the System, not here.
     def reset_stats(self) -> None:
         self.llc.reset_stats()
         for dram in self.dram:
@@ -88,25 +87,15 @@ class MemoryHierarchy(SimComponent):
                 "total_channels": self.total_channels,
                 "has_fdp": self.fdp is not None}
 
-    def snapshot(self, kind: str = KIND_FULL) -> dict:
-        state = self._header(kind)
-        state["llc"] = self.llc.snapshot(kind)
-        state["dram"] = [dram.snapshot(kind) for dram in self.dram]
-        state["prefetcher"] = self.prefetcher.snapshot(kind)
-        state["fdp"] = (self.fdp.snapshot(kind)
+    def snapshot(self) -> dict:
+        state = self._header()
+        state["llc"] = self.llc.snapshot()
+        state["dram"] = [dram.snapshot() for dram in self.dram]
+        state["prefetcher"] = self.prefetcher.snapshot()
+        state["fdp"] = (self.fdp.snapshot()
                         if self.fdp is not None else None)
         state["slice_free"] = list(self._slice_free)
         return state
-
-    def restore(self, state: dict) -> None:
-        state = self._check(state)
-        self.llc.restore(state["llc"])
-        for dram, saved in zip(self.dram, state["dram"]):
-            dram.restore(saved)
-        self.prefetcher.restore(state["prefetcher"])
-        if self.fdp is not None:
-            self.fdp.restore(state["fdp"])
-        self._slice_free[:] = state["slice_free"]
 
     def reseat(self, state: dict, report: CarryoverReport,
                path: str = "") -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
-from ..sim.component import (KIND_FULL, CarryoverReport, SimComponent,
+from ..sim.component import (CarryoverReport, SimComponent,
                              dataclass_state, reset_dataclass_stats,
                              restore_dataclass)
 from ..uarch.params import CACHE_LINE_BYTES, LLCConfig
@@ -49,18 +49,12 @@ class LLCSlice(SimComponent):
     def config_state(self) -> dict:
         return {"slice_id": self.slice_id}
 
-    def snapshot(self, kind: str = KIND_FULL) -> dict:
-        state = self._header(kind)
-        state["cache"] = self.cache.snapshot(kind)
-        state["mshr"] = self.mshr.snapshot(kind)
+    def snapshot(self) -> dict:
+        state = self._header()
+        state["cache"] = self.cache.snapshot()
+        state["mshr"] = self.mshr.snapshot()
         state["stats"] = dataclass_state(self.stats)
         return state
-
-    def restore(self, state: dict) -> None:
-        state = self._check(state)
-        self.cache.restore(state["cache"])
-        self.mshr.restore(state["mshr"])
-        restore_dataclass(self.stats, state["stats"])
 
     def reseat(self, state: dict, report: CarryoverReport,
                path: str = "") -> None:
@@ -181,15 +175,10 @@ class LLC(SimComponent):
         # to its new home slice.
         return {"num_slices": len(self.slices)}
 
-    def snapshot(self, kind: str = KIND_FULL) -> dict:
-        state = self._header(kind)
-        state["slices"] = [sl.snapshot(kind) for sl in self.slices]
+    def snapshot(self) -> dict:
+        state = self._header()
+        state["slices"] = [sl.snapshot() for sl in self.slices]
         return state
-
-    def restore(self, state: dict) -> None:
-        state = self._check(state)
-        for sl, saved in zip(self.slices, state["slices"]):
-            sl.restore(saved)
 
     def reseat(self, state: dict, report: CarryoverReport,
                path: str = "") -> None:

@@ -9,8 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from ..sim.component import (KIND_FULL, CarryoverReport, SimComponent,
-                             require_empty)
+from ..sim.component import CarryoverReport, SimComponent, require_empty
 
 
 @dataclass(slots=True)
@@ -53,18 +52,12 @@ class MSHRFile(SimComponent):
     def config_state(self) -> dict:
         return {"capacity": self.capacity}
 
-    def snapshot(self, kind: str = KIND_FULL) -> dict:
+    def snapshot(self) -> dict:
         require_empty(self, entries=self._entries)
-        state = self._header(kind)
+        state = self._header()
         state["stats"] = (self.peak_occupancy, self.coalesced,
                           self.rejections)
         return state
-
-    def restore(self, state: dict) -> None:
-        state = self._check(state)
-        self._entries.clear()
-        (self.peak_occupancy, self.coalesced,
-         self.rejections) = state["stats"]
 
     def reseat(self, state: dict, report: CarryoverReport,
                path: str = "") -> None:

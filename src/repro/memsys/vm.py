@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..sim.component import KIND_FULL, SimComponent
+from ..sim.component import CarryoverReport, SimComponent
 from ..uarch.params import PAGE_BYTES
 
 
@@ -52,12 +52,13 @@ class FrameAllocator(SimComponent):
     def reset_stats(self) -> None:
         pass
 
-    def snapshot(self, kind: str = KIND_FULL) -> dict:
-        state = self._header(kind)
+    def snapshot(self) -> dict:
+        state = self._header()
         state["next_frame"] = self._next_frame
         return state
 
-    def restore(self, state: dict) -> None:
+    def reseat(self, state: dict, report: CarryoverReport,
+               path: str = "") -> None:
         self._check(state)
         self._next_frame = state["next_frame"]
 
@@ -103,21 +104,22 @@ class PageTable(SimComponent):
 
     # -- SimComponent protocol (all state is architectural) ------------------
     # The shared FrameAllocator is snapshotted once at System level, not
-    # per page table; restore keeps this table's allocator reference.
+    # per page table; reseat keeps this table's allocator reference.
     def reset_stats(self) -> None:
         pass
 
     def config_state(self) -> dict:
-        # The ASID is core-identity wiring: fork() forbids changing the
-        # core count, so a restore/reseat target always matches.
+        # The ASID is core-identity wiring: fork() reseats surviving
+        # cores index by index, so a reseat target always matches.
         return {"asid": self.asid}
 
-    def snapshot(self, kind: str = KIND_FULL) -> dict:
-        state = self._header(kind)
+    def snapshot(self) -> dict:
+        state = self._header()
         state["entries"] = dict(self._entries)
         return state
 
-    def restore(self, state: dict) -> None:
+    def reseat(self, state: dict, report: CarryoverReport,
+               path: str = "") -> None:
         state = self._check(state)
         self._entries.clear()
         self._entries.update(state["entries"])

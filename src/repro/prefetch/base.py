@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from ..sim.component import (KIND_FULL, CarryoverReport, SimComponent,
+from ..sim.component import (CarryoverReport, SimComponent,
                              dataclass_state, reset_dataclass_stats,
                              restore_dataclass)
 
@@ -62,16 +62,11 @@ class Prefetcher(SimComponent):
         # make sense to the algorithm that built them.
         return {"kind": self.name}
 
-    def snapshot(self, kind: str = KIND_FULL) -> dict:
-        state = self._header(kind)
+    def snapshot(self) -> dict:
+        state = self._header()
         state["arch"] = self._arch_snapshot()
         state["stats"] = dataclass_state(self.stats)
         return state
-
-    def restore(self, state: dict) -> None:
-        state = self._check(state)
-        self._arch_restore(state["arch"])
-        restore_dataclass(self.stats, state["stats"])
 
     def reseat(self, state: dict, report: CarryoverReport,
                path: str = "") -> None:
@@ -81,7 +76,9 @@ class Prefetcher(SimComponent):
         kind comparison happens before any header check."""
         if (isinstance(state, dict)
                 and state.get("config") == self.config_state()):
-            self.restore(state)
+            state = self._check(state)
+            self._arch_restore(state["arch"])
+            restore_dataclass(self.stats, state["stats"])
             report.record(path, 1, 1)
         else:
             report.record(path, 0, 1)
@@ -190,16 +187,11 @@ class FDPThrottle(SimComponent):
         return {"min_degree": self.min_degree,
                 "max_degree": self.max_degree}
 
-    def snapshot(self, kind: str = KIND_FULL) -> dict:
-        state = self._header(kind)
+    def snapshot(self) -> dict:
+        state = self._header()
         state["degree"] = self.degree
         state["window"] = (self._window_issued, self._window_useful)
         return state
-
-    def restore(self, state: dict) -> None:
-        state = self._check(state)
-        self.degree = state["degree"]
-        self._window_issued, self._window_useful = state["window"]
 
     def reseat(self, state: dict, report: CarryoverReport,
                path: str = "") -> None:

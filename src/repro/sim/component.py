@@ -29,30 +29,33 @@ The protocol methods:
     it match the live component exactly; ``reseat`` reads the snapshot's
     copy to remap workload state across a config change.
 
-``snapshot(kind=KIND_FULL) -> dict``
+``snapshot() -> dict``
     Capture the workload-derived layer as a versioned, picklable dict
-    (header: ``component``/``version``/``kind``/``config``).  The two
-    kinds carry the same payload; ``kind`` records intent —
-    :data:`KIND_FULL` feeds a strict same-config ``restore``,
-    :data:`KIND_WORKLOAD` feeds a tolerant cross-config ``reseat``.
-    Components whose in-flight state holds callbacks (MSHR waiters,
-    DRAM request callbacks, EMC pending lines) require a *quiesced*
-    machine (empty event wheel) and raise :class:`SnapshotError`
-    otherwise; the system-level checkpoint flow guarantees this by
-    draining the wheel first.
-
-``restore(state)``
-    The strict inverse: adopt a snapshot in place on an identically
-    configured component.  Shared-identity objects (stats dataclasses
-    aliased between components and :class:`~repro.sim.stats.SimStats`)
-    are refilled in place so the aliases survive.
+    (header: ``component``/``version``/``config``).  Components whose
+    in-flight state holds callbacks (MSHR waiters, DRAM request
+    callbacks, EMC pending lines) require a *quiesced* machine (empty
+    event wheel) and raise :class:`SnapshotError` otherwise; the
+    system-level checkpoint flow guarantees this by draining the wheel
+    first.
 
 ``reseat(state, report, path)``
-    The tolerant inverse: adopt a snapshot into a component whose
+    The one way a snapshot goes back in: adopt it into a component whose
     configuration may differ from the snapshot's, re-hashing contents
     into new geometries where sizes changed and invalidating only what
     genuinely cannot carry over.  Records per-component kept/total
-    counts into a :class:`CarryoverReport`.
+    counts into a :class:`CarryoverReport`.  Under an unchanged
+    configuration everything carries and the component ends up
+    bit-identical to the one snapshotted.  Shared-identity objects
+    (stats dataclasses aliased between components and
+    :class:`~repro.sim.stats.SimStats`) are refilled in place so the
+    aliases survive.
+
+``restore(state)``
+    The strict same-config resume, defined once on
+    :class:`SimComponent`: it rejects a snapshot whose component name,
+    version or config descriptor differs from the live one anywhere in
+    the tree, then reseats it.  A checkpoint resume is a fork into the
+    same configuration.
 
 Snapshots are *shallow* captures: outer containers are copied, interior
 objects are shared with the live component.  Serialize (pickle) or diff
@@ -63,14 +66,10 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import MISSING, fields, is_dataclass
-from typing import Any, Dict, Iterable, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
 
-#: snapshot kind for strict same-config checkpoint/restore
-KIND_FULL = "full"
-#: snapshot kind for cross-config fork/reseat
-KIND_WORKLOAD = "workload"
-
-_KINDS = (KIND_FULL, KIND_WORKLOAD)
+#: the header keys every component snapshot carries
+_HEADER = ("component", "version", "config")
 
 
 class SnapshotError(RuntimeError):
@@ -122,15 +121,14 @@ class SimComponent:
     """Base class for the uniform component-state protocol.
 
     Subclasses implement :meth:`reset_stats`, :meth:`config_state`,
-    :meth:`snapshot`, and :meth:`restore` (and :meth:`reseat` when
-    their workload payload's layout depends on the configuration);
-    ``snapshot`` dicts carry a ``component``/``version``/``kind``/
-    ``config`` header written by :meth:`_header` and verified by
-    :meth:`_check`.  Bump ``SNAPSHOT_VERSION`` whenever the state
+    :meth:`snapshot` and :meth:`reseat`; ``snapshot`` dicts carry a
+    ``component``/``version``/``config`` header written by
+    :meth:`_header` and verified by :meth:`_check`.  :meth:`restore` is
+    defined here only.  Bump ``SNAPSHOT_VERSION`` whenever the state
     layout changes.
     """
 
-    SNAPSHOT_VERSION: int = 2
+    SNAPSHOT_VERSION: int = 3
 
     def reset_stats(self) -> None:
         raise NotImplementedError
@@ -141,45 +139,42 @@ class SimComponent:
         whose payload is config-independent return ``{}``."""
         return {}
 
-    def snapshot(self, kind: str = KIND_FULL) -> Dict[str, Any]:
-        raise NotImplementedError
-
-    def restore(self, state: Dict[str, Any]) -> None:
+    def snapshot(self) -> Dict[str, Any]:
         raise NotImplementedError
 
     def reseat(self, state: Dict[str, Any], report: CarryoverReport,
                path: str = "") -> None:
-        """Adopt ``state`` into a possibly re-configured component.
+        """Adopt ``state`` into a possibly re-configured component,
+        recording what carried over into ``report`` under ``path``."""
+        raise NotImplementedError
 
-        The default implementation only handles the unchanged-config
-        case (full carryover); components with geometry-sensitive
-        payloads override it to remap.
+    def restore(self, state: Dict[str, Any]) -> None:
+        """Adopt a snapshot taken under this exact configuration.
+
+        Every component header in ``state`` must match the live
+        component's own snapshot (name, version and config descriptor);
+        the first one that differs is named in the :class:`SnapshotError`.
+        The state then goes in through :meth:`reseat`.
         """
-        self._check(state, match_config=False)
-        if state.get("config") != self.config_state():
-            raise SnapshotError(
-                f"{type(self).__name__} at {path or '<root>'}: cannot "
-                f"reseat across config change "
-                f"{state.get('config')!r} -> {self.config_state()!r}")
-        self.restore(state)
+        mismatch = _header_mismatch(state, self.snapshot(),
+                                    type(self).__name__)
+        if mismatch is not None:
+            raise SnapshotError(f"cannot restore: {mismatch}")
+        self.reseat(state, CarryoverReport())
 
     # -- header helpers ------------------------------------------------------
-    def _header(self, kind: str = KIND_FULL) -> Dict[str, Any]:
-        if kind not in _KINDS:
-            raise SnapshotError(
-                f"{type(self).__name__}: unknown snapshot kind {kind!r}")
+    def _header(self) -> Dict[str, Any]:
         return {"component": type(self).__name__,
                 "version": self.SNAPSHOT_VERSION,
-                "kind": kind,
                 "config": self.config_state()}
 
     def _check(self, state: Dict[str, Any],
                match_config: bool = True) -> Dict[str, Any]:
         """Verify a snapshot's header against this component; return it.
 
-        With ``match_config`` (the strict ``restore`` path) the
-        snapshot's config descriptor must equal the live component's;
-        ``reseat`` implementations pass ``match_config=False`` and
+        With ``match_config`` (components that cannot reseat across a
+        config change) the snapshot's config descriptor must equal the
+        live component's; the others pass ``match_config=False`` and
         handle the mismatch themselves.
         """
         if not isinstance(state, dict):
@@ -196,23 +191,58 @@ class SimComponent:
             raise SnapshotError(
                 f"{type(self).__name__}: snapshot version {version} != "
                 f"supported {self.SNAPSHOT_VERSION}")
-        kind = state.get("kind")
-        if kind not in _KINDS:
-            raise SnapshotError(
-                f"{type(self).__name__}: snapshot kind {kind!r} not in "
-                f"{_KINDS}")
         if match_config:
             live = self.config_state()
             saved = state.get("config")
             if saved != live:
-                diffs = sorted(
-                    key for key in set(saved or ()) | set(live)
-                    if (saved or {}).get(key) != live.get(key))
                 raise SnapshotError(
-                    f"{type(self).__name__}: config mismatch on "
-                    f"{diffs} (snapshot {saved!r} != live {live!r}); "
-                    f"use reseat() to adopt across a config change")
+                    f"{type(self).__name__}: cannot reseat across a "
+                    f"config change: {_config_diff(saved, live)}")
         return state
+
+
+def _config_diff(saved: Any, live: Dict[str, Any]) -> str:
+    saved = saved if isinstance(saved, dict) else {}
+    keys = sorted(key for key in set(saved) | set(live)
+                  if saved.get(key) != live.get(key))
+    return f"{keys} differ (snapshot {saved!r} != live {live!r})"
+
+
+def _header_mismatch(saved: Any, live: Any, path: str) -> Optional[str]:
+    """Walk ``live`` (a fresh snapshot) beside ``saved``; describe the
+    first component header ``saved`` does not match as ``"path: what"``,
+    or return None when every header agrees."""
+    if isinstance(live, dict):
+        if "component" in live and "version" in live:
+            if not isinstance(saved, dict):
+                return (f"{path}: {type(saved).__name__} is not a "
+                        f"{live['component']} snapshot")
+            if saved.get("component") != live["component"]:
+                return (f"{path}: snapshot of {saved.get('component')!r}, "
+                        f"live {live['component']!r}")
+            if saved.get("version") != live["version"]:
+                return (f"{path}: snapshot version {saved.get('version')} "
+                        f"!= supported {live['version']}")
+            if saved.get("config") != live["config"]:
+                return (f"{path}: config "
+                        f"{_config_diff(saved.get('config'), live['config'])}"
+                        f"; reseat() adopts across a config change")
+        if not isinstance(saved, dict):
+            return None
+        for key, value in live.items():
+            if key in _HEADER:
+                continue
+            where = (f"{path}.{key}" if isinstance(key, str)
+                     else f"{path}[{key!r}]")
+            found = _header_mismatch(saved.get(key), value, where)
+            if found is not None:
+                return found
+    elif isinstance(live, (list, tuple)) and isinstance(saved, (list, tuple)):
+        for index, (item, value) in enumerate(zip(saved, live)):
+            found = _header_mismatch(item, value, f"{path}[{index}]")
+            if found is not None:
+                return found
+    return None
 
 
 # -- generic helpers over stats dataclasses ----------------------------------
@@ -360,8 +390,6 @@ __all__ = [
     "SimComponent",
     "SnapshotError",
     "CarryoverReport",
-    "KIND_FULL",
-    "KIND_WORKLOAD",
     "dataclass_state",
     "restore_dataclass",
     "reset_dataclass_stats",

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from .component import (KIND_FULL, CarryoverReport, SimComponent,
+from .component import (CarryoverReport, SimComponent,
                         dataclass_state, reset_dataclass_stats,
                         restore_dataclass)
 
@@ -325,13 +325,10 @@ class SimStats(SimComponent):
     def config_state(self) -> dict:
         return {"num_cores": len(self.cores)}
 
-    def snapshot(self, kind: str = KIND_FULL) -> dict:
-        state = self._header(kind)
+    def snapshot(self) -> dict:
+        state = self._header()
         state["tree"] = dataclass_state(self)
         return state
-
-    def restore(self, state: dict) -> None:
-        restore_dataclass(self, self._check(state)["tree"])
 
     def reseat(self, state: dict, report: CarryoverReport,
                path: str = "") -> None:

@@ -28,8 +28,7 @@ from ..trace import NULL_TRACER
 from ..uarch.params import SystemConfig
 from ..uarch.uop import Trace, UopType
 from ..workloads.memory_image import MemoryImage
-from .component import (KIND_FULL, KIND_WORKLOAD, CarryoverReport,
-                        SimComponent, SnapshotError)
+from .component import CarryoverReport, SimComponent, SnapshotError
 from .events import EventWheel
 from .stats import SimStats
 
@@ -53,8 +52,8 @@ DRAIN_MAX_EVENTS = 2_000_000
 
 #: on-disk checkpoint container format marker / layout version
 CHECKPOINT_FORMAT = "repro-checkpoint"
-CHECKPOINT_VERSION = 4  # v4: memory images carry immutable regions;
-                        # v3 images pickled one dict of every word
+CHECKPOINT_VERSION = 5  # v5: snapshot headers carry no kind field;
+                        # v4 memory images carry immutable regions
 
 
 class _SharingPickler(pickle.Pickler):
@@ -142,13 +141,11 @@ class System(SimComponent):
         self.energy_counters = self.stats.energy
 
         self.frame_allocator = FrameAllocator()
-        # Kept for checkpointing: images mutate during execution, and the
-        # rename tables hold references into the trace uop lists, so the
-        # checkpoint payload must carry the *live* workload objects.
-        # The checkpoint envelope carries the live workload objects
-        # beside the snapshot tree and fork shares or copies them (see
-        # fork/checkpoint below), so the snapshot protocol itself
-        # deliberately skips both attributes.
+        # Images mutate during execution and the rename tables hold
+        # references into the trace uop lists, so the checkpoint envelope
+        # carries these *live* workload objects beside the snapshot tree
+        # and fork shares or copies them (see fork/checkpoint below); the
+        # snapshot protocol itself deliberately skips both attributes.
         self._workload: List[Tuple[Trace, MemoryImage]] = list(workload)  # simlint: disable=SIM010
         self.images: List[MemoryImage] = [image for _t, image in workload]  # simlint: disable=SIM010
         num_stops = cfg.num_cores + cfg.num_mcs
@@ -458,56 +455,28 @@ class System(SimComponent):
             "emc_present": tuple(emc is not None for emc in self.emcs),
         }
 
-    def snapshot(self, kind: str = KIND_FULL) -> dict:
+    def snapshot(self) -> dict:
         """Capture the full machine state.  Requires a quiesced machine:
         in-flight state holds callbacks and cannot be serialized."""
         if self.wheel.pending:
             raise SnapshotError(
                 f"cannot snapshot with {self.wheel.pending} events pending "
                 "(quiesce the machine first)")
-        state = self._header(kind)
+        state = self._header()
         state.update(
             now=self.wheel.now,
             seq=self.wheel._seq,
             finished=self._finished,
             warmed=self._warmed,
-            frame_allocator=self.frame_allocator.snapshot(kind),
-            stats=self.stats.snapshot(kind),
-            ring=self.ring.snapshot(kind),
-            hierarchy=self.hierarchy.snapshot(kind),
-            emcs=[emc.snapshot(kind) if emc is not None else None
+            frame_allocator=self.frame_allocator.snapshot(),
+            stats=self.stats.snapshot(),
+            ring=self.ring.snapshot(),
+            hierarchy=self.hierarchy.snapshot(),
+            emcs=[emc.snapshot() if emc is not None else None
                   for emc in self.emcs],
-            cores=[core.snapshot(kind) for core in self.cores],
+            cores=[core.snapshot() for core in self.cores],
         )
         return state
-
-    def restore(self, state: dict) -> None:
-        state = self._check(state)
-        if self.wheel.pending:
-            raise SnapshotError("cannot restore into a running machine")
-        if len(state["cores"]) != len(self.cores):
-            raise SnapshotError(
-                f"snapshot has {len(state['cores'])} cores, "
-                f"machine has {len(self.cores)}")
-        if len(state["emcs"]) != len(self.emcs):
-            raise SnapshotError(
-                f"snapshot has {len(state['emcs'])} EMCs, "
-                f"machine has {len(self.emcs)}")
-        self.wheel.rewind(state["now"])
-        self.wheel._seq = state["seq"]
-        self._finished = state["finished"]
-        self._warmed = state["warmed"]
-        self.frame_allocator.restore(state["frame_allocator"])
-        self.stats.restore(state["stats"])
-        self.ring.restore(state["ring"])
-        self.hierarchy.restore(state["hierarchy"])
-        for emc, sub in zip(self.emcs, state["emcs"]):
-            if (emc is None) != (sub is None):
-                raise SnapshotError("EMC presence mismatch with snapshot")
-            if emc is not None:
-                emc.restore(sub)
-        for core, sub in zip(self.cores, state["cores"]):
-            core.restore(sub)
 
     def reseat(self, state: dict, report: CarryoverReport,
                path: str = "") -> None:
@@ -529,7 +498,8 @@ class System(SimComponent):
         self.wheel._seq = state["seq"]
         self._finished = min(state["finished"], len(self.cores))
         self._warmed = state["warmed"]
-        self.frame_allocator.restore(state["frame_allocator"])
+        self.frame_allocator.reseat(state["frame_allocator"], report,
+                                    _join(path, "frame_allocator"))
         self.stats.reseat(state["stats"], report, _join(path, "stats"))
         self.ring.reseat(state["ring"], report, _join(path, "ring"))
         self.hierarchy.reseat(state["hierarchy"], report,
@@ -646,7 +616,7 @@ class System(SimComponent):
             shared[id(trace)] = trace
             shared.update((id(uop), uop) for uop in trace.uops)
         added, state = _copy_sharing(
-            (added, self.snapshot(kind=KIND_WORKLOAD)), shared)
+            (added, self.snapshot()), shared)
         workload = [(trace, images[id(image)])
                     for trace, image in self._workload]
         forked = System(cfg, (workload + added)[:cfg.num_cores],
@@ -691,7 +661,9 @@ class System(SimComponent):
         attached (the boundary resets tracers, so a resumed traced run
         matches a straight-through traced run).  A file that does not
         unpickle, is not a checkpoint, or carries another
-        ``CHECKPOINT_VERSION`` raises :class:`SnapshotError`.
+        ``CHECKPOINT_VERSION`` raises :class:`SnapshotError`.  Resuming
+        is a fork into the same configuration: :meth:`restore` demands
+        every component header match, then reseats.
         """
         with open(path, "rb") as fh:
             try:

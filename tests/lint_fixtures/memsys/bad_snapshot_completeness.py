@@ -1,11 +1,11 @@
 """Planted SIM010: a state attribute the snapshot protocol never covers.
 
 ``coalesced`` is bumped as the buffer merges writes, but neither
-``snapshot`` nor ``restore`` mentions it — every checkpoint/fork of this
+``snapshot`` nor ``reseat`` mentions it — every checkpoint/fork of this
 component silently resets the counter.
 """
 
-from repro.sim.component import KIND_FULL, SimComponent
+from repro.sim.component import SimComponent
 
 
 class LeakyWriteBuffer(SimComponent):
@@ -22,8 +22,8 @@ class LeakyWriteBuffer(SimComponent):
         else:
             self.entries.append(line)
 
-    def snapshot(self, kind: str = KIND_FULL) -> dict:
+    def snapshot(self) -> dict:
         return {"entries": list(self.entries)}
 
-    def restore(self, state: dict) -> None:
+    def reseat(self, state: dict, report, path: str = "") -> None:
         self.entries = list(state["entries"])

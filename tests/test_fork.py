@@ -20,7 +20,7 @@ from repro.analysis import parallel
 from repro.analysis.parallel import RunJob, run_jobs
 from repro.lint.sanitize import flatten_state
 from repro.sim.component import SnapshotError
-from repro.sim.system import KIND_WORKLOAD, System
+from repro.sim.system import System
 from repro.uarch.params import eight_core_config, quad_core_config
 from repro.workloads.mixes import build_mix, build_scaled_mix
 
@@ -41,16 +41,16 @@ def warmed(n_instrs=N, warmup=100, **cfg_kwargs):
 def test_identity_fork_is_bit_identical_with_full_carryover():
     parent = warmed()
     child, report = parent.fork()
-    assert flatten_state(child.snapshot(kind=KIND_WORKLOAD)) == \
-           flatten_state(parent.snapshot(kind=KIND_WORKLOAD))
+    assert flatten_state(child.snapshot()) == \
+           flatten_state(parent.snapshot())
     assert report.overall() == 1.0
     assert all(report.ratio(path) == 1.0 for path in report.as_dict())
     # The fork is a live machine, not a view: running it leaves the
     # parent untouched and still forkable.
     child.run()
     again, _ = parent.fork()
-    assert flatten_state(again.snapshot(kind=KIND_WORKLOAD)) == \
-           flatten_state(parent.snapshot(kind=KIND_WORKLOAD))
+    assert flatten_state(again.snapshot()) == \
+           flatten_state(parent.snapshot())
 
 
 def test_fork_shrinking_l1_rehashes_and_accounts_evictions():
@@ -105,8 +105,8 @@ def test_fork_growing_cores_starts_added_cold_keeps_survivors():
     assert "hierarchy/llc/cache" in report.as_dict()
     # Deterministic: the same grow fork twice is bit-identical.
     again, _ = parent.fork(cfg=eight_core_config(), added_workload=added)
-    assert flatten_state(again.snapshot(kind=KIND_WORKLOAD)) == \
-           flatten_state(child.snapshot(kind=KIND_WORKLOAD))
+    assert flatten_state(again.snapshot()) == \
+           flatten_state(child.snapshot())
     stats = child.run()
     assert len(stats.cores) == 8
     assert all(c.instructions > 0 for c in stats.cores)

@@ -72,7 +72,7 @@ def test_relative_imports_resolve_against_package():
 SIM_TREE = {
     "component.py": """\
         class SimComponent:
-            def snapshot(self, kind="full"):
+            def snapshot(self):
                 raise NotImplementedError
 
             def reset_stats(self):
@@ -82,8 +82,8 @@ SIM_TREE = {
         from component import SimComponent
 
         class Device(SimComponent):
-            def snapshot(self, kind="full"):
-                state = {"kind": kind}
+            def snapshot(self):
+                state = self._header()
                 state.update(self._arch_snapshot())
                 return state
 
@@ -159,7 +159,7 @@ def test_wildcard_coverage_via_state_helpers():
             def __init__(self):
                 self.hits = 0
 
-            def snapshot(self, kind="full"):
+            def snapshot(self):
                 return dataclass_state(self)
     """})
     stats = graph.modules["m"].classes["Stats"]

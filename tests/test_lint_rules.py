@@ -442,10 +442,10 @@ def test_sim010_flags_uncovered_state_attr():
                 self.entries = []
                 self.drops = 0
 
-            def snapshot(self, kind="full"):
+            def snapshot(self):
                 return {"entries": list(self.entries)}
 
-            def restore(self, state):
+            def reseat(self, state, report, path=""):
                 self.entries = list(state["entries"])
     """)
     assert lines_of(findings) == [7]
@@ -463,14 +463,14 @@ def test_sim010_covered_via_helper_and_wiring_excluded():
                 self.entries = []
                 self.drops = 0
 
-            def snapshot(self, kind="full"):
+            def snapshot(self):
                 return self._pack()
 
             def _pack(self):
                 return {"entries": list(self.entries),
                         "drops": self.drops}
 
-            def restore(self, state):
+            def reseat(self, state, report, path=""):
                 self.entries = list(state["entries"])
                 self.drops = state["drops"]
     """)
@@ -486,7 +486,7 @@ def test_sim010_dataclass_state_wildcard_covers_everything():
                 self.hits = 0
                 self.misses = 0
 
-            def snapshot(self, kind="full"):
+            def snapshot(self):
                 return dataclass_state(self)
     """)
     assert findings == []
@@ -514,7 +514,7 @@ def test_sim010_inline_exemption_is_honored_end_to_end(tmp_path):
             def __init__(self):
                 self._scratch = []  # simlint: disable=SIM010
 
-            def snapshot(self, kind="full"):
+            def snapshot(self):
                 return {}
     """))
     result = lint_paths([path])

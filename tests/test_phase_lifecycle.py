@@ -8,6 +8,7 @@ a regression here reports the exact diverging component and field.
 
 import dataclasses
 import pickle
+import re
 
 import pytest
 
@@ -19,7 +20,7 @@ from repro.lint.sanitize import (flatten_state, sanitize_checkpoint_roundtrip,
 from repro.sim.component import SnapshotError
 from repro.sim.runner import run_system
 from repro.sim.system import DeadlockError, SimTimeoutError, System
-from repro.uarch.params import quad_core_config
+from repro.uarch.params import quad_core_config, set_config_field
 from repro.workloads.mixes import build_mix
 
 N = 400   # per-core instructions: tiny but structurally complete
@@ -123,6 +124,21 @@ def test_restore_rejects_foreign_state():
         b.restore({"component": "System", "version": 99})
 
 
+@pytest.mark.parametrize("field, value, path", [
+    ("l1.ways", 4, "System.cores[0].l1"),
+    ("dram.row_bytes", 4096, "System.hierarchy.dram[0]"),
+])
+def test_restore_names_the_nested_component_whose_config_differs(
+        field, value, path):
+    a = System(quad_core_config(), build_mix("H4", 200, seed=1))
+    cfg = quad_core_config()
+    set_config_field(cfg, field, value)
+    b = System(cfg, build_mix("H4", 200, seed=1))
+    assert b.config_state() == a.config_state()
+    with pytest.raises(SnapshotError, match=re.escape(f"{path}: config")):
+        b.restore(a.snapshot())
+
+
 # ---------------------------------------------------------------------------
 # checkpoint/resume
 # ---------------------------------------------------------------------------
@@ -172,16 +188,20 @@ def _garbage(path):
         fh.write(b"truncated")
 
 
-def _stale_v3(path):
-    with open(path, "rb") as fh:
-        payload = pickle.load(fh)
-    payload["version"] = 3
-    with open(path, "wb") as fh:
-        pickle.dump(payload, fh)
+def _stale(version):
+    def spoil(path):
+        with open(path, "rb") as fh:
+            payload = pickle.load(fh)
+        payload["version"] = version
+        with open(path, "wb") as fh:
+            pickle.dump(payload, fh)
+    return spoil
 
 
-@pytest.mark.parametrize("spoil", [_garbage, _stale_v3],
-                         ids=["garbage", "version_3"])
+# Version 3 pickled every image word in one dict; version 4 snapshot
+# headers still carried a ``kind`` field.
+@pytest.mark.parametrize("spoil", [_garbage, _stale(3), _stale(4)],
+                         ids=["garbage", "version_3", "version_4"])
 def test_unreadable_warmup_checkpoint_is_rewarmed(tmp_path, capsys, spoil):
     job = RunJob(workload=("mix", "H4"), n_instrs=N, warmup_instrs=100)
     uncached = execute_job(job)

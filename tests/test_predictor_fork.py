@@ -11,7 +11,7 @@ import pytest
 
 from repro.emc.miss_predictor import HermesPerceptron, MissPredictor
 from repro.lint.sanitize import flatten_state
-from repro.sim.system import KIND_WORKLOAD, System
+from repro.sim.system import System
 from repro.uarch.params import quad_core_config
 from repro.workloads.mixes import build_mix
 
@@ -73,8 +73,8 @@ def test_repeat_cross_kind_fork_is_bit_identical():
     parent = warmed("map-i")
     first, _ = parent.fork({"emc.predictor.kind": "hermes"})
     again, _ = parent.fork({"emc.predictor.kind": "hermes"})
-    assert flatten_state(first.snapshot(kind=KIND_WORKLOAD)) == \
-           flatten_state(again.snapshot(kind=KIND_WORKLOAD))
+    assert flatten_state(first.snapshot()) == \
+           flatten_state(again.snapshot())
     stats_a = first.run()
     stats_b = again.run()
     assert stats_a == stats_b
@@ -85,8 +85,8 @@ def test_identity_fork_carries_predictor_whole():
     child, report = parent.fork()
     for kept, total in predictor_paths(report).values():
         assert kept == total > 0
-    assert flatten_state(child.snapshot(kind=KIND_WORKLOAD)) == \
-           flatten_state(parent.snapshot(kind=KIND_WORKLOAD))
+    assert flatten_state(child.snapshot()) == \
+           flatten_state(parent.snapshot())
 
 
 def test_fork_rejects_unknown_predictor_kind():

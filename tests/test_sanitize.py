@@ -136,3 +136,63 @@ def test_run_sanitize_flag(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "PASS" in out
+
+
+# -- fabric/predictor overrides reach every gate -----------------------------
+
+MESH_HERMES = {"ring.topology": "mesh", "emc.predictor.kind": "hermes"}
+
+
+def test_sanitize_cli_threads_overrides_into_every_gate(monkeypatch, capsys):
+    import repro.lint.sanitize as sanitize
+    from repro.cli import main as repro_main
+    from repro.lint.sanitize import SanitizeReport
+    seen = {}
+
+    def recorder(name):
+        def gate(*args, **kwargs):
+            seen[name] = {key: kwargs.get(key) for key in MESH_HERMES}
+            return SanitizeReport(True, 0, [], label=name)
+        return gate
+
+    for name in ("sanitize_quad_mix", "sanitize_parallel_runner",
+                 "sanitize_checkpoint_roundtrip"):
+        monkeypatch.setattr(sanitize, name, recorder(name))
+    rc = repro_main(["sanitize", "--topology", "mesh", "--predictor",
+                     "hermes", "--jobs", "2", "--checkpoint-roundtrip"])
+    capsys.readouterr()
+    assert rc == 0
+    assert seen == {"sanitize_quad_mix": MESH_HERMES,
+                    "sanitize_parallel_runner": MESH_HERMES,
+                    "sanitize_checkpoint_roundtrip": MESH_HERMES}
+
+
+def test_parallel_and_roundtrip_gates_build_the_overridden_machine(
+        monkeypatch):
+    import repro.analysis.parallel as parallel
+    from repro.lint.sanitize import (sanitize_checkpoint_roundtrip,
+                                     sanitize_parallel_runner)
+    machines = []
+    real_build = parallel.build_job_config
+    real_run_jobs = parallel.run_jobs
+
+    def build(job):
+        cfg = real_build(job)
+        machines.append((cfg.ring.topology, cfg.emc.predictor.kind))
+        return cfg
+
+    def run_jobs(batch, **kwargs):
+        for job in batch:
+            build(job)
+        return real_run_jobs(batch, **kwargs)
+
+    monkeypatch.setattr(parallel, "build_job_config", build)
+    monkeypatch.setattr(parallel, "run_jobs", run_jobs)
+    reports = [
+        sanitize_checkpoint_roundtrip("H4", 300, 75, emc=True,
+                                      **MESH_HERMES),
+        sanitize_parallel_runner("H4", 300, emc=True, jobs=2,
+                                 **MESH_HERMES)]
+    assert all(report.deterministic for report in reports)
+    assert all("ring.topology=mesh" in report.label for report in reports)
+    assert machines and set(machines) == {("mesh", "hermes")}
