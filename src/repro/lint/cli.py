@@ -155,7 +155,7 @@ def cmd_sanitize(args) -> int:
         warmup = args.warmup or max(1, args.n_instrs // 2)
         reports.append(sanitize_fork_identity(
             args.mix, args.n_instrs, warmup_instrs=warmup,
-            seed=args.seed))
+            seed=args.seed, **overrides))
     for report in reports:
         print(report.format())
     return 0 if all(r.deterministic for r in reports) else 1

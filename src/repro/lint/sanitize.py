@@ -346,28 +346,24 @@ def sanitize_checkpoint_roundtrip(mix: str, n_instrs: int,
 
     from ..analysis.parallel import (RunJob, build_job_config,
                                      build_job_workload)
-    from ..sim.runner import run_system
+    from ..sim.runner import run_built
+    from ..sim.system import System
     from ..trace import Tracer
 
     job = RunJob(workload=("mix", mix), n_instrs=n_instrs,
                  prefetcher=prefetcher, emc=emc, seed=seed,
                  overrides=tuple(sorted(cfg_overrides.items())))
 
-    def run_once(checkpoint: str) -> Dict[str, Any]:
-        result = run_system(build_job_config(job), build_job_workload(job),
-                            tracer=Tracer() if trace else None,
-                            warmup_instrs=warmup_instrs,
-                            warmup_checkpoint=checkpoint)
-        return snapshot_run(result)
-
     with tempfile.TemporaryDirectory() as tmp:
         checkpoint = os.path.join(tmp, "warmup-boundary.ckpt")
-        first = run_once(checkpoint)        # warms up, writes checkpoint
-        if not os.path.exists(checkpoint):
-            raise RuntimeError(
-                "checkpoint round trip: first run did not write "
-                f"{checkpoint}")
-        second = run_once(checkpoint)       # resumes from checkpoint
+        system = System(build_job_config(job), build_job_workload(job),
+                        tracer=Tracer() if trace else None)
+        system.warmup(warmup_instrs)
+        system.checkpoint(checkpoint)
+        first = snapshot_run(run_built(system))
+        resumed = System.from_checkpoint(
+            checkpoint, tracer=Tracer() if trace else None)
+        second = snapshot_run(run_built(resumed))
     return compare_trees(
         first, second,
         label=f"checkpoint-roundtrip {mix}"
@@ -376,8 +372,8 @@ def sanitize_checkpoint_roundtrip(mix: str, n_instrs: int,
 
 
 def sanitize_fork_identity(mix: str = "H1", n_instrs: int = 4000,
-                           warmup_instrs: int = 2000,
-                           seed: int = 1) -> SanitizeReport:
+                           warmup_instrs: int = 2000, seed: int = 1,
+                           **cfg_overrides) -> SanitizeReport:
     """Fork/reseat contract gate (``repro sanitize --fork-identity``).
 
     Three parts, each contributing prefixed divergences:
@@ -398,6 +394,10 @@ def sanitize_fork_identity(mix: str = "H1", n_instrs: int = 4000,
       fresh warmup would have produced, so this part checks determinism
       and viability, not equality with a from-scratch warmup; the
       per-component carryover table lands in the report's ``notes``.
+
+    ``cfg_overrides`` (dotted config paths, as in
+    :func:`sanitize_quad_mix`) apply to the warmed parent, to the inert
+    part's from-scratch machine and to the aggressive forks.
     """
     from dataclasses import replace
 
@@ -406,7 +406,8 @@ def sanitize_fork_identity(mix: str = "H1", n_instrs: int = 4000,
     from ..sim.runner import run_built, run_system
     from ..sim.system import System
 
-    job = RunJob(workload=("mix", mix), n_instrs=n_instrs, seed=seed)
+    job = RunJob(workload=("mix", mix), n_instrs=n_instrs, seed=seed,
+                 overrides=tuple(sorted(cfg_overrides.items())))
 
     def warmed_parent() -> System:
         system = System(build_job_config(job), build_job_workload(job))
@@ -435,7 +436,8 @@ def sanitize_fork_identity(mix: str = "H1", n_instrs: int = 4000,
     # -- part 2: warmup-inert overrides match a from-scratch warmup -----
     inert = {"emc.num_contexts": 4, "emc.data_cache_ways": 8}
     forked, _ = warmed_parent().fork(inert)
-    inert_job = replace(job, overrides=tuple(sorted(inert.items())))
+    inert_job = replace(job, overrides=tuple(sorted(
+        {**cfg_overrides, **inert}.items())))
     scratch = run_system(build_job_config(inert_job),
                          build_job_workload(inert_job),
                          warmup_instrs=warmup_instrs)
@@ -454,6 +456,6 @@ def sanitize_fork_identity(mix: str = "H1", n_instrs: int = 4000,
     return compare_trees(
         first, second,
         label=f"fork-identity {mix} n={n_instrs} "
-              f"warmup={warmup_instrs} seed={seed}",
+              f"warmup={warmup_instrs} seed={seed}{_label(cfg_overrides)}",
         notes="aggressive-fork " + report_a.format())
 

@@ -64,7 +64,7 @@ a snapshot immediately; do not hold one across further simulation.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import MISSING, fields, is_dataclass
 from typing import Any, Dict, Iterable, Optional, Tuple
 
@@ -335,23 +335,6 @@ def reset_dataclass_stats(obj: Any,
                 f"and unknown type {type(value).__name__}")
 
 
-# -- shallow container capture ------------------------------------------------
-
-def capture(value: Any) -> Any:
-    """Shallow-copy the outermost container of a snapshot field so the
-    snapshot survives subsequent mutation of that container (interior
-    objects stay shared — serialize or diff immediately)."""
-    if isinstance(value, OrderedDict):
-        return OrderedDict(value)
-    if isinstance(value, dict):
-        return dict(value)
-    if isinstance(value, deque):
-        return deque(value, maxlen=value.maxlen)
-    if isinstance(value, (list, set)):
-        return type(value)(value)
-    return value
-
-
 def require_empty(component: SimComponent, **named: Any) -> None:
     """Raise :class:`SnapshotError` unless every named container is empty.
 
@@ -393,7 +376,6 @@ __all__ = [
     "dataclass_state",
     "restore_dataclass",
     "reset_dataclass_stats",
-    "capture",
     "require_empty",
     "rebase_clock",
     "rebase_clock_map",

@@ -4,7 +4,6 @@ seed, overrides — is :class:`repro.analysis.parallel.RunJob`'s job."""
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Final, List, Optional, Tuple
 
@@ -67,8 +66,7 @@ class RunResult:
 def run_system(cfg: SystemConfig, workload: Workload,
                label: str = "", max_cycles: int = 50_000_000,
                tracer: Optional[Tracer] = None,
-               warmup_instrs: int = 0,
-               warmup_checkpoint: Optional[str] = None) -> RunResult:
+               warmup_instrs: int = 0) -> RunResult:
     """Run one workload on one configuration to completion.
 
     Pass a :class:`repro.trace.Tracer` (or set ``REPRO_TRACE=1``) to record
@@ -77,30 +75,16 @@ def run_system(cfg: SystemConfig, workload: Workload,
     no-op :data:`~repro.trace.NULL_TRACER` and pays no tracing cost.
 
     ``warmup_instrs`` > 0 runs a warmup window first and measures only
-    the region after it.  ``warmup_checkpoint`` names a checkpoint file
-    for the warmed machine state: when it exists the warmup is skipped
-    entirely (the machine resumes from the file); when it does not, it is
-    written right after the warmup boundary so later runs can skip.  The
-    checkpoint is config-specific: ``cfg``/``workload`` must describe the
-    same run that produced it.  (A sweep sharing one warmup across
-    configs forks instead; see :func:`repro.analysis.parallel.execute_job`.)
+    the region after it.  (A sweep sharing one warmup across configs
+    forks instead; see :func:`repro.analysis.parallel.execute_job`.)
     """
     if tracer is None and trace_enabled_from_env():
         tracer = Tracer()
-    warmed_from: Optional[str] = None
-    if (warmup_instrs and warmup_checkpoint
-            and os.path.exists(warmup_checkpoint)):
-        system = System.from_checkpoint(warmup_checkpoint, tracer=tracer)
-        warmed_from = "checkpoint"
-    else:
-        system = System(cfg, workload, tracer=tracer)
-        if warmup_instrs:
-            system.warmup(warmup_instrs, max_cycles=max_cycles)
-            if warmup_checkpoint:
-                system.checkpoint(warmup_checkpoint)
-            warmed_from = "fresh"
+    system = System(cfg, workload, tracer=tracer)
+    if warmup_instrs:
+        system.warmup(warmup_instrs, max_cycles=max_cycles)
     return run_built(system, label=label, max_cycles=max_cycles,
-                     warmed_from=warmed_from)
+                     warmed_from="fresh" if warmup_instrs else None)
 
 
 def run_built(system: System, label: str = "",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import copy
 import gc
-import io
 import os
 import pickle
 import warnings
@@ -56,40 +55,6 @@ CHECKPOINT_VERSION = 5  # v5: snapshot headers carry no kind field;
                         # v4 memory images carry immutable regions
 
 
-class _SharingPickler(pickle.Pickler):
-    """Pickles every object whose ``id`` keys ``shared`` by reference."""
-
-    def __init__(self, file, shared: Dict[int, object]) -> None:
-        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
-        self._shared = shared
-
-    def persistent_id(self, obj):
-        key = id(obj)
-        return key if key in self._shared else None
-
-
-class _SharingUnpickler(pickle.Unpickler):
-    """Resolves the references :class:`_SharingPickler` wrote."""
-
-    def __init__(self, file, shared: Dict[int, object]) -> None:
-        super().__init__(file)
-        self._shared = shared
-
-    def persistent_load(self, pid):
-        return self._shared[pid]
-
-
-def _copy_sharing(obj, shared: Dict[int, object]):
-    """Deep-copy ``obj`` through a pickle round trip, except that each
-    object ``o`` with ``id(o)`` in ``shared`` becomes ``shared[id(o)]`` —
-    ``o`` itself to share it, or a copy made beforehand.  The keyed
-    objects must stay alive for the call, so no id is reused."""
-    buf = io.BytesIO()
-    _SharingPickler(buf, shared).dump(obj)
-    buf.seek(0)
-    return _SharingUnpickler(buf, shared).load()
-
-
 def _join(path: str, leaf: str) -> str:
     """Carryover-report path join tolerating an empty root."""
     return f"{path}/{leaf}" if path else leaf
@@ -117,12 +82,12 @@ def _gc_paused():
 class System(SimComponent):
     """One simulated machine running one multiprogrammed workload.
 
-    Lifecycle: an optional *warmup* window (:meth:`warmup`, or
-    ``run(warmup_instrs=N)``) executes N instructions per core, quiesces
-    the machine, atomically resets every statistic plus the tracer, and
-    rewinds the clock to zero; the *measure* window (:meth:`run`) then
-    reports only the region of interest.  A quiesced machine can be
-    serialized with :meth:`checkpoint` and revived bit-identically with
+    Lifecycle: an optional *warmup* window (:meth:`warmup`) executes N
+    instructions per core, quiesces the machine, atomically resets every
+    statistic plus the tracer, and rewinds the clock to zero; the
+    *measure* window (:meth:`run`) then reports only the region of
+    interest.  A quiesced machine can be serialized with
+    :meth:`checkpoint` and revived bit-identically with
     :meth:`from_checkpoint`.
     """
 
@@ -141,11 +106,11 @@ class System(SimComponent):
         self.energy_counters = self.stats.energy
 
         self.frame_allocator = FrameAllocator()
-        # Images mutate during execution and the rename tables hold
-        # references into the trace uop lists, so the checkpoint envelope
-        # carries these *live* workload objects beside the snapshot tree
-        # and fork shares or copies them (see fork/checkpoint below); the
-        # snapshot protocol itself deliberately skips both attributes.
+        # The snapshot protocol deliberately skips both attributes: the
+        # checkpoint envelope carries these *live* workload objects beside
+        # the snapshot tree, and fork shares the immutable traces and
+        # copies the images, which mutate during execution (see
+        # fork/checkpoint below).
         self._workload: List[Tuple[Trace, MemoryImage]] = list(workload)  # simlint: disable=SIM010
         self.images: List[MemoryImage] = [image for _t, image in workload]  # simlint: disable=SIM010
         num_stops = cfg.num_cores + cfg.num_mcs
@@ -371,16 +336,9 @@ class System(SimComponent):
         self._warmed = True
 
     def run(self, max_cycles: int = 50_000_000,
-            drain_max_events: int = DRAIN_MAX_EVENTS,
-            warmup_instrs: int = 0) -> SimStats:
-        """Run every core's trace to completion and return the stats.
-
-        ``warmup_instrs`` > 0 first runs a warmup window (see
-        :meth:`warmup`); the returned statistics then cover only the
-        measured region.
-        """
-        if warmup_instrs:
-            self.warmup(warmup_instrs, max_cycles=max_cycles)
+            drain_max_events: int = DRAIN_MAX_EVENTS) -> SimStats:
+        """Run every core's trace to completion and return the stats
+        (after :meth:`warmup`, of the measured region only)."""
         for core in self.cores:
             core.start()
         # Whole-cycle batch dispatch: finish/timeout checks run once per
@@ -554,13 +512,13 @@ class System(SimComponent):
 
         Requires a quiesced machine.  Trace uop lists are never mutated
         after they are built, so the fork shares the parent's ``Trace``
-        and ``MicroOp`` objects, and references to them in the snapshot
-        (rename tables, in-flight uops) keep their identity.  Memory
-        images mutate during execution: each is copied, which copies its
-        write overlay and shares its immutable regions.  The snapshot
-        and ``added_workload`` are copied through a pickle round trip, so
-        the fork shares no mutable object with the parent or the caller;
-        both machines can then run independently.
+        objects.  Memory images mutate during execution: each is copied,
+        which copies its write overlay and shares its immutable regions.
+        The snapshot and ``added_workload`` are copied through one pickle
+        round trip, so the fork shares no mutable object with the parent
+        or the caller; both machines can then run independently.  The
+        snapshot references no trace or image, only the few uops the
+        rename tables hold, which the round trip copies by value.
 
         ``num_cores`` may change.  Shrinking drops the surplus cores'
         traces and warmed state (accounted in the report); growing
@@ -608,17 +566,9 @@ class System(SimComponent):
                     "num_cores")
             added = []
         cfg.validate()
-        # Share the immutable traces by reference; copy the images (their
-        # regions stay shared).
-        images = {id(image): image.copy() for image in self.images}
-        shared: Dict[int, object] = dict(images)
-        for trace, _image in self._workload:
-            shared[id(trace)] = trace
-            shared.update((id(uop), uop) for uop in trace.uops)
-        added, state = _copy_sharing(
-            (added, self.snapshot()), shared)
-        workload = [(trace, images[id(image)])
-                    for trace, image in self._workload]
+        added, state = pickle.loads(pickle.dumps(
+            (added, self.snapshot()), pickle.HIGHEST_PROTOCOL))
+        workload = [(trace, image.copy()) for trace, image in self._workload]
         forked = System(cfg, (workload + added)[:cfg.num_cores],
                         tracer=tracer)
         report = CarryoverReport()

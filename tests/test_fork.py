@@ -11,8 +11,11 @@ Bit-identity oracle is :func:`repro.lint.sanitize.flatten_state`, same
 as the lifecycle tests.
 """
 
+import collections
 import dataclasses
 import hashlib
+import io
+import pickle
 
 import pytest
 
@@ -21,7 +24,10 @@ from repro.analysis.parallel import RunJob, run_jobs
 from repro.lint.sanitize import flatten_state
 from repro.sim.component import SnapshotError
 from repro.sim.system import System
-from repro.uarch.params import eight_core_config, quad_core_config
+from repro.uarch.params import (eight_core_config, quad_core_config,
+                                set_config_field)
+from repro.uarch.uop import MicroOp, Trace
+from repro.workloads.memory_image import MemoryImage
 from repro.workloads.mixes import build_mix, build_scaled_mix
 
 N = 400   # per-core instructions: tiny but structurally complete
@@ -158,6 +164,46 @@ def test_fork_shares_traces_but_never_memory_images(grow):
         {id(image) for _t, image in parent._workload + added}
     again, _ = parent.fork(**fork_args)
     assert again.run() == stats
+
+
+class _WorkloadCounter(pickle.Pickler):
+    """Counts the workload objects and uops a pickled tree reaches."""
+
+    def __init__(self, file):
+        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
+        self.counts = collections.Counter()
+
+    def persistent_id(self, obj):
+        if isinstance(obj, (Trace, MemoryImage, System, MicroOp)):
+            self.counts[type(obj).__name__] += 1
+        return None
+
+
+@pytest.mark.parametrize("overrides", [
+    {"emc.enabled": True, "prefetch.kind": "stream"},
+    {"ring.topology": "mesh"},
+    {"emc.enabled": True, "emc.predictor.kind": "hermes"},
+], ids=["ring-emc-stream", "mesh", "hermes"])
+def test_snapshot_reaches_no_workload_and_fork_uops_match_trace(overrides):
+    # A fork copies its snapshot with a plain pickle round trip; that is
+    # only cheap and correct while the snapshot reaches no trace, image
+    # or machine.  The uops it does reach are rename-table entries.
+    cfg = quad_core_config()
+    for key, value in overrides.items():
+        set_config_field(cfg, key, value)
+    parent = System(cfg, build_mix("H4", 800, seed=1))
+    parent.warmup(300)
+    counter = _WorkloadCounter(io.BytesIO())
+    counter.dump(parent.snapshot())
+    assert counter.counts["MicroOp"] > 0
+    assert not counter.counts.keys() - {"MicroOp"}, counter.counts
+    child, _ = parent.fork()
+    pairs = [(iu.uop, core._trace[iu.uop.seq])
+             for core in child.cores for iu in core.rename.values()]
+    assert pairs
+    for copied, traced in pairs:
+        assert copied is not traced
+        assert dataclasses.astuple(copied) == dataclasses.astuple(traced)
 
 
 def test_fork_shares_image_regions_and_copies_writes():

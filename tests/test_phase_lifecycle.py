@@ -156,16 +156,6 @@ def test_from_checkpoint_rejects_garbage(tmp_path):
         System.from_checkpoint(str(bogus))
 
 
-def test_checkpoint_file_written_once_and_resumed(tmp_path):
-    path = str(tmp_path / "wck.pkl")
-    first = h4(warmup_instrs=100)
-    via_ckpt = run_system(quad_core_config(), build_mix("H4", N, seed=1),
-                          warmup_instrs=100, warmup_checkpoint=path)
-    resumed = run_system(quad_core_config(), build_mix("H4", N, seed=1),
-                         warmup_instrs=100, warmup_checkpoint=path)
-    assert first.stats == via_ckpt.stats == resumed.stats
-
-
 # ---------------------------------------------------------------------------
 # warmup-checkpoint sharing in the experiment runner
 # ---------------------------------------------------------------------------

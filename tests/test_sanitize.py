@@ -155,16 +155,16 @@ def test_sanitize_cli_threads_overrides_into_every_gate(monkeypatch, capsys):
             return SanitizeReport(True, 0, [], label=name)
         return gate
 
-    for name in ("sanitize_quad_mix", "sanitize_parallel_runner",
-                 "sanitize_checkpoint_roundtrip"):
+    gates = ("sanitize_quad_mix", "sanitize_parallel_runner",
+             "sanitize_checkpoint_roundtrip", "sanitize_fork_identity")
+    for name in gates:
         monkeypatch.setattr(sanitize, name, recorder(name))
     rc = repro_main(["sanitize", "--topology", "mesh", "--predictor",
-                     "hermes", "--jobs", "2", "--checkpoint-roundtrip"])
+                     "hermes", "--jobs", "2", "--checkpoint-roundtrip",
+                     "--fork-identity"])
     capsys.readouterr()
     assert rc == 0
-    assert seen == {"sanitize_quad_mix": MESH_HERMES,
-                    "sanitize_parallel_runner": MESH_HERMES,
-                    "sanitize_checkpoint_roundtrip": MESH_HERMES}
+    assert seen == {name: MESH_HERMES for name in gates}
 
 
 def test_parallel_and_roundtrip_gates_build_the_overridden_machine(
@@ -196,3 +196,35 @@ def test_parallel_and_roundtrip_gates_build_the_overridden_machine(
     assert all(report.deterministic for report in reports)
     assert all("ring.topology=mesh" in report.label for report in reports)
     assert machines and set(machines) == {("mesh", "hermes")}
+
+
+def test_fork_identity_gate_checks_the_overridden_machine(monkeypatch):
+    import repro.analysis.parallel as parallel
+    from repro.lint.sanitize import sanitize_fork_identity
+    from repro.sim.system import System
+    machines = []
+    real_build, real_fork = parallel.build_job_config, System.fork
+
+    def record(cfg):
+        machines.append((cfg.ring.topology, cfg.emc.predictor.kind))
+
+    def build(job):
+        cfg = real_build(job)
+        record(cfg)
+        return cfg
+
+    def fork(self, *args, **kwargs):
+        child, report = real_fork(self, *args, **kwargs)
+        record(child.cfg)
+        return child, report
+
+    monkeypatch.setattr(parallel, "build_job_config", build)
+    monkeypatch.setattr(System, "fork", fork)
+    report = sanitize_fork_identity("H4", 300, warmup_instrs=100,
+                                    **MESH_HERMES)
+    assert report.deterministic, report.format()
+    assert "ring.topology=mesh" in report.label
+    assert "emc.predictor.kind=hermes" in report.label
+    # Three warmed parents, the inert part's from-scratch machine, and
+    # four forks: every machine the gate checks is the overridden one.
+    assert len(machines) == 8 and set(machines) == {("mesh", "hermes")}
