@@ -25,7 +25,7 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Final, Optional, Tuple
 
-from .parallel import RunJob, build_job_config, build_job_workload
+from .parallel import RunJob, run_direct
 
 #: the pinned bench configuration — change it and historical artifacts
 #: stop being comparable, so don't
@@ -104,8 +104,6 @@ def run_bench(repeats: int = BENCH_REPEATS,
     Raises :class:`ValueError` for ``repeats < 1`` — silently clamping
     would report a measurement that never happened.
     """
-    from ..sim.runner import run_system
-
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     best_wall = float("inf")
@@ -114,9 +112,7 @@ def run_bench(repeats: int = BENCH_REPEATS,
         start = time.perf_counter()
         # Warm under the target config, not a shared-warmup fork: the
         # pinned simulated counts must stay comparable across revisions.
-        run = run_system(build_job_config(BENCH_JOB),
-                         build_job_workload(BENCH_JOB),
-                         warmup_instrs=BENCH_JOB.warmup_instrs)
+        run = run_direct(BENCH_JOB)
         wall = time.perf_counter() - start
         if wall < best_wall:
             best_wall = wall

@@ -14,7 +14,9 @@ and share one execution layer:
   ``base.at(point)`` for each point of one cross product, and
   :func:`run_grid` hands back each result keyed by its point.
 - :func:`execute_job` — build and run one job, forking the points of a
-  sweep from one warmed base machine (:class:`WarmBase`).
+  sweep from one warmed base machine (:class:`WarmBase`);
+  :func:`run_direct` — build, warm and run one job under its own config,
+  for a single run with no sweep to share a warmup with.
 - :func:`_drain` — the one scheduling loop: lease a job from a queue,
   execute it in-process (``jobs == 1``) or in a process pool, store the
   result, then complete or fail the job.  :func:`state_after_failure`
@@ -50,10 +52,10 @@ from ..sim.component import SnapshotError
 from ..sim.runner import (RunResult, apply_config_overrides, run_built,
                           run_system)
 from ..sim.system import System
-from ..trace import Tracer, trace_enabled_from_env
+from ..trace import NULL_TRACER, Tracer
 from ..uarch.params import (SystemConfig, eight_core_config,
                             quad_core_config)
-from ..workloads.mixes import (build_homogeneous, build_named,
+from ..workloads.mixes import (Workload, build_homogeneous, build_named,
                                build_scaled_mix)
 from .figures import format_eta, progress_bar
 
@@ -345,28 +347,50 @@ def _warm_shared_base(job: RunJob, checkpoint: Optional[str],
     return base, warmed_from, built
 
 
+def run_direct(job: RunJob, tracer: Optional[Tracer] = None,
+               built: Optional[Tuple[SystemConfig, Workload]] = None
+               ) -> RunResult:
+    """Build ``job`` under its own config, warm it under that config and
+    run it: a single run has no sweep to share a neutral warmup with.
+
+    The run is traced iff ``job.trace``, with ``tracer`` (a fresh
+    :class:`~repro.trace.Tracer` by default); ``REPRO_TRACE`` is not
+    consulted.  ``built`` is a ``(config, workload)`` pair already built
+    for ``job``, for a caller that times the build apart from the run.
+    """
+    cfg, workload = built or (build_job_config(job), build_job_workload(job))
+    if not job.trace:
+        tracer = NULL_TRACER        # not None: run_system would read the env
+    elif tracer is None:
+        tracer = Tracer()
+    return run_system(cfg, workload, label=job.label,
+                      max_cycles=job.max_cycles, tracer=tracer,
+                      warmup_instrs=job.warmup_instrs)
+
+
 def execute_job(job: RunJob, cache_dir: Optional[str] = None,
                 warm_base: Optional[WarmBase] = None) -> RunResult:
     """Build the config a job describes and run it.
 
-    A job without ``warmup_instrs`` builds its workload and runs it
-    through :func:`~repro.sim.runner.run_system`.  A job with
-    ``warmup_instrs`` forks its own config from a warmed base machine
-    (:func:`warmup_base_config`) — with or without a cache, so cached and
-    uncached runs are bit-identical.  The base comes from ``warm_base``
-    (the calling loop's in-memory slot), else from the warmup checkpoint
-    under ``cache_dir`` (see :func:`warmup_checkpoint_path`), else from a
+    A job without ``warmup_instrs`` runs through :func:`run_direct`:
+    with no warmup, warming under the job's own config and forking from
+    a neutral base coincide.  A job with ``warmup_instrs`` forks its own
+    config from a warmed base machine (:func:`warmup_base_config`) —
+    with or without a cache, so cached and uncached runs are
+    bit-identical.  The base comes from ``warm_base`` (the calling
+    loop's in-memory slot), else from the warmup checkpoint under
+    ``cache_dir`` (see :func:`warmup_checkpoint_path`), else from a
     fresh warmup, which also writes that checkpoint and fills the slot.
     The workload is built only when a new machine needs fresh traces:
     the base warmup, or the added cores of a fork that grows
     ``num_cores`` past the base's natural count.  A fork that shrinks
-    drops the surplus cores' traces with their warmed state.
+    drops the surplus cores' traces with their warmed state.  Either way
+    the run is traced iff ``job.trace``, so a result stored under
+    :func:`job_hash` never depends on the environment.
     """
-    cfg = build_job_config(job)
-    tracer = Tracer() if job.trace or trace_enabled_from_env() else None
     if not job.warmup_instrs:
-        return run_system(cfg, build_job_workload(job), label=job.label,
-                          max_cycles=job.max_cycles, tracer=tracer)
+        return run_direct(job)
+    cfg = build_job_config(job)
     checkpoint = warmup_checkpoint_path(cache_dir, job)
     if checkpoint:
         os.makedirs(os.path.dirname(checkpoint), exist_ok=True)
@@ -378,7 +402,8 @@ def execute_job(job: RunJob, cache_dir: Optional[str] = None,
         # The grown machine's workload extends the base's by construction
         # (per-core seeds), so the added cores take the build's tail.
         added = (built or build_job_workload(job))[base_cores:cfg.num_cores]
-    system, report = base.fork(tracer=tracer, cfg=cfg, added_workload=added)
+    system, report = base.fork(tracer=Tracer() if job.trace else None,
+                               cfg=cfg, added_workload=added)
     return run_built(system, label=job.label, max_cycles=job.max_cycles,
                      warmed_from=warmed_from,
                      fork_carryover=report.as_dict())

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 from .bench import BENCH_JOB
-from .parallel import RunJob, build_job_config, build_job_workload
+from .parallel import (RunJob, build_job_config, build_job_workload,
+                       run_direct)
 
 #: phases the harness can profile in isolation
 PHASES = ("build", "sim", "all")
@@ -132,20 +133,15 @@ def profile_run(job: RunJob = BENCH_JOB,
         raise ValueError(f"unknown phase {phase!r}; choose from {PHASES}")
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
-    from ..sim.runner import run_system
 
     def build():
         return build_job_config(job), build_job_workload(job)
 
-    def sim(built=None):
-        cfg, workload = built if built is not None else build()
-        return run_system(cfg, workload, warmup_instrs=job.warmup_instrs)
-
     if phase == "build":
         fn = build
     elif phase == "sim":
-        fn = functools.partial(sim, build())
+        fn = functools.partial(run_direct, job, built=build())
     else:
-        fn = sim
+        fn = functools.partial(run_direct, job)
     report, _ = _run_one(fn, phase, engine, sort, limit, out_path)
     return [report]

@@ -21,11 +21,10 @@ from types import MappingProxyType
 from typing import Final, List, Mapping, Optional
 
 from .analysis.parallel import (ParallelRunError, RunJob, _stderr_progress,
-                                build_job_config, build_job_workload,
-                                run_grid)
+                                run_direct, run_grid)
 from .analysis.report import format_fabric_summary, format_table
-from .sim.runner import PREFETCHER_CONFIGS, RunResult, run_system
-from .trace import Tracer
+from .sim.runner import PREFETCHER_CONFIGS, RunResult
+from .trace import Tracer, trace_enabled_from_env
 from .uarch.params import PREDICTORS, TOPOLOGIES
 from .workloads.mixes import MIX_NAMES, MIXES
 from .workloads.spec import HIGH_INTENSITY, LOW_INTENSITY, PROFILES
@@ -78,8 +77,10 @@ def _job(args, workload) -> RunJob:
     return RunJob(workload=workload, n_instrs=args.n_instrs,
                   prefetcher=args.prefetcher, emc=args.emc,
                   num_mcs=getattr(args, "num_mcs", 1), seed=args.seed,
-                  warmup_instrs=args.warmup, fabric=args.topology,
-                  num_cores=args.num_cores, predictor=args.predictor)
+                  trace=args.trace, warmup_instrs=args.warmup,
+                  fabric=args.topology,
+                  num_cores=getattr(args, "num_cores", 0),
+                  predictor=args.predictor)
 
 
 def _workload(args):
@@ -98,27 +99,14 @@ def _workload(args):
     return None
 
 
-def _run_direct(job: RunJob, tracer: Optional[Tracer]) -> RunResult:
-    """Run a job, warming under its own config rather than forking from
-    a shared neutral warmup: a single run has no sweep to share with."""
-    return run_system(build_job_config(job), build_job_workload(job),
-                      tracer=tracer, warmup_instrs=job.warmup_instrs)
-
-
 def cmd_run(args) -> int:
     workload = _workload(args)
     if workload is None:
         return 2
     job = _job(args, workload)
     if getattr(args, "sanitize", False):
-        from .lint.sanitize import sanitize_runs, snapshot_run
-
-        label = (args.mix or "run") + (
-            f" warmup={args.warmup}" if args.warmup else "")
-        report = sanitize_runs(
-            lambda: snapshot_run(_run_direct(
-                job, Tracer() if args.trace else None)),
-            label=label)
+        from .lint.sanitize import sanitize_determinism
+        report = sanitize_determinism(job)
         print(report.format())
         return 0 if report.deterministic else 1
     label = args.mix or "+".join(args.benchmarks)
@@ -126,8 +114,7 @@ def cmd_run(args) -> int:
           f"emc={'on' if args.emc else 'off'} "
           f"({args.n_instrs} instrs/core"
           + (f", warmup {args.warmup}" if args.warmup else "") + ")")
-    result = _run_direct(job, Tracer() if args.trace else None)
-    _print_result(result, verbose=args.verbose)
+    _print_result(run_direct(job), verbose=args.verbose)
     return 0
 
 
@@ -135,8 +122,7 @@ def cmd_homog(args) -> int:
     job = _job(args, ("homog", args.benchmark, 8 if args.eight_core else 4))
     print(f"running {job.effective_cores()}x {args.benchmark} / "
           f"prefetcher={args.prefetcher} emc={'on' if args.emc else 'off'}")
-    result = _run_direct(job, Tracer() if args.trace else None)
-    _print_result(result, verbose=args.verbose)
+    _print_result(run_direct(job), verbose=args.verbose)
     return 0
 
 
@@ -150,7 +136,7 @@ def cmd_trace(args) -> int:
           f"prefetcher={args.prefetcher} "
           f"emc={'on' if args.emc else 'off'} "
           f"({args.n_instrs} instrs/core)")
-    result = _run_direct(_job(args, workload), tracer)
+    result = run_direct(replace(_job(args, workload), trace=True), tracer)
     att = result.latency_attribution
     print(f"traced {len(tracer.finished())} requests over "
           f"{result.stats.total_cycles} cycles")
@@ -457,6 +443,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--emc", action="store_true",
                         help="enable the Enhanced Memory Controller")
     parser.add_argument("--trace", action="store_true",
+                        default=trace_enabled_from_env(),
                         help="record request lifecycles and print the "
                              "latency attribution (also: REPRO_TRACE=1)")
     parser.add_argument("--warmup", type=int, default=0, metavar="N",

@@ -96,7 +96,7 @@ def add_sanitize_arguments(parser) -> None:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--prefetcher", default="none")
     parser.add_argument("--emc", action="store_true")
-    parser.add_argument("--no-trace", action="store_true",
+    parser.add_argument("--no-trace", dest="trace", action="store_false",
                         help="skip comparing traced stage sums")
     parser.add_argument("--warmup", type=int, default=0, metavar="N",
                         help="run each check as a warmup(N)+measure pair, "
@@ -128,34 +128,18 @@ def add_sanitize_arguments(parser) -> None:
 
 
 def cmd_sanitize(args) -> int:
+    from ..cli import _job
     from .sanitize import (sanitize_checkpoint_roundtrip,
-                           sanitize_fork_identity,
-                           sanitize_parallel_runner, sanitize_quad_mix)
-    overrides = {}
-    if args.topology != "ring":
-        overrides["ring.topology"] = args.topology
-    if args.predictor != "map-i":
-        overrides["emc.predictor.kind"] = args.predictor
-    reports = [sanitize_quad_mix(
-        args.mix, args.n_instrs, prefetcher=args.prefetcher,
-        emc=args.emc, seed=args.seed, trace=not args.no_trace,
-        warmup_instrs=args.warmup, **overrides)]
+                           sanitize_determinism, sanitize_fork_identity,
+                           sanitize_parallel_runner)
+    job = _job(args, ("mix", args.mix))
+    reports = [sanitize_determinism(job)]
     if args.jobs and args.jobs > 1:
-        reports.append(sanitize_parallel_runner(
-            args.mix, args.n_instrs, prefetcher=args.prefetcher,
-            emc=args.emc, seed=args.seed, jobs=args.jobs,
-            warmup_instrs=args.warmup, **overrides))
+        reports.append(sanitize_parallel_runner(job, jobs=args.jobs))
     if args.checkpoint_roundtrip:
-        warmup = args.warmup or max(1, args.n_instrs // 4)
-        reports.append(sanitize_checkpoint_roundtrip(
-            args.mix, args.n_instrs, warmup,
-            prefetcher=args.prefetcher, emc=args.emc, seed=args.seed,
-            trace=not args.no_trace, **overrides))
+        reports.append(sanitize_checkpoint_roundtrip(job))
     if args.fork_identity:
-        warmup = args.warmup or max(1, args.n_instrs // 2)
-        reports.append(sanitize_fork_identity(
-            args.mix, args.n_instrs, warmup_instrs=warmup,
-            seed=args.seed, **overrides))
+        reports.append(sanitize_fork_identity(job))
     for report in reports:
         print(report.format())
     return 0 if all(r.deterministic for r in reports) else 1

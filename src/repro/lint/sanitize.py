@@ -10,7 +10,13 @@ use, or iteration over an unordered container leaking into timing, and
 the report names the first divergent field so the offender is usually
 obvious.
 
-Exposed as ``repro sanitize`` and as ``repro run --sanitize``.
+Every gate takes one :class:`~repro.analysis.parallel.RunJob`, the run
+description the rest of the tool runs, so a gate checks exactly the
+machine a command line describes: :func:`sanitize_determinism` (the
+run-twice diff, exposed as ``repro run --sanitize`` too),
+:func:`sanitize_parallel_runner`, :func:`sanitize_checkpoint_roundtrip`
+and :func:`sanitize_fork_identity` (all four behind ``repro sanitize``).
+Each report's label names the job it ran.
 """
 
 from __future__ import annotations
@@ -18,8 +24,11 @@ from __future__ import annotations
 import dataclasses
 import enum
 from collections import OrderedDict, deque
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set
+
+if TYPE_CHECKING:
+    from ..analysis.parallel import RunJob
 
 
 def flatten_tree(obj: Any, prefix: str = "",
@@ -154,43 +163,40 @@ def snapshot_run(result, attribution=None) -> Dict[str, Any]:
     return tree
 
 
-def _label(cfg_overrides: Dict[str, Any]) -> str:
-    """The `` key=value`` label suffix naming a gate's config overrides."""
-    return "".join(f" {k}={v}" for k, v in sorted(cfg_overrides.items()))
+#: job fields a gate label names up front (or, for ``trace`` and the
+#: display ``label``, never)
+_LABEL_FIXED = frozenset({"workload", "n_instrs", "seed", "warmup_instrs",
+                          "overrides", "trace", "label"})
 
 
-def sanitize_quad_mix(mix: str, n_instrs: int, prefetcher: str = "none",
-                      emc: bool = False, seed: int = 1,
-                      trace: bool = True, warmup_instrs: int = 0,
-                      **cfg_overrides) -> SanitizeReport:
-    """Two-run determinism check of one quad-core Table 3 mix.
+def _job_label(job: RunJob) -> str:
+    """Name a gate's job: workload, ``n``, seed and warmup, then every
+    other field that differs from its default, then the dotted
+    overrides."""
+    from ..analysis.parallel import RunJob
+    default = RunJob(job.workload, job.n_instrs)
+    words = [":".join(map(str, job.workload)), f"n={job.n_instrs}",
+             f"seed={job.seed}", f"warmup={job.warmup_instrs}"]
+    words += [f"{f.name}={getattr(job, f.name)}"
+              for f in dataclasses.fields(job) if f.name not in _LABEL_FIXED
+              and getattr(job, f.name) != getattr(default, f.name)]
+    words += [f"{path}={value}" for path, value in job.overrides]
+    return " ".join(words)
 
-    Each run rebuilds config, workload, and System from scratch; with
-    ``trace=True`` (the default) the traced stage sums are compared too,
-    so the check also covers the tracing subsystem's own determinism.
-    ``warmup_instrs`` runs each repetition as a warmup+measure pair, so
-    the boundary machinery itself is under the determinism gate.
+
+def sanitize_determinism(job: RunJob) -> SanitizeReport:
+    """Two-run determinism check of one job.
+
+    Each run builds config, workload and System from scratch and warms
+    under the job's own config
+    (:func:`~repro.analysis.parallel.run_direct`).  A traced job
+    (``job.trace``) compares the traced stage sums too, so the check also
+    covers the tracing subsystem's own determinism; a job with
+    ``warmup_instrs`` puts the warmup boundary under the gate.
     """
-    from ..analysis.parallel import (RunJob, build_job_config,
-                                     build_job_workload)
-    from ..sim.runner import run_system
-    from ..trace import Tracer
-
-    job = RunJob(workload=("mix", mix), n_instrs=n_instrs,
-                 prefetcher=prefetcher, emc=emc, seed=seed,
-                 overrides=tuple(sorted(cfg_overrides.items())))
-
-    def run_once() -> Dict[str, Any]:
-        result = run_system(build_job_config(job), build_job_workload(job),
-                            tracer=Tracer() if trace else None,
-                            warmup_instrs=warmup_instrs)
-        return snapshot_run(result)
-
-    label = f"{mix}/{prefetcher}{'+emc' if emc else ''} n={n_instrs} " \
-            f"seed={seed}"
-    if warmup_instrs:
-        label += f" warmup={warmup_instrs}"
-    return sanitize_runs(run_once, label=label + _label(cfg_overrides))
+    from ..analysis.parallel import run_direct
+    return sanitize_runs(lambda: snapshot_run(run_direct(job)),
+                         label=_job_label(job))
 
 
 # ---------------------------------------------------------------------------
@@ -287,93 +293,66 @@ def diff_system_states(first: Any, second: Any,
 # end-to-end gates: parallel runner & checkpoint round trip
 # ---------------------------------------------------------------------------
 
-def sanitize_parallel_runner(mix: str, n_instrs: int,
-                             prefetcher: str = "none", emc: bool = False,
-                             seed: int = 1, jobs: int = 2,
-                             warmup_instrs: int = 0,
-                             **cfg_overrides) -> SanitizeReport:
+def sanitize_parallel_runner(job: RunJob, jobs: int = 2) -> SanitizeReport:
     """Serial vs parallel-runner equivalence gate (``--jobs`` mode).
 
-    Builds the same two-job list (the mix with the EMC off and on) twice
-    and executes it through :func:`~repro.analysis.parallel.run_jobs`
-    once with ``jobs=1`` (in-process) and once with ``jobs=N`` (worker
-    processes), then requires every result bit-identical.  Divergence
-    means the worker path leaks state the serial path does not (or vice
-    versa).  ``cfg_overrides`` apply to both jobs (dotted config paths,
-    as in :func:`sanitize_quad_mix`).
+    Runs ``job`` untraced with the EMC as given and flipped, through
+    :func:`~repro.analysis.parallel.run_jobs` once with ``jobs=1``
+    (in-process) and once with ``jobs=N`` (worker processes), then
+    requires every result bit-identical.  Divergence means the worker
+    path leaks state the serial path does not (or vice versa).
     """
-    from ..analysis.parallel import RunJob, run_jobs
+    from ..analysis.parallel import run_jobs
 
-    def build_jobs():
-        return [RunJob(workload=("mix", mix), n_instrs=n_instrs,
-                       prefetcher=prefetcher, emc=on, seed=seed,
-                       warmup_instrs=warmup_instrs,
-                       overrides=tuple(sorted(cfg_overrides.items())))
-                for on in (emc, not emc)]
-
-    serial = run_jobs(build_jobs(), jobs=1)
-    parallel = run_jobs(build_jobs(), jobs=jobs)
+    batch = [replace(job, emc=on, trace=False)
+             for on in (job.emc, not job.emc)]
+    serial = run_jobs(batch, jobs=1)
+    parallel = run_jobs(batch, jobs=jobs)
     first: Dict[str, Any] = {}
     second: Dict[str, Any] = {}
     for index, (a, b) in enumerate(zip(serial, parallel)):
         for tree, result in ((first, a), (second, b)):
             for field, value in snapshot_run(result).items():
                 tree[f"job{index}.{field}"] = value
-    return compare_trees(
-        first, second,
-        label=f"serial-vs-jobs={jobs} {mix} n={n_instrs} seed={seed}"
-              f"{_label(cfg_overrides)}")
+    return compare_trees(first, second,
+                         label=f"serial-vs-jobs={jobs} {_job_label(job)}")
 
 
-def sanitize_checkpoint_roundtrip(mix: str, n_instrs: int,
-                                  warmup_instrs: int,
-                                  prefetcher: str = "none",
-                                  emc: bool = False, seed: int = 1,
-                                  trace: bool = False,
-                                  **cfg_overrides) -> SanitizeReport:
+def sanitize_checkpoint_roundtrip(job: RunJob) -> SanitizeReport:
     """Checkpoint/resume bit-identity gate.
 
-    Run 1 warms up inline, writes the boundary checkpoint, and measures;
-    run 2 resumes from that checkpoint file and measures.  The full
-    result tree (every stats counter, and the traced attribution when
-    ``trace``) must match bit for bit — the warmed machine state must be
-    indistinguishable from its pickled round trip.  ``cfg_overrides``
-    apply to the machine (dotted config paths, as in
-    :func:`sanitize_quad_mix`).
+    Run 1 warms ``job`` up inline, writes the boundary checkpoint, and
+    measures; run 2 resumes from that checkpoint file and measures.  The
+    full result tree (every stats counter, and the traced attribution
+    when ``job.trace``) must match bit for bit — the warmed machine state
+    must be indistinguishable from its pickled round trip.  A job without
+    ``warmup_instrs`` warms for a quarter of ``n_instrs``.
     """
     import os
     import tempfile
 
-    from ..analysis.parallel import (RunJob, build_job_config,
-                                     build_job_workload)
+    from ..analysis.parallel import build_job_config, build_job_workload
     from ..sim.runner import run_built
     from ..sim.system import System
     from ..trace import Tracer
 
-    job = RunJob(workload=("mix", mix), n_instrs=n_instrs,
-                 prefetcher=prefetcher, emc=emc, seed=seed,
-                 overrides=tuple(sorted(cfg_overrides.items())))
-
+    job = replace(job, warmup_instrs=job.warmup_instrs
+                  or max(1, job.n_instrs // 4))
     with tempfile.TemporaryDirectory() as tmp:
         checkpoint = os.path.join(tmp, "warmup-boundary.ckpt")
         system = System(build_job_config(job), build_job_workload(job),
-                        tracer=Tracer() if trace else None)
-        system.warmup(warmup_instrs)
+                        tracer=Tracer() if job.trace else None)
+        system.warmup(job.warmup_instrs)
         system.checkpoint(checkpoint)
         first = snapshot_run(run_built(system))
         resumed = System.from_checkpoint(
-            checkpoint, tracer=Tracer() if trace else None)
+            checkpoint, tracer=Tracer() if job.trace else None)
         second = snapshot_run(run_built(resumed))
-    return compare_trees(
-        first, second,
-        label=f"checkpoint-roundtrip {mix}"
-              f"{'+emc' if emc else ''} n={n_instrs} "
-              f"warmup={warmup_instrs} seed={seed}{_label(cfg_overrides)}")
+    return compare_trees(first, second,
+                         label=f"checkpoint-roundtrip {_job_label(job)}")
 
 
-def sanitize_fork_identity(mix: str = "H1", n_instrs: int = 4000,
-                           warmup_instrs: int = 2000, seed: int = 1,
-                           **cfg_overrides) -> SanitizeReport:
+def sanitize_fork_identity(job: RunJob) -> SanitizeReport:
     """Fork/reseat contract gate (``repro sanitize --fork-identity``).
 
     Three parts, each contributing prefixed divergences:
@@ -395,23 +374,23 @@ def sanitize_fork_identity(mix: str = "H1", n_instrs: int = 4000,
       and viability, not equality with a from-scratch warmup; the
       per-component carryover table lands in the report's ``notes``.
 
-    ``cfg_overrides`` (dotted config paths, as in
-    :func:`sanitize_quad_mix`) apply to the warmed parent, to the inert
-    part's from-scratch machine and to the aggressive forks.
+    Every machine is ``job``'s, untraced, with no prefetcher and the EMC
+    off whatever ``job`` says: the inert overrides are inert only while
+    the EMC is off.  A job without ``warmup_instrs`` warms for half of
+    ``n_instrs``.
     """
-    from dataclasses import replace
-
-    from ..analysis.parallel import (RunJob, build_job_config,
-                                     build_job_workload)
-    from ..sim.runner import run_built, run_system
+    from ..analysis.parallel import (build_job_config, build_job_workload,
+                                     run_direct)
+    from ..sim.runner import run_built
     from ..sim.system import System
 
-    job = RunJob(workload=("mix", mix), n_instrs=n_instrs, seed=seed,
-                 overrides=tuple(sorted(cfg_overrides.items())))
+    job = replace(job, prefetcher="none", emc=False, trace=False,
+                  warmup_instrs=job.warmup_instrs
+                  or max(1, job.n_instrs // 2))
 
     def warmed_parent() -> System:
         system = System(build_job_config(job), build_job_workload(job))
-        system.warmup(warmup_instrs)
+        system.warmup(job.warmup_instrs)
         return system
 
     first: Dict[str, Any] = {}
@@ -436,12 +415,8 @@ def sanitize_fork_identity(mix: str = "H1", n_instrs: int = 4000,
     # -- part 2: warmup-inert overrides match a from-scratch warmup -----
     inert = {"emc.num_contexts": 4, "emc.data_cache_ways": 8}
     forked, _ = warmed_parent().fork(inert)
-    inert_job = replace(job, overrides=tuple(sorted(
-        {**cfg_overrides, **inert}.items())))
-    scratch = run_system(build_job_config(inert_job),
-                         build_job_workload(inert_job),
-                         warmup_instrs=warmup_instrs)
-    compare("inert", snapshot_run(run_built(forked)), snapshot_run(scratch))
+    compare("inert", snapshot_run(run_built(forked)),
+            snapshot_run(run_direct(job.at(inert))))
 
     # -- part 3: aggressive forks are deterministic and viable ----------
     aggressive = {"emc.enabled": True, "prefetch.kind": "stream",
@@ -453,9 +428,6 @@ def sanitize_fork_identity(mix: str = "H1", n_instrs: int = 4000,
             flatten_state(fork_b.snapshot()))
     fork_a.run()                        # raises on deadlock/timeout
 
-    return compare_trees(
-        first, second,
-        label=f"fork-identity {mix} n={n_instrs} "
-              f"warmup={warmup_instrs} seed={seed}{_label(cfg_overrides)}",
-        notes="aggressive-fork " + report_a.format())
-
+    return compare_trees(first, second,
+                         label=f"fork-identity {_job_label(job)}",
+                         notes="aggressive-fork " + report_a.format())

@@ -156,9 +156,6 @@ class DRAMChannel(SimComponent):
         """Open the row covering ``addr`` in its bank (reseat helper)."""
         self.banks[self.bank_of(addr)].open_row = self.row_of(addr)
 
-    def open_row_count(self) -> int:
-        return sum(1 for bank in self.banks if bank.open_row is not None)
-
     def rebase(self, origin: int) -> None:
         """Rebase bank/bus clocks when the wheel rewinds to zero.  Only
         valid on a quiesced channel (no queued requests, no pending pick)."""

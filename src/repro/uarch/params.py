@@ -23,11 +23,9 @@ class CoreConfig:
     retire_width: int = 4
     rob_entries: int = 256
     rs_entries: int = 92
-    lsq_entries: int = 64
     fetch_width: int = 4
     # Branch misprediction pipeline restart penalty (front-end refill).
     mispredict_penalty: int = 14
-    clock_ghz: float = 3.2
 
 
 @dataclass
@@ -151,8 +149,6 @@ class EMCConfig:
     # would have taken; context occupancy is the natural throttle.
     pending_chain_entries: int = 0
     prf_entries: int = 16
-    live_in_entries: int = 16
-    lsq_entries: int = 8
     data_cache_bytes: int = 4096
     data_cache_ways: int = 4
     data_cache_latency: int = 2
@@ -161,9 +157,9 @@ class EMCConfig:
     # LLC hit/miss predictor behind the bypass decision (pluggable;
     # dotted overrides address it as ``emc.predictor.kind`` etc.).
     predictor: PredictorConfig = field(default_factory=PredictorConfig)
-    # Chain-generation trigger: 3-bit saturating counter; generate when
-    # either of the top 2 bits is set (value >= 2).
-    dep_counter_bits: int = 3
+    # Chain-generation trigger: the core's 3-bit saturating counter (a
+    # fixed width); generate when either of the top 2 bits is set
+    # (value >= 2).
     dep_counter_trigger: int = 2
     max_chain_uops: int = 16
     # Optional chain cache (an extension in the spirit of the paper's

@@ -51,11 +51,6 @@ class TraceBuilder:
         self.num_regs = num_regs
         self._seq = 0
 
-    def _reg(self, reg: Optional[int]) -> int:
-        if reg is None:
-            return 0
-        return self.regs.get(reg, 0)
-
     def emit(self, op: UopType, dest: Optional[int] = None,
              src1: Optional[int] = None, src2: Optional[int] = None,
              imm: int = 0, pc: int = 0, mispredicted: bool = False,

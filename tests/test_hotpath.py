@@ -11,10 +11,11 @@ import pickle
 
 import pytest
 
+from repro.analysis.parallel import RunJob
 from repro.emc.chain import ChainUop, DependenceChain
 from repro.lint.sanitize import (diff_system_states, flatten_state,
                                  sanitize_checkpoint_roundtrip,
-                                 sanitize_quad_mix)
+                                 sanitize_determinism)
 from repro.memsys.cache import CacheLineState, SetAssocCache
 from repro.memsys.dram import DRAMRequest
 from repro.memsys.mshr import MSHREntry
@@ -114,12 +115,13 @@ def test_stats_reset_preserves_aliases_with_slots():
 def test_short_h4_run_is_bit_identical_under_sanitizer():
     """The optimized hot path, gated end-to-end: two fresh H4+EMC runs
     (warmup + measure + drain) must produce bit-identical stats trees."""
-    report = sanitize_quad_mix("H4", 800, prefetcher="stream", emc=True,
-                               seed=1, trace=False, warmup_instrs=200)
+    report = sanitize_determinism(RunJob(
+        workload=("mix", "H4"), n_instrs=800, prefetcher="stream", emc=True,
+        warmup_instrs=200))
     assert report.deterministic, report.format()
 
 
 def test_checkpoint_roundtrip_is_bit_identical_under_sanitizer():
-    report = sanitize_checkpoint_roundtrip("H4", 600, warmup_instrs=150,
-                                           emc=True, seed=1)
+    report = sanitize_checkpoint_roundtrip(RunJob(
+        workload=("mix", "H4"), n_instrs=600, emc=True, warmup_instrs=150))
     assert report.deterministic, report.format()

@@ -23,7 +23,6 @@ def test_quad_core_defaults_match_table1():
     assert cfg.emc.num_contexts == 2
     assert cfg.emc.uop_buffer_entries == 16
     assert cfg.emc.prf_entries == 16
-    assert cfg.emc.lsq_entries == 8
     assert cfg.emc.data_cache_bytes == 4096
     assert cfg.emc.tlb_entries_per_core == 32
 

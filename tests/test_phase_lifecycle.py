@@ -12,13 +12,11 @@ import re
 
 import pytest
 
-from repro.analysis.parallel import (RunJob, build_job_config,
-                                     build_job_workload, execute_job,
+from repro.analysis.parallel import (RunJob, execute_job, run_direct,
                                      run_jobs, warmup_checkpoint_path)
 from repro.lint.sanitize import (flatten_state, sanitize_checkpoint_roundtrip,
                                  sanitize_parallel_runner)
 from repro.sim.component import SnapshotError
-from repro.sim.runner import run_system
 from repro.sim.system import DeadlockError, SimTimeoutError, System
 from repro.uarch.params import quad_core_config, set_config_field
 from repro.workloads.mixes import build_mix
@@ -28,9 +26,8 @@ N = 400   # per-core instructions: tiny but structurally complete
 
 def h4(warmup_instrs=0):
     """H4 warmed under its own config (no shared-warmup fork)."""
-    job = RunJob(workload=("mix", "H4"), n_instrs=N)
-    return run_system(build_job_config(job), build_job_workload(job),
-                      warmup_instrs=warmup_instrs)
+    return run_direct(RunJob(workload=("mix", "H4"), n_instrs=N,
+                             warmup_instrs=warmup_instrs))
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +142,8 @@ def test_restore_names_the_nested_component_whose_config_differs(
 
 @pytest.mark.parametrize("emc", [False, True])
 def test_checkpoint_roundtrip_is_bit_identical(emc):
-    report = sanitize_checkpoint_roundtrip("H4", N, 100, emc=emc, seed=1)
+    report = sanitize_checkpoint_roundtrip(RunJob(
+        workload=("mix", "H4"), n_instrs=N, emc=emc, warmup_instrs=100))
     assert report.deterministic, report.format()
 
 
@@ -248,7 +246,8 @@ def test_second_sweep_resumes_from_the_checkpoint_once(tmp_path,
 
 
 def test_parallel_runner_matches_serial_with_warmup():
-    report = sanitize_parallel_runner("H4", N, jobs=2, warmup_instrs=50)
+    report = sanitize_parallel_runner(
+        RunJob(workload=("mix", "H4"), n_instrs=N, warmup_instrs=50), jobs=2)
     assert report.deterministic, report.format()
 
 

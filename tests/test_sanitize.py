@@ -5,8 +5,14 @@ from dataclasses import dataclass, field
 
 import pytest
 
+from repro.analysis.parallel import RunJob
 from repro.lint.sanitize import (Divergence, diff_trees, flatten_tree,
-                                 sanitize_quad_mix, sanitize_runs)
+                                 sanitize_determinism, sanitize_runs)
+
+
+def h4(n_instrs, **fields):
+    """One quad-core H4 job, as the gates take it."""
+    return RunJob(workload=("mix", "H4"), n_instrs=n_instrs, **fields)
 
 
 @dataclass
@@ -86,7 +92,7 @@ def test_sanitize_runs_catches_cross_run_state():
 # -- end-to-end on the real simulator ---------------------------------------
 
 def test_quad_mix_is_deterministic():
-    report = sanitize_quad_mix("H4", 400, emc=True)
+    report = sanitize_determinism(h4(400, emc=True, trace=True))
     assert report.deterministic, report.format()
     # The snapshot covers the full stats tree plus the traced stage sums.
     assert report.fields_compared > 100
@@ -94,8 +100,8 @@ def test_quad_mix_is_deterministic():
 
 
 def test_trace_adds_attribution_fields():
-    traced = sanitize_quad_mix("H4", 300, trace=True)
-    untraced = sanitize_quad_mix("H4", 300, trace=False)
+    traced = sanitize_determinism(h4(300, trace=True))
+    untraced = sanitize_determinism(h4(300))
     assert traced.deterministic and untraced.deterministic
     assert traced.fields_compared > untraced.fields_compared
 
@@ -114,7 +120,7 @@ def test_sanitizer_detects_injected_unseeded_rng(monkeypatch):
         return (orig(self, line) + random.getrandbits(1)) % len(self.banks)
 
     monkeypatch.setattr(DRAMChannel, "bank_of", leaky_bank_of)
-    report = sanitize_quad_mix("H4", 400, emc=True)
+    report = sanitize_determinism(h4(400, emc=True, trace=True))
     assert not report.deterministic
     first = report.first_divergence
     assert first is not None
@@ -138,33 +144,59 @@ def test_run_sanitize_flag(capsys):
     assert "PASS" in out
 
 
-# -- fabric/predictor overrides reach every gate -----------------------------
+# -- every gate checks the job the command line describes -------------------
 
-MESH_HERMES = {"ring.topology": "mesh", "emc.predictor.kind": "hermes"}
+GATES = ("sanitize_determinism", "sanitize_parallel_runner",
+         "sanitize_checkpoint_roundtrip", "sanitize_fork_identity")
 
 
-def test_sanitize_cli_threads_overrides_into_every_gate(monkeypatch, capsys):
+def test_sanitize_cli_hands_every_gate_one_job(monkeypatch, capsys):
     import repro.lint.sanitize as sanitize
     from repro.cli import main as repro_main
     from repro.lint.sanitize import SanitizeReport
     seen = {}
 
     def recorder(name):
-        def gate(*args, **kwargs):
-            seen[name] = {key: kwargs.get(key) for key in MESH_HERMES}
+        def gate(job, **kwargs):
+            seen[name] = job
             return SanitizeReport(True, 0, [], label=name)
         return gate
 
-    gates = ("sanitize_quad_mix", "sanitize_parallel_runner",
-             "sanitize_checkpoint_roundtrip", "sanitize_fork_identity")
-    for name in gates:
+    for name in GATES:
         monkeypatch.setattr(sanitize, name, recorder(name))
     rc = repro_main(["sanitize", "--topology", "mesh", "--predictor",
                      "hermes", "--jobs", "2", "--checkpoint-roundtrip",
                      "--fork-identity"])
     capsys.readouterr()
     assert rc == 0
-    assert seen == {name: MESH_HERMES for name in gates}
+    assert set(seen) == set(GATES)
+    assert len(set(seen.values())) == 1
+    job = seen["sanitize_determinism"]
+    assert isinstance(job, RunJob)
+    assert (job.fabric, job.predictor) == ("mesh", "hermes")
+    assert job.overrides == ()
+
+
+def test_run_sanitize_calls_the_determinism_gate(monkeypatch, capsys):
+    import repro.lint.sanitize as sanitize
+    from repro.cli import main as repro_main
+    from repro.lint.sanitize import SanitizeReport
+    seen = []
+
+    def gate(job):
+        seen.append(job)
+        return SanitizeReport(True, 0, [], label="gate")
+
+    monkeypatch.setattr(sanitize, "sanitize_determinism", gate)
+    rc = repro_main(["run", "--mix", "H1", "-n", "300", "--warmup", "100",
+                     "--topology", "mesh", "--sanitize"])
+    capsys.readouterr()
+    assert rc == 0
+    assert seen == [RunJob(workload=("mix", "H1"), n_instrs=300,
+                           warmup_instrs=100, fabric="mesh")]
+
+
+MESH_HERMES = {"fabric": "mesh", "predictor": "hermes"}
 
 
 def test_parallel_and_roundtrip_gates_build_the_overridden_machine(
@@ -189,12 +221,12 @@ def test_parallel_and_roundtrip_gates_build_the_overridden_machine(
     monkeypatch.setattr(parallel, "build_job_config", build)
     monkeypatch.setattr(parallel, "run_jobs", run_jobs)
     reports = [
-        sanitize_checkpoint_roundtrip("H4", 300, 75, emc=True,
-                                      **MESH_HERMES),
-        sanitize_parallel_runner("H4", 300, emc=True, jobs=2,
-                                 **MESH_HERMES)]
+        sanitize_checkpoint_roundtrip(h4(300, emc=True, warmup_instrs=75,
+                                         **MESH_HERMES)),
+        sanitize_parallel_runner(h4(300, emc=True, **MESH_HERMES), jobs=2)]
     assert all(report.deterministic for report in reports)
-    assert all("ring.topology=mesh" in report.label for report in reports)
+    assert all("fabric=mesh predictor=hermes" in report.label
+               for report in reports)
     assert machines and set(machines) == {("mesh", "hermes")}
 
 
@@ -220,11 +252,45 @@ def test_fork_identity_gate_checks_the_overridden_machine(monkeypatch):
 
     monkeypatch.setattr(parallel, "build_job_config", build)
     monkeypatch.setattr(System, "fork", fork)
-    report = sanitize_fork_identity("H4", 300, warmup_instrs=100,
-                                    **MESH_HERMES)
+    report = sanitize_fork_identity(h4(300, warmup_instrs=100,
+                                       **MESH_HERMES))
     assert report.deterministic, report.format()
-    assert "ring.topology=mesh" in report.label
-    assert "emc.predictor.kind=hermes" in report.label
+    assert "fabric=mesh" in report.label
+    assert "predictor=hermes" in report.label
     # Three warmed parents, the inert part's from-scratch machine, and
     # four forks: every machine the gate checks is the overridden one.
     assert len(machines) == 8 and set(machines) == {("mesh", "hermes")}
+
+
+def test_fork_identity_warms_emc_off_parents_whatever_the_job(monkeypatch):
+    """The inert overrides are inert only while the EMC is off, so the
+    gate warms EMC-off, prefetcher-none machines for any job."""
+    from repro.lint.sanitize import sanitize_fork_identity
+    from repro.sim.system import System
+    warmed = []
+    real_warmup = System.warmup
+
+    def warmup(self, *args, **kwargs):
+        warmed.append((self.cfg.emc.enabled, self.cfg.prefetch.kind))
+        return real_warmup(self, *args, **kwargs)
+
+    monkeypatch.setattr(System, "warmup", warmup)
+    report = sanitize_fork_identity(h4(300, emc=True, prefetcher="stream",
+                                       warmup_instrs=100))
+    assert report.deterministic, report.format()
+    assert "emc=" not in report.label and "prefetcher=" not in report.label
+    # Three warmed parents and the inert part's from-scratch machine.
+    assert warmed == [(False, "none")] * 4
+
+
+def test_eight_core_mesh_job_passes_determinism_and_roundtrip():
+    """A job the old mix-only gate signatures could not express: the
+    eight-core machine with two memory controllers on a mesh."""
+    from repro.lint.sanitize import sanitize_checkpoint_roundtrip
+    job = RunJob(workload=("eight", "H1"), n_instrs=300, num_mcs=2,
+                 fabric="mesh", warmup_instrs=75)
+    reports = [sanitize_determinism(job), sanitize_checkpoint_roundtrip(job)]
+    for report in reports:
+        assert report.deterministic, report.format()
+        assert "eight:H1" in report.label
+        assert "num_mcs=2 fabric=mesh" in report.label

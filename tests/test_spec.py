@@ -152,6 +152,17 @@ def test_unknown_prefetcher_value():
     _fails(bad, "unknown prefetcher 'warp'", line=6)
 
 
+@pytest.mark.parametrize("axis", [
+    "core.lsq_entries", "core.clock_ghz", "emc.lsq_entries",
+    "emc.live_in_entries", "emc.dep_counter_bits"])
+def test_unmodelled_config_field_axis_rejected(axis):
+    """No simulator code reads these capacities, so an axis over them
+    would run identical points; the validator names it instead."""
+    bad = BASE.replace("  emc: [false, true]\n",
+                       f"  emc: [false, true]\n  {axis}: [4, 16]\n")
+    _fails(bad, f"bad config override {axis}=4", line=8)
+
+
 def test_unknown_workload_and_kind():
     _fails(BASE.replace("[H4, H3]", "[H99]"), "unknown mix 'H99'", line=5)
     _fails(BASE.replace("[H4, H3]", "['quantum:H4']"),

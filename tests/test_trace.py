@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-from repro.analysis.parallel import RunJob, execute_job
+from repro.analysis.parallel import RunJob, execute_job, run_jobs
 from repro.sim.runner import run_system
 from repro.trace import (CATEGORIES, CATEGORY_OF, NULL_TRACER, NullTracer,
                          Stage, TraceError, Tracer, trace_enabled_from_env)
@@ -228,6 +228,29 @@ def test_run_job_trace_flag():
     result = execute_job(traced)
     assert result.latency_attribution is not None
     assert execute_job(untraced).latency_attribution is None
+
+
+def test_cached_job_result_does_not_depend_on_repro_trace(tmp_path,
+                                                          monkeypatch):
+    """A result stored under a job hash is the job's own: filling the
+    cache under REPRO_TRACE=1 must not store a traced result that an
+    untraced read of the same job then gets back."""
+    job = RunJob(workload=("mix", "H1"), n_instrs=300)
+    monkeypatch.setenv("REPRO_TRACE", "1")
+    run_jobs([job], cache_dir=str(tmp_path))
+    monkeypatch.delenv("REPRO_TRACE")
+    cached = run_jobs([job], cache_dir=str(tmp_path))[0]
+    assert cached.latency_attribution is None
+    assert run_jobs([job])[0].stats == cached.stats
+
+
+def test_repro_trace_env_is_the_cli_trace_default(monkeypatch):
+    from repro.cli import build_parser
+    argv = ["run", "--mix", "H1"]
+    monkeypatch.delenv("REPRO_TRACE", raising=False)
+    assert not build_parser().parse_args(argv).trace
+    monkeypatch.setenv("REPRO_TRACE", "1")
+    assert build_parser().parse_args(argv).trace
 
 
 def test_traced_and_untraced_runs_time_identically():
