@@ -12,9 +12,8 @@ base :class:`RunJob` plus the axes it varies (workload, prefetcher, EMC,
 overrides).  :func:`~repro.analysis.parallel.run_grid` expands them
 through :meth:`RunJob.at`, runs the grid in one memoized
 :func:`run_all` fan-out and hands back every result keyed by its grid
-point.  The worker count /
-on-disk cache come from :func:`set_parallelism` (or the ``REPRO_JOBS``
-and ``REPRO_CACHE_DIR`` environment variables).  With ``jobs=1``
+point.  The worker count and on-disk cache come from the ``REPRO_JOBS``
+and ``REPRO_CACHE_DIR`` environment variables.  With ``jobs=1``
 everything runs in-process.
 
 Scale: instruction counts default to laptop-friendly sizes and can be
@@ -77,35 +76,9 @@ def _homog(names: Iterable[str]) -> List[tuple]:
 # functions of their key, and clear_cache() exposes an explicit reset.
 _CACHE: Dict[tuple, RunResult] = {}  # simlint: disable=SIM001
 
-#: ``None`` means "fall back to the REPRO_JOBS / REPRO_CACHE_DIR env vars"
-_JOBS: Optional[int] = None
-_CACHE_DIR: Optional[str] = None
-
 
 def clear_cache() -> None:
     _CACHE.clear()
-
-
-def set_parallelism(jobs: Optional[int] = None,
-                    cache_dir: Optional[str] = None) -> None:
-    """Configure how the drivers execute their simulations.
-
-    ``jobs`` worker processes fan each driver's batch out across cores;
-    ``cache_dir`` persists results between processes.  Pass ``None`` to
-    fall back to the ``REPRO_JOBS`` / ``REPRO_CACHE_DIR`` environment
-    variables.
-    """
-    global _JOBS, _CACHE_DIR
-    _JOBS = jobs
-    _CACHE_DIR = cache_dir
-
-
-def _jobs() -> int:
-    return _JOBS if _JOBS is not None else default_jobs()
-
-
-def _cache_dir() -> Optional[str]:
-    return _CACHE_DIR if _CACHE_DIR is not None else default_cache_dir()
 
 
 def run_all(jobs_list: Iterable[RunJob]) -> List[RunResult]:
@@ -124,7 +97,8 @@ def run_all(jobs_list: Iterable[RunJob]) -> List[RunResult]:
             seen.add(key)
             missing.append(job)
     if missing:
-        results = run_jobs(missing, jobs=_jobs(), cache_dir=_cache_dir())
+        results = run_jobs(missing, jobs=default_jobs(),
+                           cache_dir=default_cache_dir())
         for job, result in zip(missing, results):
             _CACHE[job.key()] = result
     return [_CACHE[job.key()] for job in jobs_list]

@@ -6,9 +6,10 @@ one sweep:
 
 - :class:`JobQueue` — a SQLite queue (``<dir>/queue.sqlite``) with
   lease/heartbeat/reclaim semantics: a job whose lease expires (worker
-  killed, host lost) returns to ``pending`` for someone else, and a job
-  that fails :data:`MAX_ATTEMPTS` times parks as ``failed`` with its
-  error.
+  killed, host lost) returns to ``pending`` for someone else.  A job
+  that raises a simulator or config error parks as ``failed`` with its
+  error at once; one that hits a host fault does so after
+  :data:`MAX_ATTEMPTS` tries.
 - the result store (``<dir>/results/``) — the parallel runner's on-disk
   cache format, so farm and ``run_jobs`` results are interchangeable
   bit-for-bit and enqueueing an already-cached job completes it at once.
@@ -123,9 +124,10 @@ class JobQueue:
                 now: Optional[float] = None) -> Tuple[int, int]:
         """Idempotently add jobs; returns ``(new, already_known)``.
 
-        A job whose result already sits in the result store is recorded
-        as ``done`` immediately — re-running a spec over a warm store
-        only executes what is missing.
+        Jobs are keyed by :func:`job_hash`: the job and the code that
+        runs it.  A job whose result already sits in the result store is
+        recorded as ``done`` immediately — re-running a spec over a warm
+        store only executes what is missing.
         """
         now = time.time() if now is None else now
         new = known = 0
@@ -203,10 +205,11 @@ class JobQueue:
                 "error = NULL WHERE hash = ? AND worker = ? "
                 "AND state = 'leased'", (now, digest, worker))
 
-    def fail(self, digest: str, worker: str, error: str,
+    def fail(self, digest: str, worker: str, error: str, host_fault: bool,
              now: Optional[float] = None) -> str:
-        """Record a failure: back to ``pending`` while attempts remain,
-        else park as ``failed``.  Returns the new state."""
+        """Record a failure: a host fault goes back to ``pending`` while
+        attempts remain, anything else parks as ``failed``
+        (:func:`state_after_failure`).  Returns the new state."""
         now = time.time() if now is None else now
         with closing(self._connect()) as conn, conn:
             conn.execute("BEGIN IMMEDIATE")
@@ -215,7 +218,7 @@ class JobQueue:
                 "AND state = 'leased'", (digest, worker)).fetchone()
             if row is None:
                 return "lost"           # reclaimed from under us
-            state = state_after_failure(row[0])
+            state = state_after_failure(row[0], host_fault)
             conn.execute(
                 "UPDATE jobs SET state = ?, error = ?, worker = NULL, "
                 "lease_expires = NULL, finished_at = ? WHERE hash = ?",
@@ -284,9 +287,9 @@ def run_worker(queue_dir: str, worker_id: Optional[str] = None,
     Returns the number of jobs this worker executed.  Exits when the
     queue has nothing pending or leased (unless ``wait``, which polls
     forever — the many-host deployment mode), or after ``max_jobs``.
-    Failures are recorded in the queue, retried up to
-    :data:`MAX_ATTEMPTS`, and never raised: one poisonous job must not
-    take a farm worker down with it.  Jobs execute in-process, so the
+    Failures are recorded in the queue (a host fault is retried up to
+    :data:`MAX_ATTEMPTS` times) and never raised: one poisonous job must
+    not take a farm worker down with it.  Jobs execute in-process, so the
     points of a sweep fork from one warm base in memory.
     """
     queue = JobQueue(queue_dir)
@@ -331,9 +334,7 @@ def serve_queue(queue_dir: str, jobs_list: Sequence[RunJob],
         if failed:
             detail = "; ".join(f"{label}: {error}"
                                for label, error in queue.status().failures)
-            raise FarmError(
-                f"{failed} job(s) failed after {MAX_ATTEMPTS} "
-                f"attempts: {detail}")
+            raise FarmError(f"{failed} job(s) failed: {detail}")
         return current.count("done") == len(want)
 
     def note(leased: LeasedJob, state: str, _error: str) -> None:

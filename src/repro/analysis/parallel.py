@@ -20,7 +20,8 @@ and share one execution layer:
 - :func:`_drain` — the one scheduling loop: lease a job from a queue,
   execute it in-process (``jobs == 1``) or in a process pool, store the
   result, then complete or fail the job.  :func:`state_after_failure`
-  is the one retry-once decision.
+  is the one retry decision: a host fault is retried once, any other
+  error fails at once.
 - :func:`run_jobs` — drain a job list through an in-memory queue, with
   a per-job timeout, an optional on-disk result cache and progress/ETA
   reporting.  The farm drains its SQLite queue through the same loop.
@@ -42,6 +43,7 @@ import threading
 import time
 from concurrent.futures import (FIRST_COMPLETED, Future, ProcessPoolExecutor,
                                 wait)
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from types import MappingProxyType
@@ -51,16 +53,13 @@ from typing import (Any, Callable, Dict, Final, List, Mapping, Optional,
 from ..sim.component import SnapshotError
 from ..sim.runner import (RunResult, apply_config_overrides, run_built,
                           run_system)
-from ..sim.system import System
+from ..sim.system import System, code_fingerprint
 from ..trace import NULL_TRACER, Tracer
 from ..uarch.params import (SystemConfig, eight_core_config,
                             quad_core_config)
 from ..workloads.mixes import (Workload, build_homogeneous, build_named,
                                build_scaled_mix)
 from .figures import format_eta, progress_bar
-
-#: bump to invalidate every on-disk cache entry when result layout changes
-CACHE_SCHEMA = 7
 
 #: natural core count -> the machine shape a workload runs on
 MACHINES: Final[Mapping[int, str]] = MappingProxyType(
@@ -71,7 +70,7 @@ ProgressFn = Callable[[int, int, str, float], None]
 
 
 class ParallelRunError(RuntimeError):
-    """A job failed on its initial attempt *and* its retry."""
+    """A job failed for good (see :func:`state_after_failure`)."""
 
 
 class JobTimeoutError(RuntimeError):
@@ -275,11 +274,12 @@ def warmup_checkpoint_path(cache_dir: Optional[str],
     dotted override) resolves to the same file: the first to run pays for
     the warmup under :func:`warmup_base_config`, the rest fork from its
     checkpoint.  A job that times out *after* the boundary also finds the
-    file on retry and resumes instead of re-warming.
+    file on retry and resumes instead of re-warming.  Other code (another
+    :func:`~repro.sim.system.code_fingerprint`) never finds the file.
     """
     if not cache_dir or not job.warmup_instrs:
         return None
-    text = repr((CACHE_SCHEMA, "warmup", job.warmup_key()))
+    text = repr((code_fingerprint(), "warmup", job.warmup_key()))
     digest = hashlib.sha256(text.encode()).hexdigest()[:32]
     return os.path.join(cache_dir, "warmup-ckpt", f"wck-{digest}.pkl")
 
@@ -289,41 +289,42 @@ class WarmBase:
 
     The in-process drain loop owns one, and each pool worker process
     gets one from :func:`_init_pool_worker`.  It holds one base at a
-    time, keyed by its warmup-checkpoint path, so the sweep points after
-    the first fork from memory instead of reloading the checkpoint.  The
-    file stays the authority across processes and runs; the slot only
-    saves re-reading it.
+    time, keyed by :meth:`RunJob.warmup_key`, so the sweep points after
+    the first fork from memory, with or without a checkpoint file.
+    Across processes and runs the checkpoint file is the authority; the
+    slot only saves re-reading it.
     """
 
     def __init__(self) -> None:
-        self.path: Optional[str] = None
+        self.key: Optional[tuple] = None
         self.system: Optional[System] = None
 
-    def get(self, path: str) -> Optional[System]:
-        """The kept base for ``path``, or ``None``."""
-        return self.system if path == self.path else None
+    def get(self, key: tuple) -> Optional[System]:
+        """The kept base for warmup identity ``key``, or ``None``."""
+        return self.system if key == self.key else None
 
-    def keep(self, path: str, system: System) -> None:
-        """Replace the kept base with ``system``, warmed for ``path``."""
-        self.path, self.system = path, system
+    def keep(self, key: tuple, system: System) -> None:
+        """Replace the kept base with ``system``, warmed for ``key``."""
+        self.key, self.system = key, system
 
 
 def _warm_shared_base(job: RunJob, checkpoint: Optional[str],
                       warm_base: Optional[WarmBase], workload_cores: int
                       ) -> Tuple[System, str, Optional[list]]:
     """The warmed base machine ``job`` forks from, how it was obtained
-    ("fresh" or "checkpoint"), and the workload built for it, if any.
+    ("fresh", or "checkpoint" for a base another job warmed), and the
+    workload built for it, if any.
 
     Tried in order: the loop's in-memory slot, the checkpoint file, a
     fresh warmup under :func:`warmup_base_config` (written to the
     checkpoint when there is one).  A checkpoint file that is unreadable
-    or carries another ``CHECKPOINT_VERSION`` is warned about once and
-    overwritten by the fresh warmup.  A fresh warmup builds the workload
-    once at ``workload_cores`` so a growing fork can take its added
-    cores from the same build.
+    or was written by other code is warned about once and overwritten by
+    the fresh warmup.  A fresh warmup builds the workload once at
+    ``workload_cores`` so a growing fork can take its added cores from
+    the same build.
     """
-    base = (warm_base.get(checkpoint)
-            if warm_base is not None and checkpoint else None)
+    key = job.warmup_key()
+    base = warm_base.get(key) if warm_base is not None else None
     if base is not None:
         return base, "checkpoint", None
     built = None
@@ -342,8 +343,8 @@ def _warm_shared_base(job: RunJob, checkpoint: Optional[str],
         if checkpoint:
             base.checkpoint(checkpoint)
         warmed_from = "fresh"
-    if warm_base is not None and checkpoint:
-        warm_base.keep(checkpoint, base)
+    if warm_base is not None:
+        warm_base.keep(key, base)
     return base, warmed_from, built
 
 
@@ -458,8 +459,10 @@ def _execute_pooled(job: RunJob, timeout: Optional[float],
 # the drain loop: lease -> execute -> store -> complete or fail
 # ---------------------------------------------------------------------------
 
-#: attempts before a job parks as failed: one initial run + one retry
+#: attempts before a host-faulting job parks as failed: one run + one retry
 MAX_ATTEMPTS = 2
+#: errors that say nothing about the job itself, so a retry may pass
+HOST_FAULTS = (JobTimeoutError, OSError, BrokenProcessPool)
 #: seconds between looks at a queue that has nothing to lease
 POLL_S = 0.5
 
@@ -473,10 +476,12 @@ class LeasedJob:
     attempts: int
 
 
-def state_after_failure(attempts: int) -> str:
-    """The retry decision every queue's ``fail`` makes: back to
-    ``pending`` while a retry is left, else park as ``failed``."""
-    return "failed" if attempts >= MAX_ATTEMPTS else "pending"
+def state_after_failure(attempts: int, host_fault: bool) -> str:
+    """The retry decision every queue's ``fail`` makes: a host fault
+    goes back to ``pending`` while a retry is left; anything else (a
+    simulator or config error fails the same way every time) parks as
+    ``failed`` at once."""
+    return "pending" if host_fault and attempts < MAX_ATTEMPTS else "failed"
 
 
 class _LeaseKeeper(threading.Thread):
@@ -565,7 +570,8 @@ def _drain(queue: Any, until: Callable[[int], bool],
                     completed += 1
                     note(leased, "done", "")
                 else:
-                    state = queue.fail(leased.hash, worker, repr(error))
+                    state = queue.fail(leased.hash, worker, repr(error),
+                                       isinstance(error, HOST_FAULTS))
                     note(leased, state, repr(error))
     finally:
         for _leased, keeper in inflight.values():
@@ -580,8 +586,10 @@ def _drain(queue: Any, until: Callable[[int], bool],
 # ---------------------------------------------------------------------------
 
 def job_hash(job: RunJob) -> str:
-    """Stable configuration hash identifying a job's result on disk."""
-    text = repr((CACHE_SCHEMA, job.key()))
+    """Stable hash identifying a job's result on disk: the job plus
+    :func:`~repro.sim.system.code_fingerprint`, so a result computed by
+    other code is never served."""
+    text = repr((code_fingerprint(), job.key()))
     return hashlib.sha256(text.encode()).hexdigest()[:32]
 
 
@@ -695,10 +703,12 @@ class _MemoryQueue:
     def complete(self, digest: str, _worker: str) -> None:
         self.states[int(digest)] = "done"
 
-    def fail(self, digest: str, _worker: str, error: str) -> str:
+    def fail(self, digest: str, _worker: str, error: str,
+             host_fault: bool) -> str:
         i = int(digest)
         self.errors[i].append(error)
-        self.states[i] = state_after_failure(len(self.errors[i]))
+        self.states[i] = state_after_failure(len(self.errors[i]),
+                                             host_fault)
         return self.states[i]
 
 
@@ -718,14 +728,14 @@ def run_jobs(jobs_list: Sequence[RunJob], jobs: int = 1,
       ``cache_dir/warmup-ckpt/`` (:func:`warmup_checkpoint_path`): the
       first job of each (workload, warmup) group builds and warms, every
       other point of the sweep forks from that base, which each
-      executing process keeps in a :class:`WarmBase`.  Without a
-      ``cache_dir`` every job warms its own base.
-    - ``timeout``: per-job wall-clock seconds; a timeout is a failure.
+      executing process keeps in a :class:`WarmBase`.
+    - ``timeout``: per-job wall-clock seconds; a timeout is a host fault.
     - ``progress``: ``True`` for a stderr progress/ETA line, or a callable
       ``(done, total, label, elapsed_seconds)``.
 
-    A job listed twice runs once and fills both positions.  A failed job
-    is retried once; failing twice raises :class:`ParallelRunError`.
+    A job listed twice runs once and fills both positions.  A host fault
+    (:data:`HOST_FAULTS`) is retried once; any other failure, or a second
+    host fault, raises :class:`ParallelRunError`.
     """
     report: Optional[ProgressFn]
     report = _stderr_progress if progress is True else (progress or None)
@@ -741,10 +751,11 @@ def run_jobs(jobs_list: Sequence[RunJob], jobs: int = 1,
     def finished(_completed: int) -> bool:
         if "failed" in queue.states:
             i = queue.states.index("failed")
-            first, *_, last = queue.errors[i]
+            first, *retries = queue.errors[i]
             raise ParallelRunError(
                 f"job {queue.jobs[i].label or queue.jobs[i].workload!r} "
-                f"failed twice: {last} (first attempt: {first})")
+                + (f"failed: {first}" if not retries else
+                   f"failed twice: {retries[-1]} (first attempt: {first})"))
         return queue.states.count("done") == len(queue.jobs)
 
     def note(leased: LeasedJob, state: str, _error: str) -> None:

@@ -30,8 +30,8 @@ The protocol methods:
     copy to remap workload state across a config change.
 
 ``snapshot() -> dict``
-    Capture the workload-derived layer as a versioned, picklable dict
-    (header: ``component``/``version``/``config``).  Components whose
+    Capture the workload-derived layer as a picklable dict (header:
+    ``component``/``config``).  Components whose
     in-flight state holds callbacks (MSHR waiters, DRAM request
     callbacks, EMC pending lines) require a *quiesced* machine (empty
     event wheel) and raise :class:`SnapshotError` otherwise; the
@@ -52,9 +52,9 @@ The protocol methods:
 
 ``restore(state)``
     The strict same-config resume, defined once on
-    :class:`SimComponent`: it rejects a snapshot whose component name,
-    version or config descriptor differs from the live one anywhere in
-    the tree, then reseats it.  A checkpoint resume is a fork into the
+    :class:`SimComponent`: it rejects a snapshot whose component name or
+    config descriptor differs from the live one anywhere in the tree,
+    then reseats it.  A checkpoint resume is a fork into the
     same configuration.
 
 Snapshots are *shallow* captures: outer containers are copied, interior
@@ -69,12 +69,12 @@ from dataclasses import MISSING, fields, is_dataclass
 from typing import Any, Dict, Iterable, Optional, Tuple
 
 #: the header keys every component snapshot carries
-_HEADER = ("component", "version", "config")
+_HEADER = ("component", "config")
 
 
 class SnapshotError(RuntimeError):
     """A snapshot or restore was attempted in an invalid state (pending
-    callbacks, component/version/config mismatch, malformed payload)."""
+    callbacks, component/config mismatch, malformed payload)."""
 
 
 class CarryoverReport:
@@ -122,13 +122,12 @@ class SimComponent:
 
     Subclasses implement :meth:`reset_stats`, :meth:`config_state`,
     :meth:`snapshot` and :meth:`reseat`; ``snapshot`` dicts carry a
-    ``component``/``version``/``config`` header written by
-    :meth:`_header` and verified by :meth:`_check`.  :meth:`restore` is
-    defined here only.  Bump ``SNAPSHOT_VERSION`` whenever the state
-    layout changes.
+    ``component``/``config`` header written by :meth:`_header` and
+    verified by :meth:`_check`.  :meth:`restore` is defined here only.
+    A snapshot carries no version: a fork's is made and consumed in one
+    process, and a checkpoint's is guarded by the payload's code
+    fingerprint (:func:`repro.sim.system.code_fingerprint`).
     """
-
-    SNAPSHOT_VERSION: int = 3
 
     def reset_stats(self) -> None:
         raise NotImplementedError
@@ -152,7 +151,7 @@ class SimComponent:
         """Adopt a snapshot taken under this exact configuration.
 
         Every component header in ``state`` must match the live
-        component's own snapshot (name, version and config descriptor);
+        component's own snapshot (name and config descriptor);
         the first one that differs is named in the :class:`SnapshotError`.
         The state then goes in through :meth:`reseat`.
         """
@@ -165,7 +164,6 @@ class SimComponent:
     # -- header helpers ------------------------------------------------------
     def _header(self) -> Dict[str, Any]:
         return {"component": type(self).__name__,
-                "version": self.SNAPSHOT_VERSION,
                 "config": self.config_state()}
 
     def _check(self, state: Dict[str, Any],
@@ -186,11 +184,6 @@ class SimComponent:
             raise SnapshotError(
                 f"snapshot for component {name!r} offered to "
                 f"{type(self).__name__}")
-        version = state.get("version")
-        if version != self.SNAPSHOT_VERSION:
-            raise SnapshotError(
-                f"{type(self).__name__}: snapshot version {version} != "
-                f"supported {self.SNAPSHOT_VERSION}")
         if match_config:
             live = self.config_state()
             saved = state.get("config")
@@ -213,16 +206,13 @@ def _header_mismatch(saved: Any, live: Any, path: str) -> Optional[str]:
     first component header ``saved`` does not match as ``"path: what"``,
     or return None when every header agrees."""
     if isinstance(live, dict):
-        if "component" in live and "version" in live:
+        if "component" in live and "config" in live:
             if not isinstance(saved, dict):
                 return (f"{path}: {type(saved).__name__} is not a "
                         f"{live['component']} snapshot")
             if saved.get("component") != live["component"]:
                 return (f"{path}: snapshot of {saved.get('component')!r}, "
                         f"live {live['component']!r}")
-            if saved.get("version") != live["version"]:
-                return (f"{path}: snapshot version {saved.get('version')} "
-                        f"!= supported {live['version']}")
             if saved.get("config") != live["config"]:
                 return (f"{path}: config "
                         f"{_config_diff(saved.get('config'), live['config'])}"

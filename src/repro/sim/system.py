@@ -9,11 +9,14 @@ flows).
 from __future__ import annotations
 
 import copy
+import functools
 import gc
+import hashlib
 import os
 import pickle
 import warnings
 from contextlib import contextmanager
+from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.ooo_core import OutOfOrderCore
@@ -49,10 +52,29 @@ class SimTimeoutError(DeadlockError):
 #: Event budget for the post-finish drain of in-flight memory traffic.
 DRAIN_MAX_EVENTS = 2_000_000
 
-#: on-disk checkpoint container format marker / layout version
+#: on-disk checkpoint container format marker
 CHECKPOINT_FORMAT = "repro-checkpoint"
-CHECKPOINT_VERSION = 5  # v5: snapshot headers carry no kind field;
-                        # v4 memory images carry immutable regions
+
+
+@functools.lru_cache(maxsize=None)
+def code_fingerprint(root: Optional[Path] = None) -> str:
+    """The identity of the simulator's code, which keys every cached
+    result, warmup checkpoint and farm result: a sha256 over the relative
+    POSIX path and bytes of every ``*.py``/``*.c`` file of the ``repro``
+    package, in sorted order, except ``lint/`` (never run inside a
+    simulation) and build directories.  Hashed once per process, on
+    first use; ``root`` is a test seam no caller passes."""
+    root = root or Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for rel in sorted(path.relative_to(root).as_posix()
+                      for pattern in ("*.py", "*.c")
+                      for path in root.rglob(pattern)):
+        parts = rel.split("/")
+        if parts[0] == "lint" or {"__pycache__", "__kernel__"} & set(parts):
+            continue
+        data = (root / rel).read_bytes()
+        digest.update(f"{rel}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
 
 
 def _join(path: str, leaf: str) -> str:
@@ -591,7 +613,7 @@ class System(SimComponent):
         """
         payload = {
             "format": CHECKPOINT_FORMAT,
-            "version": CHECKPOINT_VERSION,
+            "code": code_fingerprint(),
             "cfg": self.cfg,
             "workload": self._workload,
             "state": self.snapshot(),
@@ -610,10 +632,10 @@ class System(SimComponent):
         the original straight through.  A fresh ``tracer`` may be
         attached (the boundary resets tracers, so a resumed traced run
         matches a straight-through traced run).  A file that does not
-        unpickle, is not a checkpoint, or carries another
-        ``CHECKPOINT_VERSION`` raises :class:`SnapshotError`.  Resuming
-        is a fork into the same configuration: :meth:`restore` demands
-        every component header match, then reseats.
+        unpickle, is not a checkpoint, or was written by other code
+        (another :func:`code_fingerprint`) raises :class:`SnapshotError`.
+        Resuming is a fork into the same configuration: :meth:`restore`
+        demands every component header match, then reseats.
         """
         with open(path, "rb") as fh:
             try:
@@ -625,10 +647,9 @@ class System(SimComponent):
         if (not isinstance(payload, dict)
                 or payload.get("format") != CHECKPOINT_FORMAT):
             raise SnapshotError(f"{path}: not a simulator checkpoint")
-        if payload.get("version") != CHECKPOINT_VERSION:
-            raise SnapshotError(
-                f"{path}: checkpoint version {payload.get('version')} != "
-                f"supported {CHECKPOINT_VERSION}")
+        if payload.get("code") != code_fingerprint():
+            raise SnapshotError(f"{path}: checkpoint of other code "
+                                f"(fingerprint {payload.get('code')})")
         system = cls(payload["cfg"], payload["workload"], tracer=tracer)
         system.restore(payload["state"])
         return system

@@ -12,6 +12,7 @@ import os
 
 import pytest
 
+from repro.analysis import parallel
 from repro.analysis.farm import (MAX_ATTEMPTS, FarmError, JobQueue,
                                  collect_results, format_status,
                                  queue_status, results_dir, run_farm,
@@ -28,7 +29,8 @@ def _jobs(n=3, n_instrs=300, **kw):
 
 def _poison_job():
     """A job whose config override can never resolve: fails fast in the
-    executing process, exercising retry -> failed without burning time."""
+    executing process with a ValueError, which parks it as failed on its
+    first attempt."""
     return RunJob(workload=("mix", "H4"), n_instrs=300,
                   overrides=(("no.such.knob", 1),), label="poison")
 
@@ -100,18 +102,24 @@ def test_reclaim_expired_counts(tmp_path):
 
 
 def test_fail_retries_then_parks_as_failed(tmp_path):
-    assert MAX_ATTEMPTS == 2   # the docs and run_jobs promise retry-once
+    assert MAX_ATTEMPTS == 2   # the docs promise one retry of a host fault
     queue = JobQueue(str(tmp_path))
-    queue.enqueue(_jobs(1), "demo", now=100.0)
+    queue.enqueue(_jobs(2), "demo", now=100.0)
     leased = queue.lease("w1", now=100.0)
-    assert queue.fail(leased.hash, "w1", "boom", now=101.0) == "pending"
+    assert queue.fail(leased.hash, "w1", "boom", True, now=101.0) == \
+        "pending"
     leased = queue.lease("w1", now=102.0)
     assert leased.attempts == 2
-    assert queue.fail(leased.hash, "w1", "boom again",
+    assert queue.fail(leased.hash, "w1", "boom again", True,
                       now=103.0) == "failed"
+    # Anything but a host fault fails the same way again: no retry.
+    leased = queue.lease("w1", now=104.0)
+    assert leased.attempts == 1
+    assert queue.fail(leased.hash, "w1", "bug", False, now=105.0) == \
+        "failed"
     status = queue.status()
-    assert status.counts["failed"] == 1
-    assert status.failures == (("j0", "boom again"),)
+    assert status.counts["failed"] == 2
+    assert status.failures == (("j0", "boom again"), ("j1", "bug"))
     assert "FAILED j0: boom again" in format_status(status)
 
 
@@ -120,7 +128,7 @@ def test_fail_reports_lost_after_reclaim(tmp_path):
     queue.enqueue(_jobs(1), now=100.0)
     leased = queue.lease("w1", lease_s=10.0, now=100.0)
     queue.reclaim_expired(now=111.0)
-    assert queue.fail(leased.hash, "w1", "late", now=112.0) == "lost"
+    assert queue.fail(leased.hash, "w1", "late", True, now=112.0) == "lost"
     assert queue.status().counts["pending"] == 1
 
 
@@ -208,8 +216,20 @@ def test_serve_queue_raises_farm_error_on_permanent_failure(tmp_path):
     JobQueue(queue_dir).enqueue([bad], "demo")
     with pytest.raises(FarmError) as err:
         serve_queue(queue_dir, [bad], jobs=1, lease_s=30.0)
-    assert f"failed after {MAX_ATTEMPTS} attempts" in str(err.value)
-    assert "poison" in str(err.value)
+    assert "1 job(s) failed: poison: ValueError(" in str(err.value)
+
+
+def test_store_filled_by_other_code_reports_every_point_missing(
+        tmp_path, monkeypatch):
+    queue_dir = str(tmp_path / "q")
+    jobs = _jobs(2)
+    monkeypatch.setattr(parallel, "code_fingerprint", lambda: "other code")
+    JobQueue(queue_dir).enqueue(jobs, "demo")
+    serve_queue(queue_dir, jobs, jobs=1, lease_s=30.0)
+    assert len(collect_results(queue_dir, jobs)) == 2
+    monkeypatch.undo()
+    with pytest.raises(FarmError, match="2/2 results missing .*: j0, j1"):
+        collect_results(queue_dir, jobs)
 
 
 TINY_SPEC = """\

@@ -141,6 +141,20 @@ def test_cache_roundtrip_and_hit(tmp_path, monkeypatch):
     _assert_identical(first, again)
 
 
+def test_cached_result_is_not_served_to_other_code(tmp_path, monkeypatch):
+    cache = str(tmp_path)
+    job = mix("H4", seed=5)
+    run_jobs([job], cache_dir=cache)
+    calls = []
+    real = parallel.execute_job
+    monkeypatch.setattr(parallel, "execute_job",
+                        lambda job, *a: calls.append(job) or real(job, *a))
+    monkeypatch.setattr(parallel, "code_fingerprint", lambda: "other code")
+    run_jobs([job], cache_dir=cache)
+    assert calls == [job]               # a miss: the code changed
+    assert len([f for f in os.listdir(cache) if f.startswith("run-")]) == 2
+
+
 @pytest.mark.parametrize("junk", [
     b"not a pickle",   # UnpicklingError (bad opcode)
     b"garbage\n",      # ValueError ('g' is a real opcode with a bad operand)
@@ -199,7 +213,7 @@ def test_flaky_job_is_retried_once(monkeypatch):
     def flaky(job, cache_dir=None, warm_base=None):
         calls["n"] += 1
         if calls["n"] == 1:
-            raise RuntimeError("transient")
+            raise OSError("transient")
         return real(job, cache_dir, warm_base)
 
     monkeypatch.setattr(parallel, "execute_job", flaky)
@@ -209,7 +223,7 @@ def test_flaky_job_is_retried_once(monkeypatch):
 
 def test_twice_failing_job_raises(monkeypatch):
     def broken(_job, _cache_dir=None, _warm_base=None):
-        raise RuntimeError("boom")
+        raise OSError("boom")
 
     monkeypatch.setattr(parallel, "execute_job", broken)
     with pytest.raises(ParallelRunError, match="failed twice"):

@@ -118,7 +118,7 @@ def test_restore_rejects_foreign_state():
     with pytest.raises(SnapshotError):
         b.restore(a.snapshot())         # EMC presence mismatch
     with pytest.raises(SnapshotError):
-        b.restore({"component": "System", "version": 99})
+        b.restore({"component": "System", "config": {"num_cores": 99}})
 
 
 @pytest.mark.parametrize("field, value, path", [
@@ -176,20 +176,25 @@ def _garbage(path):
         fh.write(b"truncated")
 
 
-def _stale(version):
+def _stamped(**stamp):
+    """Restamp a checkpoint as if other code had written it."""
     def spoil(path):
         with open(path, "rb") as fh:
             payload = pickle.load(fh)
-        payload["version"] = version
+        payload.pop("code", None)
+        payload.update(stamp)
         with open(path, "wb") as fh:
             pickle.dump(payload, fh)
     return spoil
 
 
-# Version 3 pickled every image word in one dict; version 4 snapshot
+# Before the code fingerprint, checkpoints carried an integer version:
+# version 3 pickled every image word in one dict, version 4 snapshot
 # headers still carried a ``kind`` field.
-@pytest.mark.parametrize("spoil", [_garbage, _stale(3), _stale(4)],
-                         ids=["garbage", "version_3", "version_4"])
+@pytest.mark.parametrize(
+    "spoil", [_garbage, _stamped(version=3), _stamped(version=4),
+              _stamped(code="0" * 64)],
+    ids=["garbage", "version_3", "version_4", "foreign_fingerprint"])
 def test_unreadable_warmup_checkpoint_is_rewarmed(tmp_path, capsys, spoil):
     job = RunJob(workload=("mix", "H4"), n_instrs=N, warmup_instrs=100)
     uncached = execute_job(job)
