@@ -78,7 +78,6 @@ class EMCTlb(SimComponent):
     def snapshot(self) -> dict:
         state = self._header()
         state["entries"] = OrderedDict(self._entries)
-        state["stats"] = (self.hits, self.misses, self.shootdowns)
         return state
 
     def reseat(self, state: dict, report: CarryoverReport,
@@ -92,7 +91,6 @@ class EMCTlb(SimComponent):
         keep = list(saved.items())[max(0, len(saved) - self.capacity):]
         self._entries.update(keep)
         report.record(path, len(keep), len(saved))
-        self.hits, self.misses, self.shootdowns = state["stats"]
 
 
 class EMCTlbFile(SimComponent):

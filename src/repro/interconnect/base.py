@@ -18,8 +18,7 @@ from types import MappingProxyType
 from typing import Callable, Dict, Final, List, Mapping, Tuple
 
 from ..sim.component import (CarryoverReport, SimComponent,
-                             dataclass_state, rebase_clock_map,
-                             reset_dataclass_stats, restore_dataclass)
+                             rebase_clock_map, reset_dataclass_stats)
 from ..sim.events import EventWheel
 from ..uarch.params import FabricConfig
 
@@ -112,14 +111,13 @@ class Interconnect(SimComponent):
     def snapshot(self) -> dict:
         state = self._header()
         state["link_free"] = dict(self._link_free)
-        state["stats"] = dataclass_state(self.stats)
         return state
 
     def reseat(self, state: dict, report: CarryoverReport,
                path: str = "") -> None:
         """Adopt a snapshot; across a stop-count or topology change the
         per-link busy clocks name links that no longer exist, so they
-        drop (the links are simply free) while stats carry."""
+        drop (the links are simply free)."""
         # Any fabric's snapshot is acceptable here — a ring-warmed
         # machine forks into a mesh and vice versa — so relabel a
         # sibling topology's header before the usual checks; the config
@@ -136,7 +134,6 @@ class Interconnect(SimComponent):
             report.record(path, len(saved), len(saved))
         else:
             report.record(path, 0, len(saved))
-        restore_dataclass(self.stats, state["stats"])
 
     def rebase(self, origin: int) -> None:
         """Rebase link clocks when the wheel rewinds to zero."""

@@ -24,8 +24,8 @@ its facts from here, built once per lint run:
   attributes, and ``@dataclass`` field declarations;
 - per-method **self indexes**: attributes mentioned through ``self``,
   methods called through ``self``/``super()``, and whether the method
-  hands the whole instance to ``dataclass_state``/``restore_dataclass``/
-  ``reset_dataclass_stats`` (wildcard coverage);
+  hands the whole instance to ``reset_dataclass_stats`` (wildcard
+  coverage);
 - a **call-edge index** with an inter-procedural **taint fixpoint**:
   which functions (module-level or methods) return values derived from
   wall-clock reads or process-global RNG draws, propagated through
@@ -54,9 +54,7 @@ SIM_COMPONENT_NAME = "SimComponent"
 
 #: helpers that consume the *whole* instance: a method calling one of
 #: these with a bare ``self`` argument covers every attribute
-_WILDCARD_STATE_HELPERS = frozenset({
-    "dataclass_state", "restore_dataclass", "reset_dataclass_stats",
-})
+_WILDCARD_STATE_HELPERS = frozenset({"reset_dataclass_stats"})
 
 #: decorator names that make a class a dataclass
 _DATACLASS_DECORATORS = frozenset({"dataclass"})

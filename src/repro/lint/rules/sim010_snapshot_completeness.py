@@ -24,11 +24,14 @@ deliberately do not carry.
 
 An attribute counts as **covered** when ``self.<attr>`` is mentioned
 anywhere in the transitive self-call closure of ``snapshot``/``reseat``/
-``config_state`` (resolved against the subclass, so shared helpers like
-``_reseat_dram`` count; ``restore`` is defined once, on the protocol
-root, and only reseats), or when that closure hands the whole
-instance to ``dataclass_state``/``restore_dataclass`` or uses dynamic
-``getattr(self, ...)`` access.
+``config_state``/``reset_stats`` (resolved against the subclass, so
+shared helpers like ``_reseat_dram`` count; ``restore`` is defined once,
+on the protocol root, and only reseats), or when that closure hands the
+whole instance to ``reset_dataclass_stats`` or uses dynamic
+``getattr(self, ...)`` access.  ``reset_stats`` is a root because a
+machine is snapshotted only at cycle 0, where every counter it resets
+sits at its construction value: a statistic is covered by being reset,
+and snapshots carry none.
 
 Exempt a genuinely transient attribute (never live across a quiesced
 boundary) with an inline justification::
@@ -47,7 +50,7 @@ from ..registry import Rule, register_rule
 from .common import MUTABLE_CALLS, call_name, is_mutable_container
 
 #: protocol methods whose closure defines snapshot coverage
-PROTOCOL_ROOTS = ("snapshot", "reseat", "config_state")
+PROTOCOL_ROOTS = ("snapshot", "reseat", "config_state", "reset_stats")
 
 
 def _is_state_value(value: Optional[ast.expr]) -> bool:
@@ -82,9 +85,9 @@ class SnapshotCompleteness(Rule):
     description = (
         "A SimComponent subclass's __init__ creates mutable state (a "
         "fresh container or a scalar literal) that no snapshot/reseat/"
-        "config_state implementation in its class hierarchy ever "
-        "mentions: checkpoints and forks silently drop it.  Cover the "
-        "attribute in the protocol, or exempt a transient with "
+        "config_state/reset_stats implementation in its class hierarchy "
+        "ever mentions: checkpoints and forks silently drop it.  Cover "
+        "the attribute in the protocol, or exempt a transient with "
         "'# simlint: disable=SIM010' plus a justification.")
 
     def check(self, tree: ast.Module,
@@ -123,6 +126,7 @@ class SnapshotCompleteness(Rule):
                 yield self.finding(
                     ctx, anchor,
                     f"{cls.name}.__init__ assigns state attribute "
-                    f"{name!r} that snapshot/reseat/config_state "
-                    f"(and their helpers) never cover; checkpoints and "
+                    f"{name!r} that snapshot/reseat/config_state/"
+                    f"reset_stats (and their helpers) never cover; "
+                    f"checkpoints and "
                     f"forks will silently drop it")

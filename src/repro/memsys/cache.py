@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..sim.component import (CarryoverReport, SimComponent,
-                             dataclass_state, reset_dataclass_stats,
-                             restore_dataclass)
+                             reset_dataclass_stats)
 from ..uarch.params import CACHE_LINE_BYTES
 
 
@@ -149,7 +148,6 @@ class SetAssocCache(SimComponent):
     def snapshot(self) -> dict:
         state = self._header()
         state["sets"] = [OrderedDict(cset) for cset in self._sets]
-        state["stats"] = dataclass_state(self.stats)
         return state
 
     def reseat(self, state: dict, report: CarryoverReport,
@@ -159,8 +157,7 @@ class SetAssocCache(SimComponent):
         Lines are replayed LRU -> MRU per source set (source sets in
         index order) so recency carries over as faithfully as the new
         geometry allows; lines that collide past the new associativity
-        are dropped as LRU overflow.  Stats carry over verbatim — the
-        history they count happened regardless of the new geometry.
+        are dropped as LRU overflow.
         """
         state = self._check(state, match_config=False)
         saved_cfg = state["config"]
@@ -168,7 +165,6 @@ class SetAssocCache(SimComponent):
             for cset, saved in zip(self._sets, state["sets"]):
                 cset.clear()
                 cset.update(saved)
-            restore_dataclass(self.stats, state["stats"])
             total = sum(len(s) for s in state["sets"])
             report.record(path, total, total)
             return
@@ -194,7 +190,6 @@ class SetAssocCache(SimComponent):
         kept = sum(len(s) for s in self._sets)
         dropped = self.trim_to_ways()
         report.record(path, kept - dropped, total)
-        restore_dataclass(self.stats, state["stats"])
 
     def seed_line(self, addr: int, line: CacheLineState) -> None:
         """Insert an existing line object at ``addr`` as MRU, rewriting

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..sim.component import (CarryoverReport, SimComponent,
-                             dataclass_state, rebase_clock, require_empty,
-                             reset_dataclass_stats, restore_dataclass)
+                             rebase_clock, require_empty,
+                             reset_dataclass_stats)
 from ..sim.events import EventWheel
 from ..uarch.params import CACHE_LINE_BYTES, DRAMConfig
 
@@ -119,7 +119,8 @@ class DRAMChannel(SimComponent):
     def snapshot(self) -> dict:
         require_empty(self, queue=self.queue)
         state = self._header()
-        state["banks"] = [dataclass_state(bank) for bank in self.banks]
+        state["banks"] = [(bank.open_row, bank.busy_until)
+                          for bank in self.banks]
         state["bus_free_at"] = self.bus_free_at
         state["marked_remaining"] = self.marked_remaining
         return state
@@ -127,11 +128,12 @@ class DRAMChannel(SimComponent):
     def reseat(self, state: dict, report: CarryoverReport,
                path: str = "") -> None:
         """Same geometry only: a channel whose geometry changed starts
-        cold instead (:meth:`start_cold`), and the DRAMSystem accounts
-        its open rows."""
+        cold instead (:meth:`start_cold`), and the hierarchy re-seeds
+        and accounts its open rows."""
         state = self._check(state)
-        for bank, saved in zip(self.banks, state["banks"]):
-            restore_dataclass(bank, saved)
+        for bank, (open_row, busy_until) in zip(self.banks, state["banks"]):
+            bank.open_row = open_row
+            bank.busy_until = busy_until
         self.queue.clear()
         self.bus_free_at = state["bus_free_at"]
         self._pick_scheduled_for = None
@@ -145,9 +147,6 @@ class DRAMChannel(SimComponent):
         for bank in self.banks:
             bank.open_row = None
             bank.busy_until = 0
-            bank.row_hits = 0
-            bank.row_conflicts = 0
-            bank.row_closed = 0
         self.bus_free_at = 0
         self._pick_scheduled_for = None
         self.marked_remaining = 0
@@ -352,52 +351,35 @@ class DRAMSystem(SimComponent):
 
     def snapshot(self) -> dict:
         state = self._header()
-        state["stats"] = dataclass_state(self.stats)
         state["channels"] = {cid: ch.snapshot()
                              for cid, ch in self.channels.items()}
         return state
 
     def reseat(self, state: dict, report: CarryoverReport,
                path: str = "") -> None:
-        """Same geometry adopts verbatim; across a geometry change the
-        aggregate stats carry, channels start cold, and the hierarchy
-        re-seeds open rows across the new channel map (the per-bank
-        clocks and counters genuinely cannot carry)."""
-        state = self._check(state, match_config=False)
-        if state["config"] == self.config_state():
-            restore_dataclass(self.stats, state["stats"])
-            for cid, channel in self.channels.items():
-                channel.reseat(state["channels"][cid], report, path)
-            opens = sum(
-                1 for ch in state["channels"].values()
-                for bank in ch["banks"] if bank["open_row"] is not None)
-            report.record(path, opens, opens)
-            return
-        addrs = open_row_addrs(state)
-        self.adopt_stats_cold(state)
-        kept = sum(1 for addr in addrs if self.seed_open_row(addr))
-        report.record(path, kept, len(addrs))
-
-    def adopt_stats_cold(self, state: dict) -> None:
-        """Reseat helper: carry the aggregate stats block, start every
-        channel cold (the caller re-seeds open rows afterwards)."""
-        state = self._check(state, match_config=False)
-        restore_dataclass(self.stats, state["stats"])
-        self.start_cold()
+        """Same geometry only: across a geometry change the hierarchy
+        starts every channel cold and re-seeds open rows
+        (:meth:`start_cold`, :meth:`seed_open_row`)."""
+        state = self._check(state)
+        for cid, channel in self.channels.items():
+            channel.reseat(state["channels"][cid], report, path)
+        opens = len(open_row_addrs(state))
+        report.record(path, opens, opens)
 
     def start_cold(self) -> None:
         for channel in self.channels.values():
             channel.start_cold()
 
-    def seed_open_row(self, addr: int) -> bool:
-        """Open the row covering ``addr`` if one of this controller's
-        channels owns the line; returns whether it was seeded."""
+    def seed_open_row(self, addr: int) -> None:
+        """Open the row covering ``addr``; this controller's channels
+        must own the line."""
         cid = self.channel_of(addr, self.cfg.channels)
-        channel = self.channels.get(cid)
-        if channel is None:
-            return False
-        channel.seed_open_row(addr)
-        return True
+        self.channels[cid].seed_open_row(addr)
+
+    def open_banks(self) -> int:
+        """How many banks hold an open row."""
+        return sum(1 for channel in self.channels.values()
+                   for bank in channel.banks if bank.open_row is not None)
 
     def rebase(self, origin: int) -> None:
         for channel in self.channels.values():
@@ -429,8 +411,8 @@ def open_row_addrs(state: dict) -> List[int]:
     lines_per_row = cfg["row_bytes"] // CACHE_LINE_BYTES
     addrs: List[int] = []
     for cid in sorted(state["channels"]):
-        for bank_idx, bank in enumerate(state["channels"][cid]["banks"]):
-            row = bank["open_row"]
+        for bank_idx, (row, _busy) in enumerate(
+                state["channels"][cid]["banks"]):
             if row is None:
                 continue
             local = (row * cfg["nbanks"] + bank_idx) * lines_per_row

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from ..sim.component import (CarryoverReport, SimComponent,
-                             dataclass_state, reset_dataclass_stats,
-                             restore_dataclass)
+                             reset_dataclass_stats)
 from ..uarch.params import CACHE_LINE_BYTES, LLCConfig
 from .cache import CacheLineState, SetAssocCache, line_addr
 from .mshr import MSHRFile
@@ -53,7 +52,6 @@ class LLCSlice(SimComponent):
         state = self._header()
         state["cache"] = self.cache.snapshot()
         state["mshr"] = self.mshr.snapshot()
-        state["stats"] = dataclass_state(self.stats)
         return state
 
     def reseat(self, state: dict, report: CarryoverReport,
@@ -61,7 +59,6 @@ class LLCSlice(SimComponent):
         state = self._check(state)
         self.cache.reseat(state["cache"], report, f"{path}/cache")
         self.mshr.reseat(state["mshr"], report, f"{path}/mshr")
-        restore_dataclass(self.stats, state["stats"])
 
     # -- stats mutation API (SIM005: counters change only via the owner) -----
     def note_access(self, hit: bool, emc: bool = False,
@@ -198,9 +195,8 @@ class LLC(SimComponent):
         flags and replayed LRU -> MRU (source slices in id order, source
         sets in index order) so recency survives as faithfully as the
         new geometry allows.  Lines colliding past the new associativity
-        drop as LRU overflow.  Per-slice stats and MSHRs start cold:
-        both are slice-identity-keyed, and at any quiesced boundary the
-        MSHRs are empty and the stats freshly zeroed anyway.
+        drop as LRU overflow.  Per-slice MSHRs start empty, as they are
+        at every snapshot point.
         """
         for sl in self.slices:
             sl.cache.clear_lines()

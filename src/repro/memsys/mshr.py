@@ -29,8 +29,8 @@ class MSHRFile(SimComponent):
 
     State split: the entry table is architectural but holds waiter
     *callbacks*, so snapshots require it to be drained (quiesced
-    machine); ``peak_occupancy``/``coalesced``/``rejections`` are
-    statistical.
+    machine) and carry only the header;
+    ``peak_occupancy``/``coalesced``/``rejections`` are statistical.
     """
 
     def __init__(self, entries: int) -> None:
@@ -54,19 +54,14 @@ class MSHRFile(SimComponent):
 
     def snapshot(self) -> dict:
         require_empty(self, entries=self._entries)
-        state = self._header()
-        state["stats"] = (self.peak_occupancy, self.coalesced,
-                          self.rejections)
-        return state
+        return self._header()
 
     def reseat(self, state: dict, report: CarryoverReport,
                path: str = "") -> None:
-        # The workload payload (drained-table stats) is meaningful under
-        # any capacity, so a capacity change loses nothing.
-        state = self._check(state, match_config=False)
+        # A drained table carries nothing, so a capacity change loses
+        # nothing either.
+        self._check(state, match_config=False)
         self._entries.clear()
-        (self.peak_occupancy, self.coalesced,
-         self.rejections) = state["stats"]
 
     def lookup(self, line: int) -> Optional[MSHREntry]:
         return self._entries.get(line)

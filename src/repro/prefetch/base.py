@@ -11,8 +11,7 @@ from dataclasses import dataclass
 from typing import List
 
 from ..sim.component import (CarryoverReport, SimComponent,
-                             dataclass_state, reset_dataclass_stats,
-                             restore_dataclass)
+                             reset_dataclass_stats)
 
 
 @dataclass
@@ -65,7 +64,6 @@ class Prefetcher(SimComponent):
     def snapshot(self) -> dict:
         state = self._header()
         state["arch"] = self._arch_snapshot()
-        state["stats"] = dataclass_state(self.stats)
         return state
 
     def reseat(self, state: dict, report: CarryoverReport,
@@ -78,7 +76,6 @@ class Prefetcher(SimComponent):
                 and state.get("config") == self.config_state()):
             state = self._check(state)
             self._arch_restore(state["arch"])
-            restore_dataclass(self.stats, state["stats"])
             report.record(path, 1, 1)
         else:
             report.record(path, 0, 1)

@@ -1,12 +1,20 @@
 """Uniform component-state protocol for the phased run lifecycle.
 
 Every stateful simulator class implements :class:`SimComponent`, which
-partitions each component's mutable state into two layers:
+partitions each component's mutable state into three layers:
 
 **workload-derived state**
     What the simulated program put there: trace positions, cache/TLB
     contents keyed by addresses, predictor tables, page tables, DRAM
-    open rows, statistics.  This is what snapshots carry.
+    open rows.  This is what snapshots carry.
+
+**statistics**
+    Counters that :meth:`SimComponent.reset_stats` zeroes.  A machine is
+    snapshotted only at cycle 0 with an empty event wheel — freshly
+    built, or at the warmup/measure boundary right after every
+    statistic was reset — so each statistic sits at its construction
+    value in the snapshotted machine and in any machine it is seated
+    into.  Snapshots carry none of them.
 
 **config-derived state**
     Structure sizes, latencies, policy objects, and wiring — everything
@@ -22,7 +30,7 @@ The protocol methods:
     Zero every statistical counter the component owns without touching
     architectural state (cache contents, predictor tables, clocks).
     Used at the warmup/measure boundary so figures report only the
-    region of interest.
+    region of interest, and the reason snapshots need no statistics.
 
 ``config_state() -> dict``
     The config-derived descriptor described above.  ``restore`` demands
@@ -34,9 +42,9 @@ The protocol methods:
     ``component``/``config``).  Components whose
     in-flight state holds callbacks (MSHR waiters, DRAM request
     callbacks, EMC pending lines) require a *quiesced* machine (empty
-    event wheel) and raise :class:`SnapshotError` otherwise; the
-    system-level checkpoint flow guarantees this by draining the wheel
-    first.
+    event wheel) and raise :class:`SnapshotError` otherwise;
+    :meth:`System.snapshot <repro.sim.system.System.snapshot>` further
+    demands cycle 0.
 
 ``reseat(state, report, path)``
     The one way a snapshot goes back in: adopt it into a component whose
@@ -45,10 +53,7 @@ The protocol methods:
     genuinely cannot carry over.  Records per-component kept/total
     counts into a :class:`CarryoverReport`.  Under an unchanged
     configuration everything carries and the component ends up
-    bit-identical to the one snapshotted.  Shared-identity objects
-    (stats dataclasses aliased between components and
-    :class:`~repro.sim.stats.SimStats`) are refilled in place so the
-    aliases survive.
+    bit-identical to the one snapshotted.
 
 ``restore(state)``
     The strict same-config resume, defined once on
@@ -235,57 +240,7 @@ def _header_mismatch(saved: Any, live: Any, path: str) -> Optional[str]:
     return None
 
 
-# -- generic helpers over stats dataclasses ----------------------------------
-
-def dataclass_state(obj: Any) -> Dict[str, Any]:
-    """Capture a (possibly nested) stats dataclass as a plain dict."""
-    out: Dict[str, Any] = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if is_dataclass(value) and not isinstance(value, type):
-            out[f.name] = dataclass_state(value)
-        elif isinstance(value, dict):
-            out[f.name] = dict(value)
-        elif isinstance(value, list):
-            out[f.name] = [dataclass_state(v)
-                           if is_dataclass(v) and not isinstance(v, type)
-                           else v for v in value]
-        else:
-            out[f.name] = value
-    return out
-
-
-def restore_dataclass(obj: Any, state: Dict[str, Any]) -> None:
-    """In-place inverse of :func:`dataclass_state`.
-
-    Nested dataclasses (and lists of dataclasses, element-wise) are
-    refilled rather than replaced so shared references — e.g.
-    ``core.stats is system.stats.cores[i]`` — stay intact.
-    """
-    for f in fields(obj):
-        if f.name not in state:
-            raise SnapshotError(
-                f"{type(obj).__name__}: snapshot missing field {f.name!r}")
-        value = getattr(obj, f.name)
-        saved = state[f.name]
-        if is_dataclass(value) and not isinstance(value, type):
-            restore_dataclass(value, saved)
-        elif isinstance(value, dict):
-            value.clear()
-            value.update(saved)
-        elif isinstance(value, list):
-            if value and is_dataclass(value[0]):
-                if len(value) != len(saved):
-                    raise SnapshotError(
-                        f"{type(obj).__name__}.{f.name}: length "
-                        f"{len(saved)} != live {len(value)}")
-                for live, item in zip(value, saved):
-                    restore_dataclass(live, item)
-            else:
-                value[:] = saved
-        else:
-            setattr(obj, f.name, saved)
-
+# -- generic helpers ---------------------------------------------------------
 
 def reset_dataclass_stats(obj: Any,
                           preserve: Iterable[str] = ()) -> None:
@@ -363,8 +318,6 @@ __all__ = [
     "SimComponent",
     "SnapshotError",
     "CarryoverReport",
-    "dataclass_state",
-    "restore_dataclass",
     "reset_dataclass_stats",
     "require_empty",
     "rebase_clock",

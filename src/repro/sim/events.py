@@ -31,13 +31,11 @@ class EventWheel:
 
     Events scheduled for the same cycle fire in scheduling order (bucket
     append order), which keeps the simulator deterministic for a fixed
-    seed.  ``_seq`` counts schedules for snapshot bookkeeping; ordering
-    no longer depends on it.
+    seed.
     """
 
     def __init__(self) -> None:
         self.now: int = 0
-        self._seq: int = 0
         #: per-cycle buckets; a cycle key exists iff it has queued events
         self._buckets: Dict[int, Deque[Callable[[], None]]] = {}
         #: heap of the distinct cycles present in ``_buckets``
@@ -48,7 +46,6 @@ class EventWheel:
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
         time = self.now + delay
-        self._seq += 1
         bucket = self._buckets.get(time)
         if bucket is None:
             self._buckets[time] = deque((callback,))
@@ -60,7 +57,6 @@ class EventWheel:
         """Schedule ``callback`` at an absolute cycle (>= now)."""
         if time < self.now:
             raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
-        self._seq += 1
         bucket = self._buckets.get(time)
         if bucket is None:
             self._buckets[time] = deque((callback,))
@@ -73,8 +69,8 @@ class EventWheel:
         """Number of events still queued."""
         return sum(len(bucket) for bucket in self._buckets.values())
 
-    def rewind(self, now: int = 0) -> None:
-        """Reset the clock and schedule sequence on an *empty* wheel.
+    def rewind(self) -> None:
+        """Reset the clock to zero on an *empty* wheel.
 
         The warmup/measure boundary rewinds simulated time to zero so the
         measurement window is self-contained (and a checkpoint resumed in
@@ -86,8 +82,7 @@ class EventWheel:
         if self._buckets:
             raise RuntimeError(
                 f"cannot rewind with {self.pending} events pending")
-        self.now = now
-        self._seq = 0
+        self.now = 0
 
     def step(self) -> bool:
         """Pop and run the next event.  Returns False if the wheel is empty."""

@@ -11,9 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from .component import (CarryoverReport, SimComponent,
-                        dataclass_state, reset_dataclass_stats,
-                        restore_dataclass)
+from .component import SimComponent, reset_dataclass_stats
 
 #: Identity fields preserved by :meth:`SimStats.reset_stats` — they name
 #: *which* run this is, not what happened during it.
@@ -294,7 +292,9 @@ class SimStats(SimComponent):
     ``core_id``/``benchmark``.  In-place matters — components alias into
     this tree (``core.stats is stats.cores[i]``, ``emc.stats is
     stats.emc``, ``System.energy_counters is stats.energy``) and those
-    aliases must survive a reset or restore.
+    aliases must survive a reset.  No snapshot carries the tree: a
+    machine is snapshotted only where every counter in it is at its
+    construction value.
     """
 
     cores: List[CoreStats] = field(default_factory=list)
@@ -321,32 +321,6 @@ class SimStats(SimComponent):
     def reset_stats(self) -> None:
         """Zero every counter in place, preserving identity fields."""
         reset_dataclass_stats(self, preserve=_IDENTITY_FIELDS)
-
-    def config_state(self) -> dict:
-        return {"num_cores": len(self.cores)}
-
-    def snapshot(self) -> dict:
-        state = self._header()
-        state["tree"] = dataclass_state(self)
-        return state
-
-    def reseat(self, state: dict, report: CarryoverReport,
-               path: str = "") -> None:
-        """Adopt a stats snapshot across a core-count change.
-
-        Statistical state is zeroed at the warmup boundary, so nothing
-        here is warmed carryover worth accounting: surviving cores'
-        counters restore in place (aliases into the tree survive),
-        added cores keep their fresh identity-only counters, and
-        surplus cores' counters leave with their cores.
-        """
-        state = self._check(state, match_config=False)
-        tree = dict(state["tree"])
-        saved_cores = list(tree["cores"])[:len(self.cores)]
-        for core_stats in self.cores[len(saved_cores):]:
-            saved_cores.append(dataclass_state(core_stats))
-        tree["cores"] = saved_cores
-        restore_dataclass(self, tree)
 
     # -- derived, figure-facing metrics --------------------------------------
     def total_instructions(self) -> int:

@@ -170,8 +170,7 @@ def test_rewind_resets_clock_and_preserves_fifo_after_resume():
     assert fired == ["a", "b", "c"]
     wheel.rewind()
     assert wheel.now == 0
-    assert wheel._seq == 0
-    # Same-cycle FIFO order is unaffected by the seq reset.
+    # Same-cycle FIFO order is unaffected by the rewind.
     for tag in ("d", "e", "f"):
         wheel.schedule(3, lambda t=tag: fired.append(t))
     wheel.run()

@@ -133,6 +133,42 @@ def test_fork_shrinking_cores_drops_surplus_and_runs():
     assert len(again.cores) == 8
 
 
+def _open_banks(system):
+    return sum(bank.open_row is not None
+               for dram in system.hierarchy.dram
+               for channel in dram.channels.values()
+               for bank in channel.banks)
+
+
+@pytest.fixture(scope="module")
+def dram_parents():
+    quad = System(quad_core_config(), build_mix("H4", 1200, seed=1))
+    quad.warmup(400)
+    eight = System(eight_core_config(), build_scaled_mix("H1", 8, 600, seed=1))
+    eight.warmup(200)
+    return {"quad": quad, "eight": eight}
+
+
+@pytest.mark.parametrize("machine, overrides", [
+    ("quad", {"dram.channels": 4}),
+    ("quad", {"dram.row_bytes": 4096}),
+    ("quad", {"dram.banks_per_rank": 4}),
+    ("quad", {"dram.channels": 1}),
+    ("eight", {"num_mcs": 2}),
+], ids=["channels-4", "row-4k", "banks-4", "channels-1", "mcs-2"])
+def test_fork_across_dram_geometry_counts_the_banks_left_open(
+        dram_parents, machine, overrides):
+    # Saved open rows re-seed into the new geometry, where rows landing
+    # in one bank replace each other: what carried is the open banks.
+    parent = dram_parents[machine]
+    child, report = parent.fork(overrides)
+    kept, total = report.as_dict()["hierarchy/dram"]
+    assert total == _open_banks(parent) > 0
+    assert kept == _open_banks(child) > 0
+    stats = child.run()
+    assert all(c.instructions > 0 for c in stats.cores)
+
+
 def _workload_digest(workload):
     """Digest of every trace uop field and every written image word."""
     h = hashlib.sha256()

@@ -153,18 +153,18 @@ def test_reachable_coverage_uses_virtual_dispatch():
 
 def test_wildcard_coverage_via_state_helpers():
     graph = build({"m.py": """\
-        from repro.sim.component import SimComponent, dataclass_state
+        from repro.sim.component import SimComponent, reset_dataclass_stats
 
         class Stats(SimComponent):
             def __init__(self):
                 self.hits = 0
 
-            def snapshot(self):
-                return dataclass_state(self)
+            def reset_stats(self):
+                reset_dataclass_stats(self)
     """})
     stats = graph.modules["m"].classes["Stats"]
     _covered, wildcard = graph.reachable_state_coverage(
-        stats, ("snapshot",))
+        stats, ("reset_stats",))
     assert wildcard is True
 
 

@@ -477,17 +477,41 @@ def test_sim010_covered_via_helper_and_wiring_excluded():
     assert findings == []
 
 
-def test_sim010_dataclass_state_wildcard_covers_everything():
+def test_sim010_reset_dataclass_stats_wildcard_covers_everything():
     findings = run_rule("SIM010", """\
-        from repro.sim.component import SimComponent, dataclass_state
+        from repro.sim.component import SimComponent, reset_dataclass_stats
 
         class Counters(SimComponent):
             def __init__(self):
                 self.hits = 0
                 self.misses = 0
 
+            def reset_stats(self):
+                reset_dataclass_stats(self)
+
             def snapshot(self):
-                return dataclass_state(self)
+                return {}
+    """)
+    assert findings == []
+
+
+def test_sim010_attribute_only_reset_stats_resets_is_covered():
+    findings = run_rule("SIM010", """\
+        from repro.sim.component import SimComponent
+
+        class Buffer(SimComponent):
+            def __init__(self):
+                self.entries = []
+                self.drops = 0
+
+            def reset_stats(self):
+                self.drops = 0
+
+            def snapshot(self):
+                return {"entries": list(self.entries)}
+
+            def reseat(self, state, report, path=""):
+                self.entries = list(state["entries"])
     """)
     assert findings == []
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.interconnect import Mesh2D, Ring, build_interconnect
+from repro.interconnect.base import FabricStats
 from repro.sim.component import CarryoverReport
 from repro.sim.events import EventWheel
 from repro.uarch.params import FabricConfig, RingConfig
@@ -104,7 +105,7 @@ def test_delivery_callback_fires_at_latency():
 # reseat across geometry/topology changes
 # ---------------------------------------------------------------------------
 
-def test_ring_reseat_same_stop_count_carries_links_and_stats():
+def test_ring_reseat_same_stop_count_carries_links_leaves_stats_fresh():
     ring, _wheel, _cfg = make_ring(stops=5)
     ring.send(0, 2, "data", lambda: None, emc=True)
     state = ring.snapshot()
@@ -112,12 +113,13 @@ def test_ring_reseat_same_stop_count_carries_links_and_stats():
     report = CarryoverReport()
     fresh.reseat(state, report, "ring")
     assert fresh._link_free == ring._link_free
-    assert fresh.stats == ring.stats
+    # Snapshots carry no statistics: the target keeps its own.
+    assert fresh.stats == FabricStats() != ring.stats
     kept, total = report.as_dict()["ring"]
     assert kept == total == len(ring._link_free) > 0
 
 
-def test_ring_reseat_across_stop_count_drops_links_keeps_stats():
+def test_ring_reseat_across_stop_count_drops_links_leaves_stats_fresh():
     ring, _wheel, _cfg = make_ring(stops=5)
     ring.send(0, 2, "ctrl", lambda: None)
     ring.send(3, 1, "data", lambda: None, emc=True)
@@ -126,12 +128,11 @@ def test_ring_reseat_across_stop_count_drops_links_keeps_stats():
     grown, _w, _c = make_ring(stops=7)
     report = CarryoverReport()
     grown.reseat(state, report, "ring")
-    # Link busy clocks name links of the old geometry: all dropped...
+    # Link busy clocks name links of the old geometry: all dropped.
     assert grown._link_free == {}
     assert report.as_dict()["ring"] == (0, saved_links)
-    # ...while the traffic history carries verbatim.
-    assert grown.stats == ring.stats
-    assert grown.stats.emc_data_messages == 1
+    assert ring.stats.emc_data_messages == 1
+    assert grown.stats == FabricStats()
 
 
 def test_cross_fabric_reseat_ring_snapshot_into_mesh():
@@ -142,7 +143,7 @@ def test_cross_fabric_reseat_ring_snapshot_into_mesh():
     report = CarryoverReport()
     mesh.reseat(state, report, "ring")
     assert mesh._link_free == {}
-    assert mesh.stats == ring.stats
+    assert mesh.stats == FabricStats() != ring.stats
     assert report.ratio("ring") == 0.0
 
 

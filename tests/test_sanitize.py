@@ -285,11 +285,15 @@ def test_fork_identity_warms_emc_off_parents_whatever_the_job(monkeypatch):
 
 def test_eight_core_mesh_job_passes_determinism_and_roundtrip():
     """A job the old mix-only gate signatures could not express: the
-    eight-core machine with two memory controllers on a mesh."""
-    from repro.lint.sanitize import sanitize_checkpoint_roundtrip
+    eight-core machine with two memory controllers on a mesh, the only
+    machine whose snapshot holds two DRAM systems (and, in the
+    aggressive fork, two EMCs)."""
+    from repro.lint.sanitize import (sanitize_checkpoint_roundtrip,
+                                     sanitize_fork_identity)
     job = RunJob(workload=("eight", "H1"), n_instrs=300, num_mcs=2,
                  fabric="mesh", warmup_instrs=75)
-    reports = [sanitize_determinism(job), sanitize_checkpoint_roundtrip(job)]
+    reports = [sanitize_determinism(job), sanitize_checkpoint_roundtrip(job),
+               sanitize_fork_identity(job)]
     for report in reports:
         assert report.deterministic, report.format()
         assert "eight:H1" in report.label
