@@ -98,3 +98,26 @@ def test_per_core_static_stops_at_completion():
     stats.cores[0].finished_at = 20_000
     late = compute_energy(cfg, stats)
     assert early.core_static < late.core_static
+
+
+@pytest.mark.parametrize("job_args", [
+    dict(workload=("mix", "H4"), n_instrs=2000, warmup_instrs=500),
+    dict(workload=("eight", "H1"), n_instrs=600, warmup_instrs=150,
+         num_mcs=2, fabric="mesh"),
+], ids=["H4", "eight-core-2mc"])
+def test_dram_energy_counts_are_the_dram_stats(job_args):
+    # The energy model's DRAM events come from the controllers' own
+    # counters; a store's write-allocate fill to a closed row activates
+    # a row like any other read.
+    from repro.analysis.parallel import (RunJob, build_job_config,
+                                         build_job_workload)
+    from repro.sim.system import System
+    job = RunJob(**job_args)
+    system = System(build_job_config(job), build_job_workload(job))
+    system.warmup(job.warmup_instrs)
+    energy = system.run().energy
+    dram = system.dram_stats
+    assert energy.dram_reads == sum(s.reads for s in dram) > 0
+    assert energy.dram_writes == sum(s.writes for s in dram)
+    assert energy.dram_activations == sum(s.row_closed + s.row_conflicts
+                                          for s in dram) > 0
