@@ -9,7 +9,8 @@ one sweep:
   killed, host lost) returns to ``pending`` for someone else.  A job
   that raises a simulator or config error parks as ``failed`` with its
   error at once; one that hits a host fault does so after
-  :data:`MAX_ATTEMPTS` tries.
+  :data:`MAX_ATTEMPTS` tries.  A row enqueued by other code parks as
+  ``failed`` when a worker reaches it, instead of running again.
 - the result store (``<dir>/results/``) — the parallel runner's on-disk
   cache format, so farm and ``run_jobs`` results are interchangeable
   bit-for-bit and enqueueing an already-cached job completes it at once.
@@ -53,8 +54,24 @@ DEFAULT_LEASE_S = 60.0
 STATES = ("pending", "leased", "done", "failed")
 
 
+#: the error of a queue row whose job this code would not run as enqueued
+OTHER_CODE_ERROR = "enqueued by other code"
+
+
 class FarmError(RuntimeError):
     """A farm run cannot complete (failed jobs, missing results, ...)."""
+
+
+def _job_of_this_code(blob: bytes, digest: str) -> Optional[RunJob]:
+    """The job a queue row holds, or None when the row was enqueued by
+    other code: the blob does not unpickle here, or the job re-hashes
+    to another digest, so its result would land under another key."""
+    try:
+        job = pickle.loads(blob)
+        return job if job_hash(job) == digest else None
+    except Exception:
+        # pickle surfaces a foreign layout as almost any exception type.
+        return None
 
 
 def results_dir(queue_dir: str) -> str:
@@ -159,25 +176,36 @@ class JobQueue:
 
         Expired leases are reclaimed inside the same transaction, so a
         killed worker's job is immediately up for grabs once its lease
-        lapses — no separate janitor required.
+        lapses — no separate janitor required.  A row enqueued by other
+        code (its job does not unpickle, or re-hashes under
+        :func:`job_hash` to another digest) is parked ``failed`` with
+        :data:`OTHER_CODE_ERROR` in the same transaction, and the lease
+        moves on to the next pending row.
         """
         now = time.time() if now is None else now
         with closing(self._connect()) as conn, conn:
             conn.execute("BEGIN IMMEDIATE")
             self._reclaim(conn, now)
-            row = conn.execute(
-                "SELECT hash, job, attempts FROM jobs "
-                "WHERE state = 'pending' ORDER BY enqueued_at, hash "
-                "LIMIT 1").fetchone()
-            if row is None:
-                return None
-            digest, blob, attempts = row
+            while True:
+                row = conn.execute(
+                    "SELECT hash, job, attempts FROM jobs "
+                    "WHERE state = 'pending' ORDER BY enqueued_at, hash "
+                    "LIMIT 1").fetchone()
+                if row is None:
+                    return None
+                digest, blob, attempts = row
+                job = _job_of_this_code(blob, digest)
+                if job is not None:
+                    break
+                conn.execute(
+                    "UPDATE jobs SET state = 'failed', error = ?, "
+                    "finished_at = ? WHERE hash = ?",
+                    (OTHER_CODE_ERROR, now, digest))
             conn.execute(
                 "UPDATE jobs SET state = 'leased', worker = ?, "
                 "lease_expires = ?, attempts = ? WHERE hash = ?",
                 (worker, now + lease_s, attempts + 1, digest))
-        return LeasedJob(hash=digest, job=pickle.loads(blob),
-                         attempts=attempts + 1)
+        return LeasedJob(hash=digest, job=job, attempts=attempts + 1)
 
     def heartbeat(self, digest: str, worker: str,
                   lease_s: float = DEFAULT_LEASE_S,
