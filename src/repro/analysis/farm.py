@@ -81,11 +81,17 @@ def results_dir(queue_dir: str) -> str:
 
 @dataclass(frozen=True)
 class QueueStatus:
-    """Per-state job counts, total and per spec."""
+    """Per-state job counts, total and per spec.
+
+    ``other_code`` counts the ``failed`` rows parked with
+    :data:`OTHER_CODE_ERROR`: jobs of other code, which this code never
+    runs.  They stay in ``counts`` and ``failures``.
+    """
 
     counts: Mapping[str, int]
     specs: Mapping[str, Mapping[str, int]]
     failures: Tuple[Tuple[str, str], ...] = ()   # (label, error)
+    other_code: int = 0
 
     @property
     def total(self) -> int:
@@ -93,7 +99,9 @@ class QueueStatus:
 
     @property
     def all_done(self) -> bool:
-        return self.total > 0 and self.counts.get("done", 0) == self.total
+        """Every row of this code is done (and there is one)."""
+        current = self.total - self.other_code
+        return current > 0 and self.counts.get("done", 0) == current
 
 
 class JobQueue:
@@ -294,7 +302,9 @@ class JobQueue:
             failures = tuple(conn.execute(
                 "SELECT label, error FROM jobs WHERE state = 'failed' "
                 "ORDER BY enqueued_at, hash"))
-        return QueueStatus(counts=counts, specs=specs, failures=failures)
+        other_code = sum(error == OTHER_CODE_ERROR for _label, error in failures)
+        return QueueStatus(counts=counts, specs=specs, failures=failures,
+                           other_code=other_code)
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +486,10 @@ def format_status(status: QueueStatus) -> str:
         lines.append(f"  {spec or '<unnamed>'}: "
                      + " ".join(f"{state}={counts.get(state, 0)}"
                                 for state in STATES))
+    if status.other_code:
+        lines.append(f"  other code: {status.other_code} parked row(s), "
+                     "not counted as work of this code")
     for label, error in status.failures:
-        lines.append(f"  FAILED {label}: {error}")
+        if error != OTHER_CODE_ERROR:
+            lines.append(f"  FAILED {label}: {error}")
     return "\n".join(lines)

@@ -280,10 +280,13 @@ def cmd_figure(args) -> int:
 
 
 def _print_kernels() -> None:
-    """Name the core tick and the workload layout that ran (C or Python)."""
+    """Name the core tick, the event wheel and the workload layout that
+    ran (C or Python)."""
     from .core.ooo_core import tick_implementation
+    from .sim.events import wheel_implementation
     from .workloads.generators import layout_implementation
     print(f"core tick: {tick_implementation()}")
+    print(f"event wheel: {wheel_implementation()}")
     print(f"workload layout: {layout_implementation()}")
 
 

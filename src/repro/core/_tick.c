@@ -2,11 +2,19 @@
  * Core tick kernel: the C twin of the pure-Python body of
  * OutOfOrderCore._tick (ooo_core.py), which stays the reference.
  *
- * tick(core) runs one core cycle: retire, issue (ALU uops in full; loads,
- * stores and the L1 MSHR check call back into Python), fetch/dispatch/
- * rename, the chain-generation trigger, then reschedule or doze.
- * complete(core, iu, value) is the twin of OutOfOrderCore._complete, for
- * the fixed-delay completion events.
+ * The core schedules two kinds of C callables on the event wheel, so that
+ * neither costs a Python frame per event:
+ * - TickEvent(core)() runs one core cycle: retire, issue (ALU uops in
+ *   full; loads, stores and the L1 MSHR check call back into Python),
+ *   fetch/dispatch/rename, the chain-generation trigger, then reschedule
+ *   (the twin of _schedule_tick) or doze.
+ * - Completion(core, fifo)() pops one (uop, value) pair from a fixed-delay
+ *   FIFO and completes it: the twin of OutOfOrderCore._complete, wake()'s
+ *   doze accounting included.
+ * Both are heap types named in this module, so a tracer that charges an
+ * event to the package that defined its callback charges them to
+ * repro.core.  Every wheel.schedule call goes through attribute lookup on
+ * the wheel, so a wrapped schedule sees the kernel's events too.
  *
  * The kernel is stateless.  Every piece of simulation state it reads or
  * writes lives in the core's own attributes, its deques and dicts, and the
@@ -60,7 +68,7 @@ static PyTypeObject *iu_type, *uop_type;
 static Py_ssize_t iu_off[IU_NSLOTS], uop_off[U_NFIELDS];
 static PyObject *st_waiting, *st_ready, *st_issued, *st_done;
 static PyObject *op_obj[OP_N], *op_latency[OP_N];
-static PyObject *zero;   /* the int 0 */
+static PyObject *zero, *one;   /* the ints 0 and 1 */
 
 /* interned attribute and method names */
 #define NAMES(X) \
@@ -71,11 +79,11 @@ static PyObject *zero;   /* the int 0 */
     X(retire_width) X(issue_width) X(fetch_width) X(rob_entries) \
     X(rs_entries) X(mispredict_penalty) X(instructions) \
     X(mispredicted_branches) X(all_finished) X(energy_counters) \
-    X(note_core_uops) X(emc) X(enabled) X(popleft) X(append) \
+    X(emc) X(enabled) X(popleft) X(append) \
     X(appendleft) X(schedule) X(_on_window_empty) X(_l1_mshr_free) \
     X(_execute_load) X(_execute_store) X(_unblock_fetch) \
-    X(_maybe_generate_chain) X(_schedule_tick) X(_miss_sources) \
-    X(notify_source_complete) X(wake) X(_tick)
+    X(_maybe_generate_chain) X(_miss_sources) X(notify_source_complete) \
+    X(_tick_event) X(core_uops) X(finished_at) X(full_window_stall_cycles)
 #define DECLARE(n) static PyObject *k_##n;
 NAMES(DECLARE)
 
@@ -231,15 +239,34 @@ call_method_void(PyObject *core, PyObject *name, PyObject *arg)
     return 0;
 }
 
+/* wheel.schedule(delay, callback), looked up on the wheel every call */
 static int
 schedule(PyObject *wheel, PyObject *delay, PyObject *callback)
 {
-    PyObject *r = PyObject_CallMethodObjArgs(wheel, k_schedule, delay,
-                                             callback, NULL);
+    PyObject *args[3] = {wheel, delay, callback};
+    PyObject *r = PyObject_VectorcallMethod(k_schedule, args, 3, NULL);
     if (r == NULL)
         return -1;
     Py_DECREF(r);
     return 0;
+}
+
+/* OutOfOrderCore._schedule_tick(delay), given the core's __dict__. */
+static int
+schedule_tick(PyObject *d, PyObject *wheel, PyObject *delay)
+{
+    int scheduled = attr_truth(d, k__tick_scheduled);
+    if (scheduled)
+        return scheduled < 0 ? -1 : 0;
+    if (PyDict_SetItem(d, k__tick_scheduled, Py_True) < 0)
+        return -1;
+    PyObject *event = attr(d, k__tick_event);
+    if (event == NULL)
+        return -1;
+    Py_INCREF(event);
+    int rc = schedule(wheel, delay, event);
+    Py_DECREF(event);
+    return rc;
 }
 
 static inline int
@@ -798,16 +825,13 @@ fetch(Tick *t)
     if (mispredicts
             && add_attr(t->stats, k_mispredicted_branches, mispredicts) < 0)
         return -1;
+    /* EnergyCounters.note_core_uops(fetched), inlined */
     PyObject *energy = PyObject_GetAttr(t->system, k_energy_counters);
     if (energy == NULL)
         return -1;
-    PyObject *count = PyLong_FromSsize_t(fetched);
-    PyObject *r = count ? PyObject_CallMethodOneArg(energy, k_note_core_uops,
-                                                    count) : NULL;
+    rc = add_attr(energy, k_core_uops, fetched);
     Py_DECREF(energy);
-    Py_XDECREF(count);
-    Py_XDECREF(r);
-    return r ? 0 : -1;
+    return rc;
 }
 
 /* EMC on, stats live, and dispatch blocked by a full ROB or RS. */
@@ -847,21 +871,9 @@ reschedule_or_doze(Tick *t)
         awake = can_fetch(t);
     if (awake < 0)
         return -1;
-    if (!awake) {
-        PyObject *now = PyObject_GetAttr(t->wheel, k_now);
-        int rc = now ? PyDict_SetItem(t->d, k__doze_started, now) : -1;
-        Py_XDECREF(now);
-        return rc;
-    }
-    int scheduled = attr_truth(t->d, k__tick_scheduled);
-    if (scheduled)
-        return scheduled < 0 ? -1 : 0;   /* _schedule_tick would return */
-    PyObject *one = PyLong_FromLong(1);
-    PyObject *r = one ? PyObject_CallMethodOneArg(t->core, k__schedule_tick,
-                                                  one) : NULL;
-    Py_XDECREF(one);
-    Py_XDECREF(r);
-    return r ? 0 : -1;
+    if (!awake)
+        return PyDict_SetItem(t->d, k__doze_started, t->now);
+    return schedule_tick(t->d, t->wheel, one);
 }
 
 static int
@@ -899,15 +911,15 @@ run_tick(Tick *t)
     return reschedule_or_doze(t);
 }
 
-static PyObject *
-tick(PyObject *module, PyObject *core)
+static int
+core_tick(PyObject *core)
 {
     Tick t = {0};
     int rc = -1;
     t.core = core;
     t.d = PyObject_GenericGetDict(core, NULL);
     if (t.d == NULL)
-        return NULL;
+        return -1;
 #define TAKE(field, name)                                   \
     if ((t.field = attr(t.d, k_##name)) == NULL) goto out;  \
     Py_INCREF(t.field);
@@ -949,9 +961,7 @@ tick(PyObject *module, PyObject *core)
     Py_XDECREF(t.system);
     Py_XDECREF(t.now);
     Py_DECREF(t.d);
-    if (rc < 0)
-        return NULL;
-    Py_RETURN_NONE;
+    return rc;
 }
 
 /* ------------------------------------------------------------------ */
@@ -1016,6 +1026,64 @@ wake_consumers(PyObject *d, PyObject *iu)
 }
 
 static int
+as_longlong(PyObject *v, long long *out)
+{
+    *out = PyLong_AsLongLong(v);
+    return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
+}
+
+/* The first half of OutOfOrderCore.wake() on a core that dozed since
+ * cycle ``doze``: charge the dozed cycles to full-window stalls when the
+ * window is full, up to the cycle the core's statistics froze. */
+static int
+doze_stall(PyObject *d, PyObject *doze)
+{
+    PyObject *cfg = attr(d, k_cfg), *rob = attr(d, k_rob);
+    PyObject *wheel = attr(d, k_wheel), *stats = attr(d, k_stats);
+    if (!cfg || !rob || !wheel || !stats)
+        return -1;
+    Py_ssize_t rob_len = PyObject_Size(rob), entries, occ;
+    if (rob_len < 0 || getattr_ssize(cfg, k_rob_entries, &entries) < 0)
+        return -1;
+    if (rob_len < entries) {
+        if (getattr_ssize(cfg, k_rs_entries, &entries) < 0
+                || attr_ssize(d, k_rs_occupancy, &occ) < 0)
+            return -1;
+        if (occ < entries)
+            return 0;
+    }
+    Py_INCREF(wheel);
+    Py_INCREF(stats);
+    long long until, started, finished = 0;
+    int rc = -1, frozen;
+    PyObject *now = PyObject_GetAttr(wheel, k_now);
+    if (now == NULL || as_longlong(now, &until) < 0
+            || as_longlong(doze, &started) < 0
+            || (frozen = attr_truth(d, k_stats_frozen)) < 0)
+        goto out;
+    if (frozen) {
+        PyObject *at = PyObject_GetAttr(stats, k_finished_at);
+        int set = at ? truth(at) : -1;
+        if (set > 0 && as_longlong(at, &finished) < 0)
+            set = -1;
+        Py_XDECREF(at);
+        if (set < 0)
+            goto out;
+        if (finished < until)
+            until = finished;
+    }
+    rc = until > started
+        ? add_attr(stats, k_full_window_stall_cycles,
+                   (Py_ssize_t)(until - started))
+        : 0;
+  out:
+    Py_XDECREF(now);
+    Py_DECREF(stats);
+    Py_DECREF(wheel);
+    return rc;
+}
+
+static int
 run_complete(PyObject *core, PyObject *d, PyObject *iu, PyObject *value)
 {
     PyObject *wheel = attr(d, k_wheel);
@@ -1073,58 +1141,196 @@ run_complete(PyObject *core, PyObject *d, PyObject *iu, PyObject *value)
     }
     if (wake_consumers(d, iu) < 0)
         return -1;
-    /* wake(), inlined as in _complete: the doze bookkeeping only when
-     * dozing. */
+    /* wake(), inlined: the doze bookkeeping only when dozing, then
+     * _schedule_tick(0). */
     PyObject *doze = attr(d, k__doze_started);
     if (doze == NULL)
         return -1;
-    if (doze != Py_None)
-        return call_method_void(core, k_wake, NULL);
-    int scheduled = attr_truth(d, k__tick_scheduled);
-    if (scheduled)
-        return scheduled < 0 ? -1 : 0;
-    if (PyDict_SetItem(d, k__tick_scheduled, Py_True) < 0)
-        return -1;
+    if (doze != Py_None) {
+        Py_INCREF(doze);
+        int rc = doze_stall(d, doze);
+        Py_DECREF(doze);
+        if (rc < 0 || PyDict_SetItem(d, k__doze_started, Py_None) < 0)
+            return -1;
+    }
     wheel = attr(d, k_wheel);
     if (wheel == NULL)
         return -1;
     Py_INCREF(wheel);
-    PyObject *tick_method = PyObject_GetAttr(core, k__tick);
-    int rc = tick_method ? schedule(wheel, zero, tick_method) : -1;
-    Py_XDECREF(tick_method);
+    int rc = schedule_tick(d, wheel, zero);
     Py_DECREF(wheel);
     return rc;
 }
 
-static PyObject *
-complete(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+/* OutOfOrderCore._complete(iu, value) */
+static int
+complete(PyObject *core, PyObject *iu, PyObject *value)
 {
-    if (nargs != 3) {
-        PyErr_SetString(PyExc_TypeError,
-                        "complete(core, iu, value) takes 3 arguments");
-        return NULL;
-    }
-    PyObject *core = args[0], *iu = args[1], *value = args[2];
     if (!is_iu(iu))
-        return NULL;
+        return -1;
     PyObject *state = IU_GET(iu, IU_state);
     if (state == NULL)
-        return NULL;
+        return -1;
     if (state == st_done)
-        Py_RETURN_NONE;
+        return 0;
     PyObject *d = PyObject_GenericGetDict(core, NULL);
     if (d == NULL)
-        return NULL;
+        return -1;
     Py_INCREF(iu);
     Py_INCREF(value);
     int rc = run_complete(core, d, iu, value);
     Py_DECREF(value);
     Py_DECREF(iu);
     Py_DECREF(d);
+    return rc;
+}
+
+/* ------------------------------------------------------------------ */
+/* the scheduled callables                                            */
+/* ------------------------------------------------------------------ */
+
+typedef struct {
+    PyObject_HEAD
+    PyObject *core;
+    PyObject *fifo;     /* Completion only */
+} Event;
+
+static int
+no_arguments(PyObject *args, PyObject *kwds)
+{
+    if (PyTuple_GET_SIZE(args) == 0 && (kwds == NULL || !PyDict_GET_SIZE(kwds)))
+        return 0;
+    PyErr_SetString(PyExc_TypeError, "an event callback takes no arguments");
+    return -1;
+}
+
+static PyObject *
+TickEvent_call(Event *self, PyObject *args, PyObject *kwds)
+{
+    if (no_arguments(args, kwds) < 0)
+        return NULL;
+    PyObject *core = self->core;
+    Py_INCREF(core);
+    int rc = core_tick(core);
+    Py_DECREF(core);
     if (rc < 0)
         return NULL;
     Py_RETURN_NONE;
 }
+
+static PyObject *
+Completion_call(Event *self, PyObject *args, PyObject *kwds)
+{
+    if (no_arguments(args, kwds) < 0)
+        return NULL;
+    PyObject *pair = PyObject_CallMethodNoArgs(self->fifo, k_popleft);
+    if (pair == NULL)
+        return NULL;
+    int rc = -1;
+    if (!PyTuple_Check(pair) || PyTuple_GET_SIZE(pair) != 2)
+        PyErr_SetString(PyExc_TypeError, "completion entry is not a pair");
+    else {
+        PyObject *core = self->core;
+        Py_INCREF(core);
+        rc = complete(core, PyTuple_GET_ITEM(pair, 0),
+                      PyTuple_GET_ITEM(pair, 1));
+        Py_DECREF(core);
+    }
+    Py_DECREF(pair);
+    if (rc < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+TickEvent_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    PyObject *core;
+    if (!PyArg_ParseTuple(args, "O:TickEvent", &core))
+        return NULL;
+    Event *self = (Event *)type->tp_alloc(type, 0);
+    if (self != NULL) {
+        Py_INCREF(core);
+        self->core = core;
+    }
+    return (PyObject *)self;
+}
+
+static PyObject *
+Completion_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    PyObject *core, *fifo;
+    if (!PyArg_ParseTuple(args, "OO:Completion", &core, &fifo))
+        return NULL;
+    Event *self = (Event *)type->tp_alloc(type, 0);
+    if (self != NULL) {
+        Py_INCREF(core);
+        Py_INCREF(fifo);
+        self->core = core;
+        self->fifo = fifo;
+    }
+    return (PyObject *)self;
+}
+
+static int
+Event_traverse(Event *self, visitproc visit, void *arg)
+{
+    Py_VISIT(Py_TYPE(self));
+    Py_VISIT(self->core);
+    Py_VISIT(self->fifo);
+    return 0;
+}
+
+static int
+Event_clear(Event *self)
+{
+    Py_CLEAR(self->core);
+    Py_CLEAR(self->fifo);
+    return 0;
+}
+
+static void
+Event_dealloc(Event *self)
+{
+    PyTypeObject *type = Py_TYPE(self);
+    PyObject_GC_UnTrack(self);
+    Event_clear(self);
+    type->tp_free((PyObject *)self);
+    Py_DECREF(type);
+}
+
+static PyType_Slot TickEvent_slots[] = {
+    {Py_tp_doc, "TickEvent(core): calling it runs one cycle of ``core`` "
+                "(the twin of OutOfOrderCore._tick)."},
+    {Py_tp_new, TickEvent_new},
+    {Py_tp_call, TickEvent_call},
+    {Py_tp_traverse, Event_traverse},
+    {Py_tp_clear, Event_clear},
+    {Py_tp_dealloc, Event_dealloc},
+    {0, NULL},
+};
+
+static PyType_Slot Completion_slots[] = {
+    {Py_tp_doc, "Completion(core, fifo): calling it pops one (uop, value) "
+                "pair from ``fifo`` and completes it (the twin of "
+                "OutOfOrderCore._complete)."},
+    {Py_tp_new, Completion_new},
+    {Py_tp_call, Completion_call},
+    {Py_tp_traverse, Event_traverse},
+    {Py_tp_clear, Event_clear},
+    {Py_tp_dealloc, Event_dealloc},
+    {0, NULL},
+};
+
+static PyType_Spec TickEvent_spec = {
+    "repro.core._tick.TickEvent", sizeof(Event), 0,
+    Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC, TickEvent_slots,
+};
+
+static PyType_Spec Completion_spec = {
+    "repro.core._tick.Completion", sizeof(Event), 0,
+    Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC, Completion_slots,
+};
 
 /* ------------------------------------------------------------------ */
 /* setup: bind the layout facts                                       */
@@ -1214,9 +1420,6 @@ static PyMethodDef methods[] = {
     {"setup", setup, METH_VARARGS,
      "setup(InflightUop, MicroOp, UopState, UopType): bind slot offsets "
      "and enum members."},
-    {"tick", tick, METH_O, "tick(core): one core cycle."},
-    {"complete", (PyCFunction)(void (*)(void))complete, METH_FASTCALL,
-     "complete(core, iu, value): OutOfOrderCore._complete."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1231,7 +1434,24 @@ PyInit__tick(void)
     if (!(k_##n = PyUnicode_InternFromString(#n))) return NULL;
     NAMES(INTERN)
 #undef INTERN
-    if (!(zero = PyLong_FromLong(0)))
+    if (!(zero = PyLong_FromLong(0)) || !(one = PyLong_FromLong(1)))
         return NULL;
-    return PyModule_Create(&moduledef);
+    PyObject *module = PyModule_Create(&moduledef);
+    if (module == NULL)
+        return NULL;
+    PyObject *tick_event = PyType_FromSpec(&TickEvent_spec);
+    PyObject *completion = PyType_FromSpec(&Completion_spec);
+    if (tick_event == NULL || completion == NULL
+            || PyModule_AddObject(module, "TickEvent", tick_event) < 0) {
+        Py_XDECREF(tick_event);
+        Py_XDECREF(completion);
+        Py_DECREF(module);
+        return NULL;
+    }
+    if (PyModule_AddObject(module, "Completion", completion) < 0) {
+        Py_DECREF(completion);
+        Py_DECREF(module);
+        return NULL;
+    }
+    return module;
 }

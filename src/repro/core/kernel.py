@@ -1,5 +1,7 @@
-"""Build and load the C kernels: the core tick (``_tick.c``) and the
-pointer-chase layout (``repro/workloads/_layout.c``).
+"""Build and load the C kernels: the core tick (``_tick.c``), the event
+wheel (``repro/sim/_wheel.c``) and the pointer-chase layout
+(``repro/workloads/_layout.c``).  Each has a pure-Python twin that stays
+its reference and its fallback.
 
 The first import compiles a kernel with the interpreter's C compiler
 (``sysconfig`` ``CC``, gcc on Linux) against ``Python.h`` into
@@ -83,8 +85,8 @@ def load_source(name: str, source: Path, fallback: str,
 
 
 def load(*layout: object) -> Optional[ModuleType]:
-    """The tick kernel module (``tick(core)``, ``complete(core, iu,
-    value)``) once ``setup(*layout)`` has bound the slot layout, or
+    """The tick kernel module (the ``TickEvent`` and ``Completion``
+    callables) once ``setup(*layout)`` has bound the slot layout, or
     None."""
     return load_source(f"{__package__}._tick", SOURCE, "pure-Python tick",
                        lambda module: module.setup(*layout))

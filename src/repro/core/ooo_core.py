@@ -116,6 +116,10 @@ class OutOfOrderCore(SimComponent):
 
         self._tick_scheduled = False
         self._doze_started: Optional[int] = None
+        # The tick's scheduled callable, picked when the core is built: the
+        # C kernel's TickEvent, or the Python reference method.
+        self._tick_event: Callable[[], None] = (
+            self._tick if _kernel is None else _kernel.TickEvent(self))
         # "finished" = completed its first full trace window (the paper's
         # per-benchmark instruction budget).  The core then keeps running
         # wrapped-around copies of its trace to preserve interference until
@@ -135,22 +139,18 @@ class OutOfOrderCore(SimComponent):
         # not begin in lock-step, and homogeneous mixes otherwise phase-lock
         # on the DRAM batch scheduler, amplifying butterfly effects.
         self._tick_scheduled = True
-        self.wheel.schedule(1 + 53 * self.core_id, self._first_tick)
-
-    def _first_tick(self) -> None:
-        self._tick_scheduled = False
-        self._tick()
+        self.wheel.schedule(1 + 53 * self.core_id, self._tick_event)
 
     def _completion_fifo(self) -> Tuple[Deque[Tuple[InflightUop, int]],
                                         Callable[[], None]]:
         fifo: Deque[Tuple[InflightUop, int]] = deque()
+        if _kernel is not None:
+            return fifo, _kernel.Completion(self, fifo)
         popleft = fifo.popleft
-        complete = (OutOfOrderCore._complete if _kernel is None
-                    else _kernel.complete)
 
         def complete_next() -> None:
             iu, value = popleft()
-            complete(self, iu, value)
+            self._complete(iu, value)
 
         return fifo, complete_next
 
@@ -158,7 +158,7 @@ class OutOfOrderCore(SimComponent):
         if self._tick_scheduled:
             return
         self._tick_scheduled = True
-        self.wheel.schedule(delay, self._tick)
+        self.wheel.schedule(delay, self._tick_event)
 
     def wake(self) -> None:
         """Called by any completion event that may unblock this core."""
@@ -360,10 +360,11 @@ class OutOfOrderCore(SimComponent):
         """One core cycle: retire, issue, fetch/dispatch, chain
         generation, then reschedule or doze.
 
-        When the C kernel (``_tick.c``) loaded, it runs the cycle; the
-        body below is its pure-Python reference, statement for statement.
-        Either way this method stays the scheduled callback, so the cycle
-        is charged to ``repro.core``.
+        This is the pure-Python reference of the C kernel's ``TickEvent``
+        (``_tick.c``), statement for statement.  A core built while the
+        kernel is loaded schedules the ``TickEvent`` instead (its
+        ``_tick_event``); both are defined in ``repro.core``, so a tracer
+        charges the cycle to the core either way.
 
         The stage bodies are merged into this single method on purpose.
         On the paper's workloads each stage touches about one uop per
@@ -374,9 +375,6 @@ class OutOfOrderCore(SimComponent):
         stores and chain generation stay in their methods, which the
         kernel calls back.
         """
-        if _kernel is not None:
-            _kernel.tick(self)
-            return
         self._tick_scheduled = False
         cfg = self.cfg
         rob = self.rob
@@ -715,7 +713,7 @@ class OutOfOrderCore(SimComponent):
             self.wake()
         elif not self._tick_scheduled:
             self._tick_scheduled = True
-            self.wheel.schedule(0, self._tick)
+            self.wheel.schedule(0, self._tick_event)
 
     # ------------------------------------------------------------------
     # dependent-miss classification (backward dataflow walk)
@@ -838,17 +836,22 @@ class OutOfOrderCore(SimComponent):
             return
         if self.dep_miss_counter < system.cfg.emc.dep_counter_trigger:
             return
-        if not self._chain_sources():
-            return      # the ROB scan below would find no candidate
+        sources = self._chain_sources()
+        if not sources:
+            return      # a scan of the ROB would find no candidate
         # Pick the oldest outstanding LLC miss that still has un-issued
         # dependents: accelerating the retirement-blocking slice frees the
         # window soonest (migrating a younger miss's slice would freeze
         # retirement behind it and throttle the core's own MLP).  A source
         # whose slice turns out to contain no dependent load (e.g. only a
         # branch consumer) is skipped and the next pending miss is tried.
+        # The index holds exactly the ROB loads a scan would consider, so
+        # visiting it in ROB order visits the scan's candidates in turn.
+        if len(sources) > 1:
+            sources.sort(key=self.rob.index)
         chain = None
         attempts = 0
-        for iu in self.rob:
+        for iu in sources:
             if attempts >= 8:
                 break
             if (iu.uop.op is not UopType.LOAD or not iu.llc_miss_pending
@@ -924,9 +927,13 @@ class OutOfOrderCore(SimComponent):
     def _build_chain_inner(self, source: InflightUop, counts: List[int],
                            CDB: int, RRT_R: int, RRT_W: int, ROB_R: int
                            ) -> Optional[DependenceChain]:
+        # Sequence numbers are read as ``iu.uop.seq``, not through the
+        # ``InflightUop.seq`` property: the walk reads one per visited
+        # entry and operand.
         emc_cfg = self.system.cfg.emc
-        woken = {source.seq}            # seqs whose dest is chain-produced
-        value_depth = {source.seq: 0}   # load-indirection depth per value
+        source_seq = source.uop.seq
+        woken = {source_seq}            # seqs whose dest is chain-produced
+        value_depth = {source_seq: 0}   # load-indirection depth per value
         candidates: List[InflightUop] = []
         max_walk = emc_cfg.max_chain_uops * self._WALK_OVERSHOOT
         counts[CDB] += 1                # pseudo wake-up of the source miss
@@ -941,7 +948,7 @@ class OutOfOrderCore(SimComponent):
         def slot(producer: Optional[InflightUop]) -> str:
             if producer is None or producer.state is UopState.DONE:
                 return "ready"
-            if producer.seq in woken:
+            if producer.uop.seq in woken:
                 return "woken"
             return "blocked"
 
@@ -956,7 +963,7 @@ class OutOfOrderCore(SimComponent):
             if "blocked" in (s1, s2):
                 continue
             woken_via_mem = (iu.mem_dep_p is not None
-                             and iu.mem_dep_p.seq in woken)
+                             and iu.mem_dep_p.uop.seq in woken)
             if "woken" not in (s1, s2) and not woken_via_mem:
                 continue                # independent of the chain
             if uop.op is UopType.BRANCH:
@@ -971,13 +978,13 @@ class OutOfOrderCore(SimComponent):
                 continue
             if iu.mem_dep_p is not None:
                 dep = iu.mem_dep_p
-                if dep.state is not UopState.DONE and dep.seq not in woken:
+                if dep.state is not UopState.DONE and dep.uop.seq not in woken:
                     continue
-            depth = max((value_depth.get(p.seq, 0) for p in iu.producers()
-                         if p.seq in woken), default=0)
+            depth = max((value_depth.get(p.uop.seq, 0) for p in iu.producers()
+                         if p.uop.seq in woken), default=0)
             if uop.op is UopType.LOAD:
                 fill_forwarded = (uop.is_spill_fill and iu.mem_dep_p is not None
-                                  and iu.mem_dep_p.seq in woken)
+                                  and iu.mem_dep_p.uop.seq in woken)
                 if not fill_forwarded:
                     # A spill fill forwards from the EMC LSQ — it is not a
                     # level of memory indirection.
@@ -985,39 +992,39 @@ class OutOfOrderCore(SimComponent):
                 if depth > emc_cfg.max_load_depth:
                     continue            # too deep: it would gate live-outs
             counts[CDB] += 1
-            woken.add(iu.seq)           # stores wake fills via mem_dep
+            woken.add(iu.uop.seq)           # stores wake fills via mem_dep
             if uop.dest is not None:
-                value_depth[iu.seq] = depth
+                value_depth[iu.uop.seq] = depth
             candidates.append(iu)
 
         # Phase 2: backward slice from the memory uops.
-        in_chain: Dict[int, InflightUop] = {c.seq: c for c in candidates}
+        in_chain: Dict[int, InflightUop] = {c.uop.seq: c for c in candidates}
         keep: Dict[int, bool] = {}
         for iu in reversed(candidates):
-            needed = keep.get(iu.seq, False) or iu.uop.is_mem
-            keep[iu.seq] = needed
+            needed = keep.get(iu.uop.seq, False) or iu.uop.is_mem
+            keep[iu.uop.seq] = needed
             if not needed:
                 continue
             for producer in iu.producers():
-                if producer.seq in in_chain:
-                    keep[producer.seq] = True
-            if iu.mem_dep_p is not None and iu.mem_dep_p.seq in in_chain:
-                keep[iu.mem_dep_p.seq] = True
-        kept = [c for c in candidates if keep.get(c.seq, False)]
+                if producer.uop.seq in in_chain:
+                    keep[producer.uop.seq] = True
+            if iu.mem_dep_p is not None and iu.mem_dep_p.uop.seq in in_chain:
+                keep[iu.mem_dep_p.uop.seq] = True
+        kept = [c for c in candidates if keep.get(c.uop.seq, False)]
         # Drop spill stores whose fill load did not survive the filter.
         fills_present = {c.uop.mem_dep for c in kept
                          if c.uop.mem_dep is not None}
         kept = [c for c in kept
                 if not (c.uop.op is UopType.STORE
-                        and c.seq not in fills_present)]
+                        and c.uop.seq not in fills_present)]
         kept = kept[: emc_cfg.max_chain_uops]
         if not any(c.uop.op is UopType.LOAD for c in kept):
             self.system.stats.emc.note_chain_no_load()
             return None
 
         # Assign EMC physical registers and build the shippable chain.
-        rrt: Dict[int, int] = {source.seq: 0}
-        seq_to_index: Dict[int, int] = {source.seq: -1}
+        rrt: Dict[int, int] = {source_seq: 0}
+        seq_to_index: Dict[int, int] = {source_seq: -1}
         next_epr = 1
         chain_uops: List[ChainUop] = []
         live_ins = 0
@@ -1035,16 +1042,16 @@ class OutOfOrderCore(SimComponent):
                 if reg is None:
                     continue
                 counts[RRT_R] += 1
-                if producer is not None and producer.seq in rrt:
-                    if producer.seq not in seq_to_index:
+                if producer is not None and producer.uop.seq in rrt:
+                    if producer.uop.seq not in seq_to_index:
                         skip = True     # producer fell off the EPR cap
                         break
-                    index = seq_to_index[producer.seq]
+                    index = seq_to_index[producer.uop.seq]
                     if slot_no == 1:
-                        cu.src1_epr = rrt[producer.seq]
+                        cu.src1_epr = rrt[producer.uop.seq]
                         cu.src1_index = index
                     else:
-                        cu.src2_epr = rrt[producer.seq]
+                        cu.src2_epr = rrt[producer.uop.seq]
                         cu.src2_index = index
                     cu.dep_indices.append(index)
                 elif producer is not None and producer.state is not UopState.DONE:
@@ -1060,16 +1067,16 @@ class OutOfOrderCore(SimComponent):
             if skip:
                 continue
             if iu.mem_dep_p is not None:
-                if iu.mem_dep_p.seq in seq_to_index:
-                    cu.dep_indices.append(seq_to_index[iu.mem_dep_p.seq])
+                if iu.mem_dep_p.uop.seq in seq_to_index:
+                    cu.dep_indices.append(seq_to_index[iu.mem_dep_p.uop.seq])
                 elif iu.mem_dep_p.state is not UopState.DONE:
                     continue    # ordering store missing from the chain
             if uop.dest is not None:
                 cu.dest_epr = next_epr
-                rrt[iu.seq] = next_epr
+                rrt[iu.uop.seq] = next_epr
                 next_epr += 1
                 counts[RRT_W] += 1
-            seq_to_index[iu.seq] = cu.index
+            seq_to_index[iu.uop.seq] = cu.index
             chain_uops.append(cu)
 
         if not any(cu.uop.op is UopType.LOAD for cu in chain_uops):
@@ -1077,7 +1084,7 @@ class OutOfOrderCore(SimComponent):
             return None
         chain = DependenceChain(
             core_id=self.core_id,
-            source_seq=source.seq,
+            source_seq=source_seq,
             source_line=line_addr(source.paddr),
             source_vaddr=source.vaddr,
             source_dest_epr=0,
@@ -1134,10 +1141,10 @@ class OutOfOrderCore(SimComponent):
         self.wake()
 
 
-#: The C kernel (``tick(core)``, ``complete(core, iu, value)``), or None
+#: The C kernel (the ``TickEvent`` and ``Completion`` callables), or None
 #: to run the pure-Python :meth:`OutOfOrderCore._tick` and
 #: :meth:`OutOfOrderCore._complete` (tests set this to None to pick them;
-#: a core picks its completion path when it is built).
+#: a core picks its tick and completion callables when it is built).
 _kernel = kernel.load(InflightUop, MicroOp, UopState, UopType)
 
 

@@ -19,9 +19,16 @@ from ..sim.events import EventWheel
 from ..uarch.params import CACHE_LINE_BYTES, DRAMConfig
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class DRAMRequest:
-    """One line-granularity DRAM access."""
+    """One line-granularity DRAM access.
+
+    Compared by identity: ``DRAMChannel._issue`` removes the chosen
+    request from its queue with ``list.remove``, which would otherwise
+    run the field-wise ``__eq__`` on every request queued ahead of it.
+    Each request carries its own callback closure, so no two distinct
+    requests were ever equal field by field either.
+    """
 
     line: int                       # physical line base address
     source: int                     # requesting core id

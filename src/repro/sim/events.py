@@ -17,21 +17,36 @@ dict lookup plus an append instead of an O(log n) heap push of a
 by the bucket itself, no tie-break sequence needed.  :meth:`advance`
 dispatches a whole cycle in one call, which lets the system loop hoist
 its per-event bookkeeping to per-cycle.
+
+Two implementations, one behaviour.  :class:`PythonEventWheel` below is
+the reference.  ``_wheel.c`` is its C twin, built on first import by
+:func:`repro.core.kernel.load_source` like the core tick; when it loads,
+:class:`EventWheel` is a thin subclass of its ``Wheel`` type, otherwise
+it is the Python wheel (after one warning).  :func:`new_wheel` builds the
+wheel a ``System`` runs on and takes the Python one when ``_kernel`` is
+None, so tests pick it by setting ``repro.sim.events._kernel = None``
+before building a machine.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
+from pathlib import Path
 from typing import Callable, Deque, Dict, List, Optional
 
+from ..core.kernel import load_source, source_hash
 
-class EventWheel:
+WHEEL_SOURCE = Path(__file__).with_name("_wheel.c")
+
+
+class PythonEventWheel:
     """A calendar queue of per-cycle event buckets.
 
     Events scheduled for the same cycle fire in scheduling order (bucket
     append order), which keeps the simulator deterministic for a fixed
-    seed.
+    seed.  A callback that raises still consumes its event; a bucket it
+    leaves empty retires, so the wheel stays consistent.
     """
 
     def __init__(self) -> None:
@@ -93,12 +108,14 @@ class EventWheel:
         self.now = time
         bucket = self._buckets[time]
         callback = bucket.popleft()
-        callback()
-        # The callback may have scheduled into this same cycle; only an
-        # exhausted bucket retires its heap entry.
-        if not bucket:
-            del self._buckets[time]
-            heapq.heappop(times)
+        try:
+            callback()
+        finally:
+            # The callback may have scheduled into this same cycle; only
+            # an exhausted bucket retires its heap entry.
+            if not bucket:
+                del self._buckets[time]
+                heapq.heappop(times)
         return True
 
     def advance(self) -> int:
@@ -116,11 +133,14 @@ class EventWheel:
         bucket = self._buckets[time]
         popleft = bucket.popleft
         executed = 0
-        while bucket:
-            popleft()()
-            executed += 1
-        del self._buckets[time]
-        heapq.heappop(times)
+        try:
+            while bucket:
+                popleft()()
+                executed += 1
+        finally:
+            if not bucket:
+                del self._buckets[time]
+                heapq.heappop(times)
         return executed
 
     def run(self, until: Optional[int] = None,
@@ -138,17 +158,52 @@ class EventWheel:
                 break
             self.now = time
             bucket = buckets[time]
-            if max_events is None:
-                popleft = bucket.popleft
-                while bucket:
-                    popleft()()
-                    executed += 1
-            else:
-                while bucket:
-                    if executed >= max_events:
-                        return executed
-                    bucket.popleft()()
-                    executed += 1
-            del buckets[time]
-            heapq.heappop(times)
+            try:
+                if max_events is None:
+                    popleft = bucket.popleft
+                    while bucket:
+                        popleft()()
+                        executed += 1
+                else:
+                    while bucket:
+                        if executed >= max_events:
+                            return executed
+                        bucket.popleft()()
+                        executed += 1
+            finally:
+                if not bucket:
+                    del buckets[time]
+                    heapq.heappop(times)
         return executed
+
+
+#: The C wheel kernel (``Wheel``, ``_wheel.c``), or None: then
+#: :func:`new_wheel` builds the :class:`PythonEventWheel` (tests set this
+#: to None to pick it).
+_kernel = load_source(f"{__package__}._wheel", WHEEL_SOURCE,
+                      "pure-Python event wheel")
+
+if _kernel is not None:
+    class EventWheel(_kernel.Wheel):
+        """The C wheel.  ``schedule``, ``schedule_at`` and ``run`` sit in
+        this class's own ``__dict__`` so that a tracer can wrap them per
+        class (perfbench's ledger reads and patches them there), and the
+        C tick reaches ``schedule`` through attribute lookup."""
+
+        __slots__ = ()
+        schedule = _kernel.Wheel.schedule
+        schedule_at = _kernel.Wheel.schedule_at
+        run = _kernel.Wheel.run
+else:
+    EventWheel = PythonEventWheel    # type: ignore[misc,assignment]
+
+
+def new_wheel():
+    """A fresh event wheel: the C one unless ``_kernel`` is None."""
+    return PythonEventWheel() if _kernel is None else EventWheel()
+
+
+def wheel_implementation() -> str:
+    """Which event wheel runs: ``"C <source hash>"`` or ``"python"``."""
+    return ("python" if _kernel is None
+            else f"C {source_hash(WHEEL_SOURCE)}")

@@ -31,7 +31,7 @@ from ..uarch.params import SystemConfig
 from ..uarch.uop import Trace, UopType
 from ..workloads.memory_image import MemoryImage
 from .component import CarryoverReport, SimComponent, SnapshotError
-from .events import EventWheel
+from .events import new_wheel
 from .stats import SimStats
 
 
@@ -121,7 +121,7 @@ class System(SimComponent):
             raise ValueError(
                 f"workload has {len(workload)} traces for {cfg.num_cores} cores")
         self.cfg = cfg
-        self.wheel = EventWheel()
+        self.wheel = new_wheel()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.tracer.bind(self.wheel)
         self.stats = SimStats()
@@ -155,6 +155,10 @@ class System(SimComponent):
             self.stats.cores.append(core.stats)
 
         self._finished = 0
+        #: every core has finished its measured pass; a plain attribute
+        #: (the cores read it every cycle), kept in step with
+        #: ``_finished`` by :meth:`on_core_finished` and :meth:`reseat`
+        self.all_finished = False
         self._warmed = False
 
     # ------------------------------------------------------------------
@@ -300,10 +304,7 @@ class System(SimComponent):
     # ------------------------------------------------------------------
     def on_core_finished(self, core_id: int) -> None:
         self._finished += 1
-
-    @property
-    def all_finished(self) -> bool:
-        return self._finished >= self.cfg.num_cores
+        self.all_finished = self._finished >= self.cfg.num_cores
 
     def warmup(self, warmup_instrs: int,
                max_cycles: int = 50_000_000) -> None:
@@ -490,6 +491,7 @@ class System(SimComponent):
         self._require_cycle_zero("reseat into a machine")
         saved_cores = state["cores"]
         self._finished = min(state["finished"], len(self.cores))
+        self.all_finished = self._finished >= self.cfg.num_cores
         self._warmed = state["warmed"]
         self.frame_allocator.reseat(state["frame_allocator"], report,
                                     _join(path, "frame_allocator"))

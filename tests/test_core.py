@@ -164,15 +164,17 @@ def test_fp_uops_execute_at_core():
     assert stats.cores[0].instructions == 2
 
 
-def test_deadlock_reported_not_hung():
+def test_deadlock_reported_not_hung(tick):
     from repro.sim.system import DeadlockError, SimTimeoutError, System
     # An empty wheel with unfinished work must raise, not hang.
     tw = TraceWriter()
     tw.add(UopType.MOV, dest=1, imm=1)
     cfg = tiny_config()
     system = System(cfg, [(tw.trace(), MemoryImage())])
-    # Sabotage: drop every tick so nothing ever runs.
-    system.cores[0]._schedule_tick = lambda *a, **k: None
+    # Sabotage: every tick, the first and each reschedule, whether the C
+    # or the Python tick queues it, is the core's _tick_event; make it do
+    # nothing so no cycle ever runs.
+    system.cores[0]._tick_event = lambda: None
     with pytest.raises(DeadlockError) as excinfo:
         system.run(max_cycles=100)
     # A drained wheel is a deadlock proper, not a cycle-budget timeout.

@@ -1,13 +1,15 @@
 """The core tick's host-speed shortcuts are exact: the C tick kernel
-matches the pure-Python tick, fixed-delay completions fire in the
-original order, the chain-source index agrees with the ROB scan it
-short-circuits, and a snapshot never drops a pending completion."""
+matches the pure-Python tick, the C event wheel the Python wheel,
+fixed-delay completions fire in the original order, the chain-source
+index agrees with the ROB scan it short-circuits, and a snapshot never
+drops a pending completion."""
 
 import pytest
 
 from repro.core import kernel, ooo_core
 from repro.core.ooo_core import OutOfOrderCore
 from repro.lint.sanitize import flatten_tree
+from repro.sim import events
 from repro.sim.component import SnapshotError
 from repro.sim.system import System
 from repro.uarch.params import (CoreConfig, eight_core_config,
@@ -17,16 +19,6 @@ from repro.workloads.memory_image import MemoryImage
 from repro.workloads.mixes import build_mix, build_scaled_mix
 
 from .helpers import TraceWriter, tiny_config
-
-
-@pytest.fixture(params=["c", "python"])
-def tick(request, monkeypatch):
-    """Run the test under each core tick implementation."""
-    if request.param == "python":
-        monkeypatch.setattr(ooo_core, "_kernel", None)
-    elif ooo_core._kernel is None:
-        pytest.skip("the C tick kernel did not build")
-    return request.param
 
 
 def _emc_quad():
@@ -57,17 +49,31 @@ def _forked_sweep():
     return stats
 
 
-@pytest.mark.parametrize("run", [
+RUNS = pytest.mark.parametrize("run", [
     lambda: _run(_emc_quad(), 300),
     lambda: _run(_mesh8(), 150),
     _forked_sweep,
 ], ids=["h3_quad_emc", "h1_mesh8_2mc", "h4_forked_sweep"])
+
+
+@RUNS
 def test_c_kernel_matches_the_python_tick(run, monkeypatch):
     if ooo_core._kernel is None:
         pytest.skip("the C tick kernel did not build")
     kernel = run()
     monkeypatch.setattr(ooo_core, "_kernel", None)
     assert run() == kernel
+
+
+@RUNS
+def test_c_wheel_matches_the_python_wheel(run, monkeypatch):
+    """Both C kernels against both Python references."""
+    if events._kernel is None or ooo_core._kernel is None:
+        pytest.skip("a C kernel did not build")
+    kernels = run()
+    monkeypatch.setattr(events, "_kernel", None)
+    monkeypatch.setattr(ooo_core, "_kernel", None)
+    assert run() == kernels
 
 
 def _layout():

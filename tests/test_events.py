@@ -1,11 +1,13 @@
-"""Unit tests for the event wheel."""
+"""Unit tests for the event wheel, each run on the C wheel (when it
+built) and on the pure-Python reference."""
 
 import pytest
 
-from repro.sim.events import EventWheel
+from .wheels import on_both_wheels
 
 
-def test_events_fire_in_time_order():
+@on_both_wheels
+def test_events_fire_in_time_order(EventWheel):
     wheel = EventWheel()
     fired = []
     wheel.schedule(5, lambda: fired.append("b"))
@@ -15,7 +17,8 @@ def test_events_fire_in_time_order():
     assert fired == ["a", "b", "c"]
 
 
-def test_same_cycle_events_fire_in_schedule_order():
+@on_both_wheels
+def test_same_cycle_events_fire_in_schedule_order(EventWheel):
     wheel = EventWheel()
     fired = []
     for tag in range(10):
@@ -24,7 +27,8 @@ def test_same_cycle_events_fire_in_schedule_order():
     assert fired == list(range(10))
 
 
-def test_now_advances_to_event_time():
+@on_both_wheels
+def test_now_advances_to_event_time(EventWheel):
     wheel = EventWheel()
     seen = []
     wheel.schedule(7, lambda: seen.append(wheel.now))
@@ -33,7 +37,8 @@ def test_now_advances_to_event_time():
     assert wheel.now == 7
 
 
-def test_schedule_during_event_runs_later():
+@on_both_wheels
+def test_schedule_during_event_runs_later(EventWheel):
     wheel = EventWheel()
     fired = []
 
@@ -46,7 +51,8 @@ def test_schedule_during_event_runs_later():
     assert fired == [("first", 2), ("second", 5)]
 
 
-def test_zero_delay_event_fires_same_cycle():
+@on_both_wheels
+def test_zero_delay_event_fires_same_cycle(EventWheel):
     wheel = EventWheel()
     fired = []
     wheel.schedule(4, lambda: wheel.schedule(0, lambda: fired.append(wheel.now)))
@@ -54,13 +60,15 @@ def test_zero_delay_event_fires_same_cycle():
     assert fired == [4]
 
 
-def test_negative_delay_rejected():
+@on_both_wheels
+def test_negative_delay_rejected(EventWheel):
     wheel = EventWheel()
     with pytest.raises(ValueError):
         wheel.schedule(-1, lambda: None)
 
 
-def test_schedule_at_past_rejected():
+@on_both_wheels
+def test_schedule_at_past_rejected(EventWheel):
     wheel = EventWheel()
     wheel.schedule(10, lambda: None)
     wheel.run()
@@ -68,7 +76,8 @@ def test_schedule_at_past_rejected():
         wheel.schedule_at(5, lambda: None)
 
 
-def test_run_until_bound():
+@on_both_wheels
+def test_run_until_bound(EventWheel):
     wheel = EventWheel()
     fired = []
     for t in (1, 5, 20):
@@ -78,7 +87,8 @@ def test_run_until_bound():
     assert wheel.pending == 1
 
 
-def test_run_max_events():
+@on_both_wheels
+def test_run_max_events(EventWheel):
     wheel = EventWheel()
     fired = []
     for t in range(5):
@@ -88,15 +98,18 @@ def test_run_max_events():
     assert len(fired) == 3
 
 
-def test_step_on_empty_wheel_returns_false():
+@on_both_wheels
+def test_step_on_empty_wheel_returns_false(EventWheel):
     assert EventWheel().step() is False
 
 
-def test_advance_on_empty_wheel_returns_zero():
+@on_both_wheels
+def test_advance_on_empty_wheel_returns_zero(EventWheel):
     assert EventWheel().advance() == 0
 
 
-def test_advance_dispatches_whole_cycle():
+@on_both_wheels
+def test_advance_dispatches_whole_cycle(EventWheel):
     wheel = EventWheel()
     fired = []
     for tag in range(4):
@@ -108,7 +121,8 @@ def test_advance_dispatches_whole_cycle():
     assert wheel.pending == 1
 
 
-def test_advance_includes_zero_delay_events_scheduled_mid_batch():
+@on_both_wheels
+def test_advance_includes_zero_delay_events_scheduled_mid_batch(EventWheel):
     wheel = EventWheel()
     fired = []
 
@@ -122,7 +136,8 @@ def test_advance_includes_zero_delay_events_scheduled_mid_batch():
     assert fired == ["first", "second", "chained"]
 
 
-def test_batch_dispatch_matches_step_order():
+@on_both_wheels
+def test_batch_dispatch_matches_step_order(EventWheel):
     """advance() must fire the exact sequence per-event step() would."""
     def load(wheel, log):
         for tag in range(6):
@@ -143,7 +158,8 @@ def test_batch_dispatch_matches_step_order():
     assert batched == stepped
 
 
-def test_rewind_with_pending_events_raises():
+@on_both_wheels
+def test_rewind_with_pending_events_raises(EventWheel):
     wheel = EventWheel()
     wheel.schedule(4, lambda: None)
     with pytest.raises(RuntimeError, match="pending"):
@@ -161,7 +177,8 @@ def test_rewind_with_pending_events_raises():
     wheel.run()
 
 
-def test_rewind_resets_clock_and_preserves_fifo_after_resume():
+@on_both_wheels
+def test_rewind_resets_clock_and_preserves_fifo_after_resume(EventWheel):
     wheel = EventWheel()
     fired = []
     for tag in ("a", "b", "c"):

@@ -253,6 +253,28 @@ def test_worker_parks_rows_enqueued_by_other_code(tmp_path, monkeypatch):
         serve_queue(queue_dir, jobs, jobs=1, lease_s=30.0)
 
 
+def test_expect_done_passes_over_parked_rows_of_other_code(
+        tmp_path, monkeypatch, capsys):
+    from repro.cli import main
+    queue_dir = str(tmp_path / "q")
+    jobs = _jobs(2)
+    monkeypatch.setattr(parallel, "code_fingerprint", lambda: "other code")
+    JobQueue(queue_dir).enqueue(jobs[:1], "demo")
+    monkeypatch.undo()
+    JobQueue(queue_dir).enqueue(jobs, "demo")
+    assert run_worker(queue_dir, worker_id="w1", lease_s=30.0) == 2
+    status = queue_status(queue_dir)
+    assert status.counts["done"] == 2 and status.counts["failed"] == 1
+    assert status.other_code == 1 and status.all_done
+
+    rc = main(["farm", "status", "--queue-dir", queue_dir,
+               "--expect-done"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "done=2 failed=1" in out
+    assert "other code: 1 parked row(s)" in out and "FAILED" not in out
+
+
 TINY_SPEC = """\
 name: tiny
 n_instrs: 300

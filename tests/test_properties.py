@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from repro.memsys.cache import SetAssocCache
 from repro.memsys.dram import DRAMChannel, DRAMRequest, DRAMStats
 from repro.interconnect.ring import Ring
-from repro.sim.events import EventWheel
 from repro.uarch.params import DRAMConfig, RingConfig
 from repro.workloads.generators import PointerChaseParams, TraceBuilder, \
     pointer_chase
 from repro.workloads.memory_image import MemoryImage
 
 from .helpers import run_trace, tiny_config
+from .wheels import on_both_wheels
 
 lines = st.lists(st.integers(min_value=0, max_value=1 << 30)
                  .map(lambda a: a & ~0x3F), min_size=1, max_size=60)
@@ -23,6 +23,11 @@ lines = st.lists(st.integers(min_value=0, max_value=1 << 30)
 @settings(max_examples=30, deadline=None)
 @given(addrs=lines)
 def test_dram_every_request_completes_exactly_once(addrs):
+    _every_request_completes_exactly_once(addrs)
+
+
+@on_both_wheels
+def _every_request_completes_exactly_once(EventWheel, addrs):
     cfg = DRAMConfig(channels=1, queue_entries=256)
     wheel = EventWheel()
     channel = DRAMChannel(0, cfg, wheel, DRAMStats())
@@ -41,6 +46,11 @@ def test_dram_every_request_completes_exactly_once(addrs):
 def test_dram_bank_never_overlaps_service(addrs):
     """A bank serves one request at a time: service windows per bank are
     disjoint."""
+    _bank_never_overlaps_service(addrs)
+
+
+@on_both_wheels
+def _bank_never_overlaps_service(EventWheel, addrs):
     cfg = DRAMConfig(channels=1, queue_entries=256)
     wheel = EventWheel()
     channel = DRAMChannel(0, cfg, wheel, DRAMStats())
@@ -64,6 +74,11 @@ def test_dram_bank_never_overlaps_service(addrs):
 @given(pairs=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
                       min_size=1, max_size=40))
 def test_ring_delivers_everything_in_bounded_time(pairs):
+    _ring_delivers_everything_in_bounded_time(pairs)
+
+
+@on_both_wheels
+def _ring_delivers_everything_in_bounded_time(EventWheel, pairs):
     wheel = EventWheel()
     ring = Ring(6, RingConfig(), wheel)
     delivered = []
