@@ -131,8 +131,14 @@ def test_c_wheel_collects_a_cycle_through_its_callbacks():
     assert probe() is None
 
 
-def test_new_wheel_follows_the_kernel_switch(monkeypatch):
+def test_new_wheel_follows_the_kernel_switch(monkeypatch, capsys):
+    from repro.cli import _print_kernels
     assert type(events.new_wheel()) is EventWheel
+    if events._kernel is not None:
+        assert events.wheel_implementation().startswith("C ")
+    _print_kernels()
+    assert (f"event wheel: {events.wheel_implementation()}"
+            in capsys.readouterr().out)
     monkeypatch.setattr(events, "_kernel", None)
     assert type(events.new_wheel()) is PythonEventWheel
     assert events.wheel_implementation() == "python"
