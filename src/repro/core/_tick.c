@@ -36,7 +36,7 @@
 
 enum {
     IU_uop, IU_state, IU_deps, IU_consumers, IU_value, IU_vaddr, IU_paddr,
-    IU_p1, IU_p2, IU_mem_dep_p, IU_migrated, IU_chain, IU_source_of_chain,
+    IU_p1, IU_p2, IU_mem_dep_p, IU_migrated, IU_source_of_chain,
     IU_rs_held, IU_llc_miss_pending, IU_was_llc_miss, IU_had_dependent,
     IU_is_dependent_miss, IU_chain_attempted, IU_dispatch_cycle,
     IU_issue_cycle, IU_done_cycle, IU_NSLOTS
@@ -44,7 +44,7 @@ enum {
 /* InflightUop.__slots__, in declaration order (setup() checks equality) */
 static const char *IU_NAMES[IU_NSLOTS] = {
     "uop", "state", "deps", "consumers", "value", "vaddr", "paddr",
-    "p1", "p2", "mem_dep_p", "migrated", "chain", "source_of_chain",
+    "p1", "p2", "mem_dep_p", "migrated", "source_of_chain",
     "rs_held", "llc_miss_pending", "was_llc_miss", "had_dependent",
     "is_dependent_miss", "chain_attempted", "dispatch_cycle",
     "issue_cycle", "done_cycle",
@@ -351,6 +351,18 @@ retire(Tick *t)
                     goto fail;
             }
         }
+        /* The wake-up list fired at completion; emptied, it closes no
+         * producer/consumer cycle. */
+        PyObject *consumers = IU_GET(iu, IU_consumers);
+        if (consumers == NULL)
+            goto fail;
+        if (!PyList_Check(consumers)) {
+            PyErr_SetString(PyExc_TypeError, "consumers must be a list");
+            goto fail;
+        }
+        if (PyList_SetSlice(consumers, 0, PyList_GET_SIZE(consumers),
+                            NULL) < 0)
+            goto fail;
         Py_DECREF(iu);
         retired++;
         continue;
@@ -656,7 +668,6 @@ new_inflight(PyObject *uop, PyObject *now)
     IU_SET(iu, IU_p2, Py_None);
     IU_SET(iu, IU_mem_dep_p, Py_None);
     IU_SET(iu, IU_migrated, Py_False);
-    IU_SET(iu, IU_chain, Py_None);
     IU_SET(iu, IU_source_of_chain, Py_None);
     IU_SET(iu, IU_rs_held, Py_True);
     IU_SET(iu, IU_llc_miss_pending, Py_False);

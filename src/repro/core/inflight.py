@@ -22,11 +22,18 @@ class InflightUop:
     Producer references (``p1``/``p2``/``mem_dep_p``) are kept even after
     producers complete: the dependent-miss classifier walks them backwards,
     and the chain generator consults them during the dataflow walk.
+
+    ``consumers`` is the wake-up list: the uops dispatched while this one
+    was outstanding.  It is read once, when this uop completes, and
+    emptied when it retires (both ticks do so).  Nothing reads it after
+    completion, and keeping it would leave a ``producer.consumers`` /
+    ``consumer.p1`` reference cycle per linked pair, which only the
+    cyclic collector (paused during event loops) could free.
     """
 
     __slots__ = (
         "uop", "state", "deps", "consumers", "value", "vaddr", "paddr",
-        "p1", "p2", "mem_dep_p", "migrated", "chain", "source_of_chain",
+        "p1", "p2", "mem_dep_p", "migrated", "source_of_chain",
         "rs_held",
         "llc_miss_pending", "was_llc_miss", "had_dependent",
         "is_dependent_miss", "chain_attempted",
@@ -45,7 +52,6 @@ class InflightUop:
         self.p2: Optional["InflightUop"] = None
         self.mem_dep_p: Optional["InflightUop"] = None
         self.migrated = False          # shipped to the EMC
-        self.chain = None              # DependenceChain membership
         self.source_of_chain = None    # chain rooted at this source miss
         self.rs_held = True
         self.llc_miss_pending = False  # LLC miss outstanding right now

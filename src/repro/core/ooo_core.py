@@ -263,10 +263,8 @@ class OutOfOrderCore(SimComponent):
             level = nxt
             depth += 1
         for iu in order:
-            # Every node here is retired: wake-up lists, memory-ordering
-            # links, and chain membership are dead weight.
-            iu.consumers.clear()
-            iu.chain = None
+            # Every node here is retired (and so has an empty wake-up
+            # list): memory-ordering links and chain roots are dead weight.
             iu.source_of_chain = None
             iu.mem_dep_p = None
             for field in ("dispatch_cycle", "issue_cycle", "done_cycle"):
@@ -402,6 +400,9 @@ class OutOfOrderCore(SimComponent):
                     # Keep the committed value readable after the entry
                     # leaves the window.
                     regfile[uop.dest] = iu.value
+                # The wake-up list fired at completion; emptied, it
+                # closes no producer/consumer cycle.
+                iu.consumers.clear()
                 if not frozen:
                     stats.instructions += 1
                 retired += 1
@@ -1097,7 +1098,6 @@ class OutOfOrderCore(SimComponent):
         for cu in chain_uops:
             iu = cu.core_ref
             iu.migrated = True
-            iu.chain = chain
             if iu.rs_held:
                 # "These uops are read out of the instruction window and
                 # sent to the EMC" — they free their RS entries like any

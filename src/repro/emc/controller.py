@@ -294,7 +294,6 @@ class EMC(SimComponent):
     def _execute(self, ctx: EMCContext, cu: ChainUop) -> None:
         uop = cu.uop
         self.stats.uops_executed += 1
-        self.system.energy_counters.note_emc_uop()
         if uop.op is UopType.LOAD:
             self._execute_load(ctx, cu)
             return
@@ -363,7 +362,6 @@ class EMC(SimComponent):
         chain = ctx.chain
         line = line_addr(paddr)
         self.stats.loads_executed += 1
-        self.system.energy_counters.note_emc_cache_access()
         if self.dcache.access(line) is not None:
             self.stats.dcache_hits += 1
             image = self.system.images[chain.core_id]

@@ -185,7 +185,6 @@ class MemoryHierarchy(SimComponent):
                             lambda: self._llc_probe(req))
 
     def _llc_probe(self, req: MemRequest) -> None:
-        self.stats.energy.llc_accesses += 1
         prior = self.llc.probe(req.line)
         was_useful = prior.prefetch_useful if prior is not None else True
         state = self.llc.access(req.line)
@@ -334,7 +333,6 @@ class MemoryHierarchy(SimComponent):
         self._store_at_slice_now(core_id, line)
 
     def _store_at_slice_now(self, core_id: int, line: int) -> None:
-        self.stats.energy.llc_accesses += 1
         state = self.llc.access(line, write=True)
         if state is not None:
             return
@@ -476,7 +474,6 @@ class MemoryHierarchy(SimComponent):
                        lambda: self._emc_llc_probe(req, mc_id), emc=True)
 
     def _emc_llc_probe(self, req: MemRequest, mc_id: int) -> None:
-        self.stats.energy.llc_accesses += 1
         self.trace.mark(req, Stage.LLC_LOOKUP)
         self.wheel.schedule(self._slice_wait(req.line) + self.cfg.llc.latency,
                             lambda: self._emc_llc_outcome(req, mc_id))
@@ -502,47 +499,59 @@ class MemoryHierarchy(SimComponent):
         # Zero-length unless the line's channel belongs to another MC, in
         # which case this is the cross-channel request hop (Section 4.4).
         self.trace.mark(req, Stage.RING_EMC)
-
-        def enqueue_at_owner() -> None:
-            req.t_at_mc = self.wheel.now
-            self.trace.mark(req, Stage.MC_QUEUE)
-            dram_req = DRAMRequest(
-                line=req.line, source=req.core_id, is_write=False,
-                emc_generated=True,
-                callback=lambda dr: done_at_owner(dr))
-            if not self.dram[owner].enqueue(dram_req, self.total_channels):
-                self.wheel.schedule(RETRY_CYCLES, enqueue_at_owner)
-
-        def done_at_owner(dram_req: DRAMRequest) -> None:
-            req.t_dram_start = dram_req.service_start
-            req.t_dram_done = self.wheel.now
-            req.row_hit = dram_req.row_hit
-            self.trace.mark_at(req, Stage.DRAM_BANK, dram_req.service_start)
-            self.trace.mark_at(req, Stage.DRAM_BUS, dram_req.bank_done)
-            owner_emc = self.system.emc_at(owner)
-            if owner_emc is not None:
-                owner_emc.on_dram_line(req.line)
-            if fill_llc:
-                slice_stop = self.llc.slice_stop(req.line)
-                self.ring.send(self.mc_stop(owner), slice_stop, "data",
-                               lambda: self._emc_fill_llc(req), emc=True)
-            if owner == requesting_mc:
-                self._emc_delivered(req, went_to_dram=True)
-            else:
-                # Cross-channel dependency: data ships EMC-to-EMC directly,
-                # cutting the core out (Section 4.4).
-                self.trace.mark(req, Stage.RING_EMC)
-                self.ring.send(self.mc_stop(owner),
-                               self.mc_stop(requesting_mc), "data",
-                               lambda: self._emc_delivered(req,
-                                                           went_to_dram=True),
-                               emc=True)
-
         if owner == requesting_mc:
-            enqueue_at_owner()
+            self._emc_enqueue_at_owner(req, owner, requesting_mc, fill_llc)
         else:
             self.ring.send(self.mc_stop(requesting_mc), self.mc_stop(owner),
-                           "ctrl", enqueue_at_owner, emc=True)
+                           "ctrl",
+                           lambda: self._emc_enqueue_at_owner(
+                               req, owner, requesting_mc, fill_llc),
+                           emc=True)
+
+    def _emc_enqueue_at_owner(self, req: MemRequest, owner: int,
+                              requesting_mc: int, fill_llc: bool) -> None:
+        """Queue an EMC request at the MC owning its line, retrying every
+        ``RETRY_CYCLES`` while that MC's queue is full.  The retry and
+        the DRAM callback call methods: a closure that schedules itself
+        would hold the request in a reference cycle."""
+        req.t_at_mc = self.wheel.now
+        self.trace.mark(req, Stage.MC_QUEUE)
+        dram_req = DRAMRequest(
+            line=req.line, source=req.core_id, is_write=False,
+            emc_generated=True,
+            callback=lambda dr: self._emc_done_at_owner(
+                req, owner, requesting_mc, fill_llc, dr))
+        if not self.dram[owner].enqueue(dram_req, self.total_channels):
+            self.wheel.schedule(RETRY_CYCLES,
+                                lambda: self._emc_enqueue_at_owner(
+                                    req, owner, requesting_mc, fill_llc))
+
+    def _emc_done_at_owner(self, req: MemRequest, owner: int,
+                           requesting_mc: int, fill_llc: bool,
+                           dram_req: DRAMRequest) -> None:
+        req.t_dram_start = dram_req.service_start
+        req.t_dram_done = self.wheel.now
+        req.row_hit = dram_req.row_hit
+        self.trace.mark_at(req, Stage.DRAM_BANK, dram_req.service_start)
+        self.trace.mark_at(req, Stage.DRAM_BUS, dram_req.bank_done)
+        owner_emc = self.system.emc_at(owner)
+        if owner_emc is not None:
+            owner_emc.on_dram_line(req.line)
+        if fill_llc:
+            slice_stop = self.llc.slice_stop(req.line)
+            self.ring.send(self.mc_stop(owner), slice_stop, "data",
+                           lambda: self._emc_fill_llc(req), emc=True)
+        if owner == requesting_mc:
+            self._emc_delivered(req, went_to_dram=True)
+        else:
+            # Cross-channel dependency: data ships EMC-to-EMC directly,
+            # cutting the core out (Section 4.4).
+            self.trace.mark(req, Stage.RING_EMC)
+            self.ring.send(self.mc_stop(owner),
+                           self.mc_stop(requesting_mc), "data",
+                           lambda: self._emc_delivered(req,
+                                                       went_to_dram=True),
+                           emc=True)
 
     def _emc_fill_llc(self, req: MemRequest) -> None:
         dirty_victim = self.llc.fill(req.line, emc_bit=True)

@@ -46,7 +46,9 @@ class PythonEventWheel:
     Events scheduled for the same cycle fire in scheduling order (bucket
     append order), which keeps the simulator deterministic for a fixed
     seed.  A callback that raises still consumes its event; a bucket it
-    leaves empty retires, so the wheel stays consistent.
+    leaves empty retires, so the wheel stays consistent.  A callback may
+    schedule but not dispatch: ``step``, ``advance`` or ``run`` inside a
+    dispatch raises ``RuntimeError``, as the C wheel does.
     """
 
     def __init__(self) -> None:
@@ -55,6 +57,8 @@ class PythonEventWheel:
         self._buckets: Dict[int, Deque[Callable[[], None]]] = {}
         #: heap of the distinct cycles present in ``_buckets``
         self._times: List[int] = []
+        #: a step, advance or run is on the stack
+        self._dispatching = False
 
     def schedule(self, delay: int, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` to fire ``delay`` cycles from now."""
@@ -99,11 +103,17 @@ class PythonEventWheel:
                 f"cannot rewind with {self.pending} events pending")
         self.now = 0
 
+    def _begin_dispatch(self) -> None:
+        if self._dispatching:
+            raise RuntimeError("the event wheel is already dispatching")
+        self._dispatching = True
+
     def step(self) -> bool:
         """Pop and run the next event.  Returns False if the wheel is empty."""
         times = self._times
         if not times:
             return False
+        self._begin_dispatch()
         time = times[0]
         self.now = time
         bucket = self._buckets[time]
@@ -111,6 +121,7 @@ class PythonEventWheel:
         try:
             callback()
         finally:
+            self._dispatching = False
             # The callback may have scheduled into this same cycle; only
             # an exhausted bucket retires its heap entry.
             if not bucket:
@@ -128,6 +139,7 @@ class PythonEventWheel:
         times = self._times
         if not times:
             return 0
+        self._begin_dispatch()
         time = times[0]
         self.now = time
         bucket = self._buckets[time]
@@ -138,6 +150,7 @@ class PythonEventWheel:
                 popleft()()
                 executed += 1
         finally:
+            self._dispatching = False
             if not bucket:
                 del self._buckets[time]
                 heapq.heappop(times)
@@ -149,31 +162,35 @@ class PythonEventWheel:
 
         Returns the number of events executed.
         """
+        self._begin_dispatch()
         executed = 0
         buckets = self._buckets
         times = self._times
-        while times:
-            time = times[0]
-            if until is not None and time > until:
-                break
-            self.now = time
-            bucket = buckets[time]
-            try:
-                if max_events is None:
-                    popleft = bucket.popleft
-                    while bucket:
-                        popleft()()
-                        executed += 1
-                else:
-                    while bucket:
-                        if executed >= max_events:
-                            return executed
-                        bucket.popleft()()
-                        executed += 1
-            finally:
-                if not bucket:
-                    del buckets[time]
-                    heapq.heappop(times)
+        try:
+            while times:
+                time = times[0]
+                if until is not None and time > until:
+                    break
+                self.now = time
+                bucket = buckets[time]
+                try:
+                    if max_events is None:
+                        popleft = bucket.popleft
+                        while bucket:
+                            popleft()()
+                            executed += 1
+                    else:
+                        while bucket:
+                            if executed >= max_events:
+                                return executed
+                            bucket.popleft()()
+                            executed += 1
+                finally:
+                    if not bucket:
+                        del buckets[time]
+                        heapq.heappop(times)
+        finally:
+            self._dispatching = False
         return executed
 
 

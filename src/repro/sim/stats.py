@@ -268,14 +268,6 @@ class EnergyCounters:
         """One L1 lookup (hit or miss)."""
         self.l1_accesses += 1
 
-    def note_emc_uop(self) -> None:
-        """A chain uop executed on the EMC's compute logic."""
-        self.emc_uops += 1
-
-    def note_emc_cache_access(self) -> None:
-        """One EMC data-cache lookup."""
-        self.emc_cache_accesses += 1
-
     def absorb(self, bank: CounterBank) -> None:
         """Fold a hot-loop :class:`CounterBank`'s deltas into these
         counters and zero the bank (the owner-mediated flush point)."""

@@ -87,8 +87,12 @@ def _gc_paused():
     """Suspend cyclic garbage collection for the duration of an event loop.
 
     The event loops allocate millions of short-lived objects (events,
-    in-flight uops, requests) whose lifetimes refcounting alone handles;
-    generational collection only adds scan passes over them.  Restores the
+    in-flight uops, requests); generational collection only adds scan
+    passes over them.  Refcounting alone frees them because the loop
+    makes no reference cycle: a uop empties its wake-up list when it
+    retires, and the EMC's DRAM path schedules methods, not closures that
+    capture themselves (``tests/test_no_cyclic_garbage.py``).  A cycle
+    made here would stay in memory until the loop ends.  Restores the
     collector's prior enabled state — and never forces a collection — so
     nesting (run inside warmup) and embedding callers stay unaffected.
     """
@@ -395,11 +399,17 @@ class System(SimComponent):
         return self.stats
 
     def _finalize_stats(self) -> None:
-        """Take the energy model's fabric and DRAM event counts from the
-        counters that own them."""
+        """Take the energy model's fabric, LLC, DRAM and EMC event counts
+        from the counters that own them."""
         energy = self.energy_counters
         energy.ring_control_hops = self.ring.stats.control_hops
         energy.ring_data_hops = self.ring.stats.data_hops
+        energy.llc_accesses = sum(sl.cache.stats.accesses
+                                  for sl in self.hierarchy.llc.slices)
+        energy.emc_cache_accesses = sum(emc.dcache.stats.accesses
+                                        for emc in self.emcs
+                                        if emc is not None)
+        energy.emc_uops = self.stats.emc.uops_executed
         dram = self.dram_stats
         energy.dram_reads = sum(s.reads for s in dram)
         energy.dram_writes = sum(s.writes for s in dram)

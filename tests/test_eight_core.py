@@ -1,6 +1,7 @@
 """Eight-core and dual-memory-controller specific tests (Section 4.4)."""
 
 from repro import eight_core_config, run_system
+from repro.memsys.hierarchy import MemoryHierarchy
 from repro.workloads.mixes import build_eight_core_mix, build_homogeneous
 
 
@@ -33,13 +34,24 @@ def test_dual_mc_contexts_per_controller():
     assert single.emc.num_contexts == 4
 
 
-def test_cross_channel_chains_complete():
+def test_cross_channel_chains_complete(monkeypatch):
     """Chains whose dependent loads target the *other* controller's
     channels must still complete (EMC-to-EMC request forwarding)."""
+    done_at_owner = MemoryHierarchy._emc_done_at_owner
+    cross = []
+
+    def spy(self, req, owner, requesting_mc, fill_llc, dram_req):
+        if owner != requesting_mc:
+            cross.append(req)
+        done_at_owner(self, req, owner, requesting_mc, fill_llc, dram_req)
+
+    monkeypatch.setattr(MemoryHierarchy, "_emc_done_at_owner", spy)
     cfg = eight_core_config(emc=True, num_mcs=2)
     result = run_system(cfg, build_eight_core_mix("H4", 900, seed=1))
     # mcf is in H4 twice: chains fire, and the run completes functionally.
     assert result.stats.emc.chains_executed > 0
+    # Some EMC load went to the other MC's DRAM, and its data came back.
+    assert cross and all(req.t_done >= req.t_dram_done > 0 for req in cross)
     total = sum(c.instructions for c in result.stats.cores)
     assert total >= 8 * 900
 

@@ -121,3 +121,42 @@ def test_dram_energy_counts_are_the_dram_stats(job_args):
     assert energy.dram_writes == sum(s.writes for s in dram)
     assert energy.dram_activations == sum(s.row_closed + s.row_conflicts
                                           for s in dram) > 0
+
+
+def test_llc_and_emc_energy_counts_are_their_layer_sums(monkeypatch):
+    # The LLC and EMC energy events come from the layers' own counters:
+    # each equals its layer sum and the measured window's calls.
+    from collections import Counter
+
+    from repro.analysis.parallel import (RunJob, build_job_config,
+                                         build_job_workload)
+    from repro.sim.system import System
+    job = RunJob(("eight", "H1"), 600, warmup_instrs=150, num_mcs=2,
+                 fabric="mesh", emc=True)
+    system = System(build_job_config(job), build_job_workload(job))
+    system.warmup(job.warmup_instrs)
+    calls = Counter()
+
+    def spy(owner, method, key):
+        original = getattr(owner, method)
+
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, method, counted)
+
+    emcs = [emc for emc in system.emcs if emc is not None]
+    assert len(emcs) == 2
+    spy(system.hierarchy.llc, "access", "llc")
+    for emc in emcs:
+        spy(emc.dcache, "access", "emc_cache")
+        spy(emc, "_execute", "emc_uop")
+    stats = system.run()
+    energy = stats.energy
+    assert energy.llc_accesses == sum(
+        sl.cache.stats.accesses
+        for sl in system.hierarchy.llc.slices) == calls["llc"] > 0
+    assert energy.emc_cache_accesses == sum(
+        emc.dcache.stats.accesses for emc in emcs) == calls["emc_cache"] > 0
+    assert energy.emc_uops == stats.emc.uops_executed == calls["emc_uop"] > 0

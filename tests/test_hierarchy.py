@@ -2,6 +2,8 @@
 write-through stores, prefetch injection, and the EMC shortcuts."""
 
 from repro.memsys.cache import line_addr
+from repro.memsys.dram import DRAMRequest
+from repro.memsys.hierarchy import RETRY_CYCLES
 from repro.memsys.request import MemRequest
 from repro.sim.system import System
 from repro.uarch.uop import UopType
@@ -128,6 +130,40 @@ def test_emc_fetch_predicted_hit_uses_llc():
     assert system.stats.emc.llc_requests == 1
     # LLC hit: no DRAM involvement, so it is not an EMC miss.
     assert system.stats.llc_misses_from_emc == 0
+
+
+def test_emc_fetch_direct_retries_a_full_memory_queue(monkeypatch):
+    """A bypassing EMC load that finds its MC's queue full re-tries every
+    ``RETRY_CYCLES`` and still completes, through DRAM."""
+    system = make_system(emc=True)
+    system.cfg.dram.queue_entries = 2
+    h = system.hierarchy
+    dram = h.dram[0]
+    channel = dram.channels[dram.channel_of(0xB00000, h.total_channels)]
+    while not channel.queue_full:
+        assert channel.enqueue(DRAMRequest(line=0xB00000, source=0,
+                                           is_write=False,
+                                           callback=lambda _dr: None))
+    attempts = []
+    enqueue_at_owner = h._emc_enqueue_at_owner
+
+    def spy(*args):
+        attempts.append(system.wheel.now)
+        enqueue_at_owner(*args)
+
+    monkeypatch.setattr(h, "_emc_enqueue_at_owner", spy)
+    done = []
+    h.emc_fetch(mc_id=0, core_id=0, pc=0x20, vaddr=0xB00000,
+                paddr=0xB00000, predicted_miss=True,
+                callback=lambda r: done.append(r))
+    system.wheel.run()
+    assert len(attempts) >= 2
+    assert all(later - earlier == RETRY_CYCLES
+               for earlier, later in zip(attempts, attempts[1:]))
+    [req] = done
+    assert req.bypassed_llc and req.t_at_mc == attempts[-1]
+    assert req.t_at_mc < req.t_dram_done <= req.t_done
+    assert system.stats.llc_misses_from_emc == 1
 
 
 def test_emc_path_has_less_onchip_overhead():

@@ -13,16 +13,23 @@ from hypothesis import strategies as st
 from repro.sim import events
 from repro.sim.events import EventWheel, PythonEventWheel
 
+from .wheels import on_both_wheels
+
 needs_c_wheel = pytest.mark.skipif(events._kernel is None,
                                    reason="the C wheel kernel did not build")
 
 FAR = 2 ** 40
 
-#: a callback: (raises after scheduling its children, [(delay, child)])
+#: a dispatch a callback may try on its own wheel (refused on both)
+nested_dispatch = st.sampled_from((None, None, None,
+                                   "step", "advance", "run"))
+
+#: a callback: (raises after scheduling its children, nested dispatch,
+#: [(delay, child)])
 callbacks = st.recursive(
-    st.tuples(st.booleans(), st.just(())),
+    st.tuples(st.booleans(), nested_dispatch, st.just(())),
     lambda child: st.tuples(
-        st.booleans(),
+        st.booleans(), nested_dispatch,
         st.lists(st.tuples(st.integers(0, 3), child), max_size=3)),
     max_leaves=6)
 
@@ -51,7 +58,7 @@ def play(wheel_class, program):
     trace = []
 
     def make(spec):
-        raises, children = spec
+        raises, dispatch, children = spec
         tag = next(tags)
 
         def callback():
@@ -59,6 +66,12 @@ def play(wheel_class, program):
             assert now is wheel.now
             seen.append(now)
             trace.append(("fire", tag, now, wheel.pending))
+            if dispatch is not None:
+                try:
+                    outcome = getattr(wheel, dispatch)()
+                except RuntimeError as exc:
+                    outcome = str(exc)
+                trace.append((dispatch, outcome, wheel.now, wheel.pending))
             for delay, child in children:
                 wheel.schedule(delay, make(child))
             if raises:
@@ -95,20 +108,24 @@ def test_c_wheel_twins_the_python_wheel(program):
     assert play(EventWheel, program) == play(PythonEventWheel, program)
 
 
-@needs_c_wheel
-def test_c_wheel_refuses_a_dispatch_inside_a_dispatch():
-    wheel = EventWheel()
+@on_both_wheels
+def test_wheel_refuses_a_dispatch_inside_a_dispatch(wheel_class):
+    wheel = wheel_class()
     raised = []
 
     def nested():
-        with pytest.raises(RuntimeError, match="already dispatching"):
-            wheel.run()
-        raised.append(True)
+        for dispatch in (wheel.step, wheel.advance, wheel.run):
+            with pytest.raises(RuntimeError, match="already dispatching"):
+                dispatch()
+            raised.append(dispatch.__name__)
 
     wheel.schedule(1, nested)
+    wheel.schedule(1, lambda: raised.append("same cycle"))
     wheel.schedule(2, lambda: None)
-    assert wheel.advance() == 1
-    assert raised and wheel.pending == 1 and wheel.advance() == 1
+    assert wheel.advance() == 2
+    assert raised == ["step", "advance", "run", "same cycle"]
+    assert wheel.now == 1 and wheel.pending == 1
+    assert wheel.advance() == 1 and wheel.pending == 0
 
 
 class Sentinel:
