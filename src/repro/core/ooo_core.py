@@ -175,7 +175,7 @@ class OutOfOrderCore(SimComponent):
                     # CoreStats is donated to SimStats.cores at
                     # construction; SimStats.reset_stats zeroes it
                     # recursively.
-                    self.stats.full_window_stall_cycles += (  # simlint: disable=SIM011
+                    self.stats.full_window_stall_cycles += (
                         until - self._doze_started)
             self._doze_started = None
         self._schedule_tick()

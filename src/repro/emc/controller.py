@@ -54,18 +54,20 @@ class EMCContext:
     def load_chain(self, chain: DependenceChain) -> None:
         self.chain = chain
         self.state = ContextState.PARKED
+        self.remaining = len(chain.uops)
+
+    def release(self) -> None:
+        """Return to the construction state, so an idle context holds
+        nothing of the chain it last ran."""
+        self.state = ContextState.IDLE
+        self.chain = None
         self.values = {}
         self.waiters = {}
         self.deps_remaining = {}
         self.ready = deque()
-        self.remaining = len(chain.uops)
+        self.remaining = 0
         self.store_lines = set()
         self.store_values = {}
-
-    def release(self) -> None:
-        self.state = ContextState.IDLE
-        self.chain = None
-        self.ready.clear()
 
 
 class EMC(SimComponent):

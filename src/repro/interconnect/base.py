@@ -25,7 +25,9 @@ from ..uarch.params import FabricConfig
 
 @dataclass(slots=True)
 class FabricStats:
-    """Message/hop/latency counters, identical across topologies."""
+    """Message/hop/latency counters, identical across topologies.
+    Window: the whole run, every message until the post-finish drain
+    ends."""
 
     control_messages: int = 0
     data_messages: int = 0

@@ -14,16 +14,15 @@ trace subsystem silently depend on:
   writes)
 - timing sinks (**SIM004** float cycle arithmetic, **SIM007** events
   scheduled in the past, **SIM009** set iteration feeding event order)
-- the component protocol (**SIM010** snapshot completeness, **SIM011**
-  reset coverage, **SIM012** config-state drift), over the graph's class
-  tables.
 
 Run it as ``repro lint src/`` (or via :func:`lint_paths`), suppress a
 finding inline with ``# simlint: disable=SIM001`` (stale suppressions
 are themselves reported as SIM099), and grandfather legacy findings in
-a committed baseline file.  The dynamic counterpart — the
-two-run determinism sanitizer — lives in :mod:`repro.lint.sanitize` and is
-exposed as ``repro sanitize``.
+a committed baseline file.  The dynamic counterparts live in
+:mod:`repro.lint.sanitize` and are exposed as ``repro sanitize``: the
+two-run determinism sanitizer, and the live fork identity, which checks
+the component protocol (snapshot completeness, reset coverage,
+config-state agreement) on real machines.
 
 See ``docs/lint.md`` for the rule catalogue and workflow.
 """

@@ -3,9 +3,8 @@
 One :func:`lint_paths` call parses each Python file once, builds the
 whole-program :class:`~repro.lint.graph.ProjectGraph` over every parsed
 module (import tables, direct determinism sources, cross-file class
-hierarchy, call edges — the substrate for the determinism rules and the
-protocol-conformance rules SIM010–SIM012), and hands each tree to every
-selected rule together with the shared graph.
+hierarchy, call edges — the substrate for the determinism rules), and
+hands each tree to every selected rule together with the shared graph.
 Findings then pass through two filters:
 
 - inline suppressions — ``# simlint: disable=SIM001`` (comma-separate

@@ -86,7 +86,7 @@ class LintContext:
 
 
 #: subpackages whose code runs inside the simulated-cycle hot path; rules
-#: about simulated time (SIM003/SIM004/SIM007/SIM009/SIM011/SIM013) only
+#: about simulated time (SIM003/SIM004/SIM007/SIM009/SIM013) only
 #: apply here
 HOT_PACKAGES = frozenset(
     {"sim", "core", "memsys", "emc", "interconnect", "prefetch"})

@@ -13,29 +13,19 @@ its facts from here, built once per lint run:
 - per-module **direct sources**: every call that reads host time, host
   entropy or the process-global RNG, classified once through that import
   table (SIM002/SIM003 report them, the taint fixpoint starts from them);
-- a **class table** per module with base-class expressions resolved
-  across modules into a linearized ancestor list (duplicates dropped,
-  unresolvable bases kept as terminal names so ``SimComponent`` is
-  recognized even when ``repro.sim.component`` is outside the linted
-  tree);
-- per-class **attribute tables**: ``self.X`` assignments in ``__init__``
-  (with the first-assignment value node, for state-vs-wiring
-  classification), ``self.X`` assignments anywhere, class-level
-  attributes, and ``@dataclass`` field declarations;
-- per-method **self indexes**: attributes mentioned through ``self``,
-  methods called through ``self``/``super()``, and whether the method
-  hands the whole instance to ``reset_dataclass_stats`` (wildcard
-  coverage);
+- a **class table** per module (methods and base-class expressions),
+  with bases resolved across modules into a linearized ancestor list, so
+  a ``self.m()`` or ``super().m()`` call resolves to the class that
+  defines ``m``;
 - a **call-edge index** with an inter-procedural **taint fixpoint**:
   which functions (module-level or methods) return values derived from
   wall-clock reads or process-global RNG draws, propagated through
   project-local call chains until stable.
 
 The graph is deliberately approximate in the direction of *fewer false
-positives*: unresolvable calls and bases contribute nothing, dynamic
-attribute access (``getattr``/``setattr`` with computed names) marks a
-method as wildcard coverage, and name resolution never imports or
-executes project code — everything is derived from the parsed ASTs.
+positives*: unresolvable calls and bases contribute nothing, and name
+resolution never imports or executes project code — everything is
+derived from the parsed ASTs.
 """
 
 from __future__ import annotations
@@ -45,19 +35,7 @@ import functools
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
-
-#: the protocol root every stateful simulator class derives from; matched
-#: by terminal name so fixture trees that cannot see repro.sim.component
-#: still resolve their hierarchy
-SIM_COMPONENT_NAME = "SimComponent"
-
-#: helpers that consume the *whole* instance: a method calling one of
-#: these with a bare ``self`` argument covers every attribute
-_WILDCARD_STATE_HELPERS = frozenset({"reset_dataclass_stats"})
-
-#: decorator names that make a class a dataclass
-_DATACLASS_DECORATORS = frozenset({"dataclass"})
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 _FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 _ASSIGN_NODES = (ast.Assign, ast.AnnAssign, ast.AugAssign)
@@ -110,33 +88,13 @@ def _source_for_dotted(dotted: str) -> Optional[str]:
 
 
 @dataclass
-class AttrAssign:
-    """First ``self.X = ...`` assignment for one attribute in __init__."""
-
-    name: str
-    lineno: int
-    col: int
-    value: Optional[ast.expr]              # None for bare annotations
-
-
-@dataclass
 class ClassInfo:
-    """One class definition plus its simlint-relevant tables."""
+    """One class definition: its methods and base-class expressions."""
 
     name: str
     module: "ModuleInfo"
-    node: ast.ClassDef
     base_exprs: List[ast.expr] = field(default_factory=list)
     methods: Dict[str, "FunctionInfo"] = field(default_factory=dict)
-    #: attr -> first assignment inside this class's own __init__
-    init_attrs: Dict[str, AttrAssign] = field(default_factory=dict)
-    #: every attr assigned through self in any method of this class
-    all_self_attrs: Set[str] = field(default_factory=set)
-    #: plain class-level attribute names (``name = "ghb"``)
-    class_attrs: Set[str] = field(default_factory=set)
-    is_dataclass: bool = False
-    #: class-level annotated fields (dataclass field declarations)
-    dataclass_fields: Dict[str, AttrAssign] = field(default_factory=dict)
 
     @property
     def qualname(self) -> str:
@@ -169,13 +127,6 @@ class FunctionInfo:
         """Assign / AnnAssign / AugAssign statements, in ``nodes`` order."""
         return [node for node in self.nodes
                 if isinstance(node, _ASSIGN_NODES)]
-
-    @functools.cached_property
-    def self_refs(self) -> Tuple[FrozenSet[str], FrozenSet[str], bool]:
-        """A method's ``(attributes mentioned through self, methods
-        called through self/super(), whole-instance coverage)``; built
-        for the methods a coverage query reaches."""
-        return _self_refs(self.nodes)
 
     @property
     def key(self) -> Tuple[str, str, str]:
@@ -357,45 +308,13 @@ def attribute_chain(node: ast.expr) -> Tuple[Optional[ast.expr], List[str]]:
     return node, attrs
 
 
-def _decorator_name(dec: ast.expr) -> str:
-    if isinstance(dec, ast.Call):
-        dec = dec.func
-    _base, attrs = attribute_chain(dec)
-    if attrs:
-        return attrs[-1]
-    if isinstance(dec, ast.Name):
-        return dec.id
-    return ""
-
-
 def _build_class(module: ModuleInfo, node: ast.ClassDef) -> ClassInfo:
-    info = ClassInfo(name=node.name, module=module, node=node,
+    info = ClassInfo(name=node.name, module=module,
                      base_exprs=list(node.bases))
-    info.is_dataclass = any(_decorator_name(d) in _DATACLASS_DECORATORS
-                            for d in node.decorator_list)
     for stmt in node.body:
         if isinstance(stmt, _FUNCTION_NODES):
             info.methods[stmt.name] = FunctionInfo(
                 module=module, cls=info, name=stmt.name, node=stmt)
-        elif isinstance(stmt, ast.AnnAssign) and isinstance(
-                stmt.target, ast.Name):
-            info.class_attrs.add(stmt.target.id)
-            info.dataclass_fields[stmt.target.id] = AttrAssign(
-                name=stmt.target.id, lineno=stmt.lineno,
-                col=stmt.col_offset, value=stmt.value)
-        elif isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    info.class_attrs.add(target.id)
-    init = info.methods.get("__init__")
-    if init is not None:
-        info.init_attrs = _init_attr_table(init)
-    for method in info.methods.values():
-        for stmt in method.assigns:
-            for target in _assign_targets(stmt):
-                attr = _self_attr_name(target)
-                if attr is not None:
-                    info.all_self_attrs.add(attr)
     return info
 
 
@@ -420,56 +339,6 @@ def _self_attr_name(target: ast.expr) -> Optional[str]:
             and target.value.id == "self"):
         return target.attr
     return None
-
-
-def _init_attr_table(init: FunctionInfo) -> Dict[str, AttrAssign]:
-    table: Dict[str, AttrAssign] = {}
-    for stmt in init.assigns:
-        if isinstance(stmt, ast.AugAssign):
-            continue
-        value = stmt.value
-        for target in _assign_targets(stmt):
-            attr = _self_attr_name(target)
-            if attr is None or attr in table:
-                continue
-            table[attr] = AttrAssign(name=attr, lineno=target.lineno,
-                                     col=target.col_offset, value=value)
-    return table
-
-
-def _self_refs(nodes: List[ast.AST]
-               ) -> Tuple[FrozenSet[str], FrozenSet[str], bool]:
-    self_attrs: Set[str] = set()
-    self_calls: Set[str] = set()
-    wildcard = False
-    for sub in nodes:
-        if isinstance(sub, ast.Attribute):
-            if isinstance(sub.value, ast.Name) and sub.value.id == "self":
-                self_attrs.add(sub.attr)
-            # super().m(...) -> virtual self-call
-        if isinstance(sub, ast.Call):
-            func = sub.func
-            if isinstance(func, ast.Attribute):
-                value = func.value
-                if isinstance(value, ast.Name) and value.id == "self":
-                    self_calls.add(func.attr)
-                elif (isinstance(value, ast.Call)
-                        and isinstance(value.func, ast.Name)
-                        and value.func.id == "super"):
-                    self_calls.add(func.attr)
-            elif isinstance(func, ast.Name):
-                if func.id in _WILDCARD_STATE_HELPERS and any(
-                        isinstance(arg, ast.Name) and arg.id == "self"
-                        for arg in sub.args):
-                    wildcard = True
-                elif func.id in ("getattr", "setattr") and sub.args and \
-                        isinstance(sub.args[0], ast.Name) and \
-                        sub.args[0].id == "self":
-                    # Dynamic attribute access over self: assume it can
-                    # reach anything (e.g. snapshot loops over a name
-                    # list) rather than inventing false gaps.
-                    wildcard = True
-    return frozenset(self_attrs), frozenset(self_calls), wildcard
 
 
 def _reaches_taint(called: Optional[List[FunctionInfo]],
@@ -599,75 +468,15 @@ class ProjectGraph:
         visit(cls)
         return order, unresolved
 
-    def is_sim_component(self, cls: ClassInfo) -> bool:
-        """True when ``cls`` (not the root itself) derives from
-        :class:`SimComponent`, resolved across modules or recognized by
-        terminal base name when the root is outside the linted tree."""
-        if cls.name == SIM_COMPONENT_NAME:
-            return False
-        order, unresolved = self.ancestors(cls)
-        if SIM_COMPONENT_NAME in unresolved:
-            return True
-        return any(anc.name == SIM_COMPONENT_NAME for anc in order[1:])
-
-    def find_method(self, cls: ClassInfo, name: str,
-                    skip_root: bool = False
+    def find_method(self, cls: ClassInfo, name: str
                     ) -> Optional[Tuple[ClassInfo, FunctionInfo]]:
-        """Locate ``name`` in the class's resolved ancestor chain.
-
-        ``skip_root`` ignores definitions on the ``SimComponent`` root —
-        its raising stubs do not count as implementing the protocol.
-        """
+        """Locate ``name`` in the class's resolved ancestor chain."""
         order, _unresolved = self.ancestors(cls)
         for anc in order:
-            if skip_root and anc.name == SIM_COMPONENT_NAME:
-                continue
             method = anc.methods.get(name)
             if method is not None:
                 return anc, method
         return None
-
-    def inherited_attrs(self, cls: ClassInfo) -> Set[str]:
-        """Every attribute name the class or its resolved ancestors
-        assign through self, declare at class level, or declare as a
-        dataclass field."""
-        order, _unresolved = self.ancestors(cls)
-        attrs: Set[str] = set()
-        for anc in order:
-            attrs |= anc.all_self_attrs
-            attrs |= anc.class_attrs
-            attrs |= set(anc.dataclass_fields)
-        return attrs
-
-    def reachable_state_coverage(
-            self, cls: ClassInfo,
-            roots: Iterable[str]) -> Tuple[Set[str], bool]:
-        """Attributes mentioned through self in the transitive closure of
-        ``roots`` (virtual dispatch: every self-call resolves against
-        ``cls``'s own MRO, so base-class hooks see subclass overrides).
-
-        Returns ``(attrs, wildcard)`` where ``wildcard`` means some
-        reached method hands the whole instance to a state helper or
-        uses dynamic attribute access — full coverage.
-        """
-        covered: Set[str] = set()
-        wildcard = False
-        queue: List[str] = list(roots)
-        visited: Set[str] = set()
-        while queue:
-            name = queue.pop()
-            if name in visited:
-                continue
-            visited.add(name)
-            found = self.find_method(cls, name)
-            if found is None:
-                continue
-            _owner, method = found
-            attrs, calls, whole = method.self_refs
-            covered |= attrs
-            wildcard = wildcard or whole
-            queue.extend(calls - visited)
-        return covered, wildcard
 
     # -- taint fixpoint (SIM013) ---------------------------------------------
     def taint_summaries(self) -> Dict[Tuple[str, str, str], str]:

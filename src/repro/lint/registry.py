@@ -3,7 +3,7 @@
 A rule is a class with ``code``/``name``/``description`` metadata, a
 default :class:`~repro.lint.findings.Severity`, and a ``check(tree, ctx)``
 method yielding :class:`~repro.lint.findings.Finding` objects.  Importing
-:mod:`repro.lint.rules` registers the built-in SIM001–SIM013 set; external
+:mod:`repro.lint.rules` registers the built-in rules; external
 code can register additional rules with the same decorator.
 """
 

@@ -1,6 +1,6 @@
 """Dynamic determinism sanitizer: run twice, diff everything.
 
-The static rules (SIM001–SIM009) catch the *patterns* that break
+The static rules catch the *patterns* that break
 determinism; this is the cheap end-to-end check that nothing slipped
 through: run the same configuration twice with the same seed in one
 process and require the full stats tree — every counter, every latency
@@ -17,6 +17,10 @@ run-twice diff, exposed as ``repro run --sanitize`` too),
 :func:`sanitize_parallel_runner`, :func:`sanitize_checkpoint_roundtrip`
 and :func:`sanitize_fork_identity` (all four behind ``repro sanitize``).
 Each report's label names the job it ran.
+
+:func:`fork_identity_trees` is the component protocol's check: an
+identity fork of a machine at cycle 0 must equal it in every live
+attribute.
 """
 
 from __future__ import annotations
@@ -25,10 +29,12 @@ import dataclasses
 import enum
 from collections import OrderedDict, deque
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set,
+                    Tuple)
 
 if TYPE_CHECKING:
     from ..analysis.parallel import RunJob
+    from ..sim.system import System
 
 
 def flatten_tree(obj: Any, prefix: str = "",
@@ -220,9 +226,10 @@ def flatten_state(obj: Any, prefix: str = "",
     Tolerant where :func:`flatten_tree` is strict: any object exposing
     ``__dict__`` or ``__slots__`` recurses by (sorted) attribute, cycles
     flatten to a ``<cycle>`` marker, nesting beyond
-    :data:`STATE_MAX_DEPTH` flattens to ``<max-depth>``, and leaves that
-    are neither scalars nor containers flatten to ``repr()`` — so no
-    ``id()``-dependent value ever reaches the output.
+    :data:`STATE_MAX_DEPTH` flattens to ``<max-depth>``, callable leaves
+    (C event objects, which expose neither) flatten to their type name,
+    and any other leaf that is neither a scalar nor a container to
+    ``repr()`` — so no ``id()``-dependent value reaches the output.
     """
     if out is None:
         out = {}
@@ -272,11 +279,37 @@ def flatten_state(obj: Any, prefix: str = "",
             for name in names:
                 flatten_state(getattr(obj, name), f"{label}.{name}",
                               out, _depth + 1, _seen)
+        elif callable(obj):
+            out[key] = type(obj).__name__
         else:
             out[key] = repr(obj)
     finally:
         _seen.discard(oid)
     return out
+
+
+def fork_identity_trees(parent: System
+                        ) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+    """The live state of ``parent`` and of its no-override fork, flattened
+    from the two ``System`` objects themselves, plus one
+    ``carryover[path]`` entry per reseated component (``kept/total`` for
+    the fork, ``total/total`` for the parent).
+
+    ``parent`` must be at cycle 0 (fresh, or at the warmup/measure
+    boundary).  The two trees are equal exactly when the fork carries
+    every bit of warmed state and every statistic of ``parent`` sits at
+    its construction value, as it does in the freshly built fork: a
+    snapshot that drops an attribute, a ``reset_stats`` that misses a
+    counter and a ``reseat`` that misreads ``config_state()`` all show up
+    as a differing field (or an exception), in whatever class they sit.
+    """
+    fork, report = parent.fork()
+    first = flatten_state(parent, "system")
+    second = flatten_state(fork, "system")
+    for path, (kept, total) in report.entries.items():
+        first[f"carryover[{path}]"] = f"{total}/{total}"
+        second[f"carryover[{path}]"] = f"{kept}/{total}"
+    return first, second
 
 
 def diff_system_states(first: Any, second: Any,
@@ -358,9 +391,10 @@ def sanitize_fork_identity(job: RunJob) -> SanitizeReport:
     Three parts, each contributing prefixed divergences:
 
     - ``identity.*`` — forking with **no** overrides must reproduce the
-      parent machine bit for bit (full state-tree diff, including
-      OrderedDict recency order) with every carryover ratio at 1.0; the
-      fork's pickle round trip doubles as a serialization-identity check.
+      live parent machine bit for bit (:func:`fork_identity_trees`:
+      every attribute, including OrderedDict recency order and every
+      statistic) with every carryover ratio at 1.0; the fork's pickle
+      round trip doubles as a serialization-identity check.
     - ``inert.*`` — forking under *warmup-inert* overrides (``emc.*``
       sizing while the EMC stays disabled) must produce the same measured
       statistics as warming a fresh machine under the overridden config:
@@ -401,16 +435,7 @@ def sanitize_fork_identity(job: RunJob) -> SanitizeReport:
         second.update((f"{part}.{key}", value) for key, value in b.items())
 
     # -- part 1: no-override fork is the identity -----------------------
-    parent = warmed_parent()
-    parent_state = flatten_state(parent.snapshot())
-    fork, report = parent.fork()
-    compare("identity", parent_state, flatten_state(fork.snapshot()))
-    carried = report.entries.items()
-    compare("identity",
-            {f"carryover[{path}]": f"{kept}/{total}"
-             for path, (kept, total) in carried},
-            {f"carryover[{path}]": f"{total}/{total}"
-             for path, (_kept, total) in carried})
+    compare("identity", *fork_identity_trees(warmed_parent()))
 
     # -- part 2: warmup-inert overrides match a from-scratch warmup -----
     inert = {"emc.num_contexts": 4, "emc.data_cache_ways": 8}

@@ -39,6 +39,14 @@ class CacheLineState:
 
 @dataclass(slots=True)
 class CacheStats:
+    """Outcomes of one cache array's accesses.
+
+    Window: the whole run, every access from the warmup/measure boundary
+    to the end of the post-finish drain.  For an L1 that includes stores
+    and a finished core's accesses; ``CoreStats.l1_hits``/``l1_misses``
+    count the same loads only in the core's measured window.
+    """
+
     hits: int = 0
     misses: int = 0
     evictions: int = 0

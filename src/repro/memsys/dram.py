@@ -48,6 +48,9 @@ class DRAMRequest:
 
 @dataclass(slots=True)
 class BankState:
+    """One bank's open row and busy clock (architectural) and its
+    row-buffer outcome counters (statistical; window: the whole run)."""
+
     open_row: Optional[int] = None
     busy_until: int = 0
     row_hits: int = 0
@@ -57,6 +60,9 @@ class BankState:
 
 @dataclass(slots=True)
 class DRAMStats:
+    """One memory controller's request counters.  Window: the whole run,
+    every request served until the post-finish drain ends."""
+
     reads: int = 0
     writes: int = 0
     row_hits: int = 0
@@ -107,7 +113,8 @@ class DRAMChannel(SimComponent):
     # Architectural: open rows, bank/bus clocks.  Statistical: the per-bank
     # hit/conflict/closed counters (the shared DRAMStats block is owned by
     # DRAMSystem).  The request queue holds completion callbacks, so
-    # snapshots require it drained.
+    # snapshots require it drained; ``marked_remaining`` counts the marked
+    # requests in it, so it is 0 there and no snapshot carries it.
     def reset_stats(self) -> None:
         for bank in self.banks:
             bank.row_hits = 0
@@ -129,7 +136,6 @@ class DRAMChannel(SimComponent):
         state["banks"] = [(bank.open_row, bank.busy_until)
                           for bank in self.banks]
         state["bus_free_at"] = self.bus_free_at
-        state["marked_remaining"] = self.marked_remaining
         return state
 
     def reseat(self, state: dict, report: CarryoverReport,
@@ -144,7 +150,7 @@ class DRAMChannel(SimComponent):
         self.queue.clear()
         self.bus_free_at = state["bus_free_at"]
         self._pick_scheduled_for = None
-        self.marked_remaining = state["marked_remaining"]
+        self.marked_remaining = 0
 
     def start_cold(self) -> None:
         """Reset to power-on state (reseat helper: a channel whose

@@ -20,6 +20,9 @@ from .mshr import MSHRFile
 
 @dataclass
 class LLCSliceStats:
+    """Demand, prefetch and EMC outcomes at one LLC slice.  Window: the
+    whole run, until the post-finish drain ends."""
+
     demand_hits: int = 0
     demand_misses: int = 0
     prefetch_hits: int = 0     # demand hits on prefetched lines
@@ -99,7 +102,7 @@ class LLC(SimComponent):
         # evicted or written, so the EMC data cache can invalidate its copy.
         # Re-wired by the owning System after every restore/fork, so the
         # snapshot protocol deliberately does not carry it.
-        self.emc_invalidate_hook: Optional[Callable[[int], None]] = None  # simlint: disable=SIM010
+        self.emc_invalidate_hook: Optional[Callable[[int], None]] = None
 
     def slice_of(self, line: int) -> LLCSlice:
         index = (line // CACHE_LINE_BYTES) % len(self.slices)

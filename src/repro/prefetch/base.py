@@ -16,6 +16,9 @@ from ..sim.component import (CarryoverReport, SimComponent,
 
 @dataclass
 class PrefetchStats:
+    """Issued, useful, late and dropped prefetch candidates.  Window: the
+    whole run, until the post-finish drain ends."""
+
     issued: int = 0
     useful: int = 0
     late: int = 0

@@ -65,6 +65,15 @@ The protocol methods:
 Snapshots are *shallow* captures: outer containers are copied, interior
 objects are shared with the live component.  Serialize (pickle) or diff
 a snapshot immediately; do not hold one across further simulation.
+
+The contract has one check, the live fork identity
+(:func:`repro.lint.sanitize.fork_identity_trees`): a no-override fork of
+a machine at cycle 0 must equal its parent in every attribute of every
+component, compared on the live objects, not on their snapshots.  So
+``snapshot``/``reseat`` must carry all workload-derived state,
+``reset_stats`` must leave every statistic at its construction value
+(the value the freshly built fork holds), and ``reseat`` must read only
+the descriptor keys ``config_state`` writes.
 """
 
 from __future__ import annotations

@@ -114,7 +114,16 @@ class LatencyAccumulator:
 
 @dataclass(slots=True)
 class CoreStats:
-    """Per-core architectural and memory behaviour counters."""
+    """Per-core architectural and memory behaviour counters.
+
+    Window: per-core measured.  A core counts here only while its stats
+    are live, from the warmup/measure boundary until it retires its
+    measured instructions (``finished_at``); a finished core that runs
+    on to keep up contention counts nothing.  ``l1_hits``/``l1_misses``
+    count loads in this window; the same loads are also counted by the
+    core's L1 :class:`~repro.memsys.cache.CacheStats`, whose window is
+    the whole run (and which counts stores too).
+    """
 
     core_id: int = 0
     benchmark: str = ""
@@ -146,7 +155,18 @@ class CoreStats:
 
 @dataclass(slots=True)
 class EMCStats:
-    """EMC activity counters (Figures 15, 17, 19, 22; Section 6.5)."""
+    """EMC activity counters (Figures 15, 17, 19, 22; Section 6.5).
+
+    Window: the whole run (from the warmup/measure boundary to the end of
+    the post-finish drain) for what the EMC and the hierarchy count:
+    execution, data cache, TLB, requests, predictor outcomes.  A core
+    generates chains only while its stats are live, so the
+    chain-generation counts (``chains_generated``, ``chains_from_cache``,
+    ``chains_no_load``, ``chain_*_total``, ``chain_gen_cycles``) follow
+    the generating core's measured window.  ``chains_rejected_no_context``
+    counts both windows' rejections: a core finding no context at
+    generation, and an EMC finding none when a chain arrives.
+    """
 
     chains_generated: int = 0
     chains_executed: int = 0
@@ -241,7 +261,15 @@ class EMCStats:
 
 @dataclass(slots=True)
 class EnergyCounters:
-    """Raw event counts consumed by :mod:`repro.energy`."""
+    """Raw event counts consumed by :mod:`repro.energy`.
+
+    Windows: ``core_uops`` and the chain-generation events
+    (``cdb_broadcasts``, ``rrt_*``, ``rob_chain_reads``) are per-core
+    measured; ``l1_accesses`` counts loads per-core measured but stores
+    over the whole run; the LLC, DRAM, fabric and EMC counts are taken
+    at the end of the run from their layers' whole-run statistics
+    (:meth:`repro.sim.system.System._finalize_stats`).
+    """
 
     core_uops: int = 0
     l1_accesses: int = 0
@@ -287,6 +315,11 @@ class SimStats(SimComponent):
     aliases must survive a reset.  No snapshot carries the tree: a
     machine is snapshotted only where every counter in it is at its
     construction value.
+
+    Each dataclass in the tree states its window: per-core measured (a
+    core's counters, until its ``finished_at``) or the whole run (until
+    the post-finish drain ends).  The two miss-latency accumulators are
+    whole run; ``total_cycles`` is the last core's ``finished_at``.
     """
 
     cores: List[CoreStats] = field(default_factory=list)

@@ -137,8 +137,8 @@ class System(SimComponent):
         # the snapshot tree, and fork shares the immutable traces and
         # copies the images, which mutate during execution (see
         # fork/checkpoint below).
-        self._workload: List[Tuple[Trace, MemoryImage]] = list(workload)  # simlint: disable=SIM010
-        self.images: List[MemoryImage] = [image for _t, image in workload]  # simlint: disable=SIM010
+        self._workload: List[Tuple[Trace, MemoryImage]] = list(workload)
+        self.images: List[MemoryImage] = [image for _t, image in workload]
         num_stops = cfg.num_cores + cfg.num_mcs
         # ``ring`` keeps its historical name; the actual fabric behind it
         # is whatever ``cfg.ring.topology`` selects from the registry.

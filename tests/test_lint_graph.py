@@ -67,114 +67,6 @@ def test_relative_imports_resolve_against_package():
     assert unresolved == set()
 
 
-# -- hierarchy resolution ----------------------------------------------------
-
-SIM_TREE = {
-    "component.py": """\
-        class SimComponent:
-            def snapshot(self):
-                raise NotImplementedError
-
-            def reset_stats(self):
-                pass
-    """,
-    "base.py": """\
-        from component import SimComponent
-
-        class Device(SimComponent):
-            def snapshot(self):
-                state = self._header()
-                state.update(self._arch_snapshot())
-                return state
-
-            def _arch_snapshot(self):
-                return {}
-    """,
-    "leaf.py": """\
-        from base import Device
-
-        class Cache(Device):
-            def __init__(self):
-                self.lines = []
-                self.dirty = 0
-
-            def _arch_snapshot(self):
-                return {"lines": list(self.lines)}
-    """,
-}
-
-
-def test_is_sim_component_across_modules():
-    graph = build(SIM_TREE)
-    cache = graph.modules["leaf"].classes["Cache"]
-    device = graph.modules["base"].classes["Device"]
-    root = graph.modules["component"].classes["SimComponent"]
-    assert graph.is_sim_component(cache)
-    assert graph.is_sim_component(device)
-    assert not graph.is_sim_component(root)   # the root itself
-
-
-def test_is_sim_component_by_terminal_name_fallback():
-    graph = build({"m.py": """\
-        from repro.sim.component import SimComponent
-
-        class Thing(SimComponent):
-            pass
-
-        class Other:
-            pass
-    """})
-    module = graph.modules["m"]
-    assert graph.is_sim_component(module.classes["Thing"])
-    assert not graph.is_sim_component(module.classes["Other"])
-
-
-def test_find_method_skip_root_ignores_protocol_stubs():
-    graph = build(SIM_TREE)
-    cache = graph.modules["leaf"].classes["Cache"]
-    owner, _method = graph.find_method(cache, "snapshot", skip_root=True)
-    assert owner.name == "Device"
-    # reset_stats only exists on the root: skip_root finds nothing.
-    assert graph.find_method(cache, "reset_stats", skip_root=True) is None
-    assert graph.find_method(cache, "reset_stats") is not None
-
-
-def test_reachable_coverage_uses_virtual_dispatch():
-    graph = build(SIM_TREE)
-    cache = graph.modules["leaf"].classes["Cache"]
-    covered, wildcard = graph.reachable_state_coverage(
-        cache, ("snapshot",))
-    # Device.snapshot calls self._arch_snapshot(), which must resolve to
-    # Cache's override — covering 'lines' but not 'dirty'.
-    assert "lines" in covered
-    assert "dirty" not in covered
-    assert wildcard is False
-
-
-def test_wildcard_coverage_via_state_helpers():
-    graph = build({"m.py": """\
-        from repro.sim.component import SimComponent, reset_dataclass_stats
-
-        class Stats(SimComponent):
-            def __init__(self):
-                self.hits = 0
-
-            def reset_stats(self):
-                reset_dataclass_stats(self)
-    """})
-    stats = graph.modules["m"].classes["Stats"]
-    _covered, wildcard = graph.reachable_state_coverage(
-        stats, ("reset_stats",))
-    assert wildcard is True
-
-
-def test_inherited_attrs_union_over_ancestors():
-    graph = build(SIM_TREE)
-    cache = graph.modules["leaf"].classes["Cache"]
-    attrs = graph.inherited_attrs(cache)
-    assert {"lines", "dirty"} <= attrs
-
-
 # -- taint fixpoint ----------------------------------------------------------
 
 def test_taint_propagates_through_call_chain():

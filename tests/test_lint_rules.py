@@ -19,7 +19,7 @@ COLD = "src/repro/analysis/snippet.py"
 def run_rule(code, source, path=HOT):
     source = textwrap.dedent(source)
     tree = ast.parse(source)
-    # Single-module graph so the whole-program rules (SIM010+) see the
+    # Single-module graph so the whole-program rule (SIM013) sees the
     # snippet the way the engine would.
     graph = ProjectGraph()
     module = graph.add_module(path, tree, name="snippet")
@@ -39,8 +39,7 @@ def lines_of(findings):
 def test_builtin_rules_registered():
     codes = [r.code for r in all_rules()]
     assert codes == ["SIM001", "SIM002", "SIM003", "SIM004", "SIM005",
-                     "SIM006", "SIM007", "SIM008", "SIM009", "SIM010",
-                     "SIM011", "SIM012", "SIM013"]
+                     "SIM006", "SIM007", "SIM008", "SIM009", "SIM013"]
     for rule in all_rules():
         assert rule.name
         assert rule.description
@@ -428,264 +427,6 @@ def test_sim009_silent_outside_hot_path():
             for m in {x for x in marks}:
                 viz.wheel.schedule(1, viz.redraw)
     """, path=COLD) == []
-
-
-# -- SIM010 snapshot completeness -------------------------------------------
-
-def test_sim010_flags_uncovered_state_attr():
-    findings = run_rule("SIM010", """\
-        from repro.sim.component import SimComponent
-
-        class Buffer(SimComponent):
-            def __init__(self, size):
-                self.size = size
-                self.entries = []
-                self.drops = 0
-
-            def snapshot(self):
-                return {"entries": list(self.entries)}
-
-            def reseat(self, state, report, path=""):
-                self.entries = list(state["entries"])
-    """)
-    assert lines_of(findings) == [7]
-    assert "'drops'" in findings[0].message
-
-
-def test_sim010_covered_via_helper_and_wiring_excluded():
-    findings = run_rule("SIM010", """\
-        from repro.sim.component import SimComponent
-
-        class Buffer(SimComponent):
-            def __init__(self, cfg):
-                self.cfg = cfg
-                self.num_sets = cfg.size // cfg.ways
-                self.entries = []
-                self.drops = 0
-
-            def snapshot(self):
-                return self._pack()
-
-            def _pack(self):
-                return {"entries": list(self.entries),
-                        "drops": self.drops}
-
-            def reseat(self, state, report, path=""):
-                self.entries = list(state["entries"])
-                self.drops = state["drops"]
-    """)
-    assert findings == []
-
-
-def test_sim010_reset_dataclass_stats_wildcard_covers_everything():
-    findings = run_rule("SIM010", """\
-        from repro.sim.component import SimComponent, reset_dataclass_stats
-
-        class Counters(SimComponent):
-            def __init__(self):
-                self.hits = 0
-                self.misses = 0
-
-            def reset_stats(self):
-                reset_dataclass_stats(self)
-
-            def snapshot(self):
-                return {}
-    """)
-    assert findings == []
-
-
-def test_sim010_attribute_only_reset_stats_resets_is_covered():
-    findings = run_rule("SIM010", """\
-        from repro.sim.component import SimComponent
-
-        class Buffer(SimComponent):
-            def __init__(self):
-                self.entries = []
-                self.drops = 0
-
-            def reset_stats(self):
-                self.drops = 0
-
-            def snapshot(self):
-                return {"entries": list(self.entries)}
-
-            def reseat(self, state, report, path=""):
-                self.entries = list(state["entries"])
-    """)
-    assert findings == []
-
-
-def test_sim010_skips_classes_without_concrete_snapshot():
-    findings = run_rule("SIM010", """\
-        from repro.sim.component import SimComponent
-
-        class AbstractThing(SimComponent):
-            def __init__(self):
-                self.entries = []
-    """)
-    assert findings == []
-
-
-def test_sim010_inline_exemption_is_honored_end_to_end(tmp_path):
-    from repro.lint import lint_paths
-    path = tmp_path / "memsys" / "mod.py"
-    path.parent.mkdir()
-    path.write_text(textwrap.dedent("""\
-        from repro.sim.component import SimComponent
-
-        class Buffer(SimComponent):
-            def __init__(self):
-                self._scratch = []  # simlint: disable=SIM010
-
-            def snapshot(self):
-                return {}
-    """))
-    result = lint_paths([path])
-    assert [f.rule for f in result.findings] == []
-    assert [f.rule for f in result.suppressed] == ["SIM010"]
-
-
-# -- SIM011 reset coverage --------------------------------------------------
-
-def test_sim011_flags_counter_unreachable_from_reset():
-    findings = run_rule("SIM011", """\
-        from repro.sim.component import SimComponent
-
-        class Channel(SimComponent):
-            def __init__(self):
-                self.stats = ChannelStats()
-                self.other = OtherStats()
-
-            def service(self):
-                self.stats.reads += 1
-                self.other_stats.writes += 1
-
-            def reset_stats(self):
-                self.stats.reads = 0
-    """)
-    # self.stats is reached from reset_stats; self.other_stats is not a
-    # stats root assigned anywhere but still matches the name heuristic.
-    assert len(findings) == 1
-    assert "other_stats" in findings[0].message
-
-
-def test_sim011_alias_roots_are_exempt():
-    findings = run_rule("SIM011", """\
-        from repro.sim.component import SimComponent
-
-        class Channel(SimComponent):
-            def __init__(self, stats):
-                self.stats = stats
-
-            def service(self):
-                self.stats.reads += 1
-    """)
-    assert findings == []
-
-
-def test_sim011_reset_dataclass_stats_wildcard():
-    findings = run_rule("SIM011", """\
-        from repro.sim.component import SimComponent, reset_dataclass_stats
-
-        class Channel(SimComponent):
-            def __init__(self):
-                self.stats = ChannelStats()
-
-            def service(self):
-                self.stats.reads += 1
-
-            def reset_stats(self):
-                reset_dataclass_stats(self)
-    """)
-    assert findings == []
-
-
-def test_sim011_silent_outside_hot_path():
-    assert run_rule("SIM011", """\
-        from repro.sim.component import SimComponent
-
-        class Exporter(SimComponent):
-            def __init__(self):
-                self.stats = ExportStats()
-
-            def push(self):
-                self.stats.rows += 1
-    """, path=COLD) == []
-
-
-# -- SIM012 config-state drift ----------------------------------------------
-
-def test_sim012_flags_reseat_key_config_state_never_writes():
-    findings = run_rule("SIM012", """\
-        from repro.sim.component import SimComponent
-
-        class Cache(SimComponent):
-            def __init__(self, ways):
-                self.ways = ways
-
-            def config_state(self):
-                return {"ways": self.ways}
-
-            def reseat(self, state, report, path=""):
-                old = state["config"]
-                if old["ways"] != self.ways:
-                    report.note(path, "ways changed")
-                if old["sets"] != 4:
-                    report.note(path, "sets changed")
-    """)
-    assert len(findings) == 1
-    assert "'sets'" in findings[0].message
-
-
-def test_sim012_flags_config_state_reading_unknown_attr():
-    findings = run_rule("SIM012", """\
-        from repro.sim.component import SimComponent
-
-        class Cache(SimComponent):
-            def __init__(self, ways):
-                self.ways = ways
-
-            def config_state(self):
-                return {"ways": self.ways, "sets": self.num_sets}
-    """)
-    assert len(findings) == 1
-    assert "num_sets" in findings[0].message
-
-
-def test_sim012_clean_when_both_sides_agree():
-    findings = run_rule("SIM012", """\
-        from repro.sim.component import SimComponent
-
-        class Cache(SimComponent):
-            def __init__(self, ways, sets):
-                self.ways = ways
-                self.num_sets = sets
-
-            def config_state(self):
-                return {"ways": self.ways, "sets": self.num_sets}
-
-            def reseat(self, state, report, path=""):
-                cfg = state["config"]
-                if cfg["sets"] != self.num_sets:
-                    report.note(path, "geometry changed")
-    """)
-    assert findings == []
-
-
-def test_sim012_skips_computed_config_state():
-    findings = run_rule("SIM012", """\
-        from repro.sim.component import SimComponent
-
-        class Cache(SimComponent):
-            def config_state(self):
-                return self._describe()
-
-            def reseat(self, state, report, path=""):
-                if state["config"]["mystery"]:
-                    report.note(path, "x")
-    """)
-    assert findings == []
 
 
 # -- SIM013 inter-procedural determinism taint --------------------------------

@@ -4,7 +4,10 @@ A machine is snapshotted (and so forked or checkpointed) only with an
 empty event wheel at cycle 0: freshly built, or at the warmup/measure
 boundary right after ``reset_stats``.  There every counter sits at its
 construction value in the snapshotted machine and in any machine it is
-seated into, which is why no snapshot carries one.
+seated into, which is why no snapshot carries one.  That every counter
+is back at its construction value there is checked by
+tests/test_fork_identity.py, which compares the live boundary machine
+with its freshly built fork.
 """
 
 import pytest
@@ -26,39 +29,6 @@ def boundary(job):
     system = build(job)
     system.warmup(job.warmup_instrs)
     return system
-
-
-def statistics(system):
-    """Every counter some ``reset_stats`` owns, flattened."""
-    hierarchy = system.hierarchy
-    owners = {"stats": system.stats, "fabric": system.ring.stats,
-              "prefetcher": hierarchy.prefetcher.stats}
-    parts = getattr(hierarchy.prefetcher, "parts", [])
-    for index, part in enumerate(parts):
-        owners[f"prefetcher.parts[{index}]"] = part.stats
-    for core in system.cores:
-        owners[f"cores[{core.core_id}].l1"] = core.l1.stats
-    for sl in hierarchy.llc.slices:
-        mshr = sl.mshr
-        owners[f"llc[{sl.slice_id}]"] = sl.stats
-        owners[f"llc[{sl.slice_id}].cache"] = sl.cache.stats
-        owners[f"llc[{sl.slice_id}].mshr"] = (
-            mshr.peak_occupancy, mshr.coalesced, mshr.rejections)
-    for mc, dram in enumerate(hierarchy.dram):
-        owners[f"dram[{mc}]"] = dram.stats
-        owners[f"dram[{mc}].banks"] = [
-            (bank.row_hits, bank.row_conflicts, bank.row_closed)
-            for channel in dram.channels.values() for bank in channel.banks]
-    for mc, emc in enumerate(system.emcs):
-        if emc is None:
-            continue
-        owners[f"emc[{mc}].dcache"] = emc.dcache.stats
-        owners[f"emc[{mc}].tlbs"] = {
-            core: (tlb.hits, tlb.misses, tlb.shootdowns)
-            for core, tlb in emc.tlbs.tlbs.items()}
-    out = flatten_state(owners)
-    out["wheel.now"] = system.wheel.now
-    return out
 
 
 # -- (a) a machine that has run is never snapshotted ------------------------
@@ -105,19 +75,3 @@ def test_boundary_snapshot_ignores_every_statistic():
     assert not [key for key in after
                 if any(leaf in key for leaf in
                        ("['stats']", "['tree']", "['now']", "['seq']"))]
-
-
-# -- (c) the property the rule rests on --------------------------------------
-
-@pytest.mark.parametrize("job", [
-    RunJob(("mix", "H4"), N, warmup_instrs=100),
-    RunJob(("mix", "H4"), N, warmup_instrs=100, fabric="mesh"),
-    RunJob(("mix", "H3"), N, warmup_instrs=100, emc=True,
-           predictor="hermes", prefetcher="markov+stream"),
-    RunJob(("eight", "H1"), 300, warmup_instrs=100, num_mcs=2,
-           fabric="mesh", emc=True),
-], ids=["ring", "mesh", "hermes-emc", "eight-core-2mc"])
-def test_boundary_statistics_equal_a_fresh_machine(job):
-    warmed = boundary(job)
-    fresh = build(job)
-    assert statistics(warmed) == statistics(fresh)
