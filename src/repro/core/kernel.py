@@ -1,7 +1,8 @@
 """Build and load the C kernels: the core tick (``_tick.c``), the event
-wheel (``repro/sim/_wheel.c``) and the pointer-chase layout
-(``repro/workloads/_layout.c``).  Each has a pure-Python twin that stays
-its reference and its fallback.
+wheel (``repro/sim/_wheel.c``) and the workload kernel
+(``repro/workloads/_layout.c``: the pointer-chase layout and
+``TraceBuilder.emit``).  Each has a pure-Python twin that stays its
+reference and its fallback.
 
 The first import compiles a kernel with the interpreter's C compiler
 (``sysconfig`` ``CC``, gcc on Linux) against ``Python.h`` into

@@ -408,21 +408,22 @@ def sanitize_fork_identity(job: RunJob) -> SanitizeReport:
       and viability, not equality with a from-scratch warmup; the
       per-component carryover table lands in the report's ``notes``.
 
-    Every machine is ``job``'s, untraced, with no prefetcher and the EMC
-    off whatever ``job`` says: the inert overrides are inert only while
-    the EMC is off.  A job without ``warmup_instrs`` warms for half of
-    ``n_instrs``.
+    Every machine is ``job``'s, untraced.  Part 1 holds ``job``'s own
+    EMC, predictor and prefetcher; parts 2 and 3 run with no prefetcher
+    and the EMC off whatever ``job`` says, since the inert overrides are
+    inert only while the EMC is off.  A job without ``warmup_instrs``
+    warms for half of ``n_instrs``.
     """
     from ..analysis.parallel import (build_job_config, build_job_workload,
                                      run_direct)
     from ..sim.runner import run_built
     from ..sim.system import System
 
-    job = replace(job, prefetcher="none", emc=False, trace=False,
-                  warmup_instrs=job.warmup_instrs
+    job = replace(job, trace=False, warmup_instrs=job.warmup_instrs
                   or max(1, job.n_instrs // 2))
+    neutral = replace(job, prefetcher="none", emc=False)
 
-    def warmed_parent() -> System:
+    def warmed_parent(job: RunJob) -> System:
         system = System(build_job_config(job), build_job_workload(job))
         system.warmup(job.warmup_instrs)
         return system
@@ -435,18 +436,18 @@ def sanitize_fork_identity(job: RunJob) -> SanitizeReport:
         second.update((f"{part}.{key}", value) for key, value in b.items())
 
     # -- part 1: no-override fork is the identity -----------------------
-    compare("identity", *fork_identity_trees(warmed_parent()))
+    compare("identity", *fork_identity_trees(warmed_parent(job)))
 
     # -- part 2: warmup-inert overrides match a from-scratch warmup -----
     inert = {"emc.num_contexts": 4, "emc.data_cache_ways": 8}
-    forked, _ = warmed_parent().fork(inert)
+    forked, _ = warmed_parent(neutral).fork(inert)
     compare("inert", snapshot_run(run_built(forked)),
-            snapshot_run(run_direct(job.at(inert))))
+            snapshot_run(run_direct(neutral.at(inert))))
 
     # -- part 3: aggressive forks are deterministic and viable ----------
     aggressive = {"emc.enabled": True, "prefetch.kind": "stream",
                   "l1.ways": 4, "dram.t_cas": 20}
-    parent = warmed_parent()
+    parent = warmed_parent(neutral)
     fork_a, report_a = parent.fork(aggressive)
     fork_b, _ = parent.fork(aggressive)
     compare("fork-determinism", flatten_state(fork_a.snapshot()),

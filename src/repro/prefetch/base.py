@@ -108,7 +108,12 @@ class NullPrefetcher(Prefetcher):
 
 
 class CompositePrefetcher(Prefetcher):
-    """Runs several prefetchers side by side (e.g. Markov+stream)."""
+    """Runs several prefetchers side by side (e.g. Markov+stream).
+
+    The composite owns ``issued/useful/late/dropped`` for all its parts:
+    the hierarchy counts through the composite's ``note_*``, so the
+    parts' own ``stats`` stay 0 and which part proposed a candidate is
+    not recorded."""
 
     def __init__(self, parts: List[Prefetcher]) -> None:
         super().__init__()
@@ -121,11 +126,6 @@ class CompositePrefetcher(Prefetcher):
         for part in self.parts:
             out.extend(part.observe(line, pc, core, hit))
         return out
-
-    def reset_stats(self) -> None:
-        super().reset_stats()
-        for part in self.parts:
-            part.reset_stats()
 
     def _arch_snapshot(self) -> dict:
         return {"parts": [part.snapshot() for part in self.parts]}

@@ -40,7 +40,12 @@ PAGE = 4096
 
 class TraceBuilder:
     """Emits uops while executing them, keeping registers and memory
-    consistent between generation time and simulation time."""
+    consistent between generation time and simulation time.
+
+    When the C workload kernel loaded, ``emit`` is its ``Emitter.emit``
+    (``_layout.c``), bound to this builder's ``uops``, ``regs`` and
+    image, which counts its own ``seq``; the method below is its
+    reference and the fallback."""
 
     def __init__(self, image: MemoryImage, seed: int,
                  num_regs: int = 32) -> None:
@@ -50,6 +55,10 @@ class TraceBuilder:
         self.regs: Dict[int, int] = {}
         self.num_regs = num_regs
         self._seq = 0
+        self._emitter = None
+        if _kernel is not None:
+            self._emitter = _kernel.Emitter(self.uops, self.regs, image)
+            self.emit = self._emitter.emit
 
     def emit(self, op: UopType, dest: Optional[int] = None,
              src1: Optional[int] = None, src2: Optional[int] = None,
@@ -93,7 +102,7 @@ class TraceBuilder:
 
     @property
     def count(self) -> int:
-        return self._seq
+        return self._seq if self._emitter is None else self._emitter.seq
 
     def finish(self, name: str, **meta) -> Trace:
         return Trace(uops=self.uops, name=name, num_regs=self.num_regs,
@@ -217,14 +226,18 @@ def _lay_out_chain_py(rng: random.Random, n: int, nodes_per_page: int,
 
 LAYOUT_SOURCE = Path(__file__).with_name("_layout.c")
 
-#: The C layout kernel (``chain(state, ...)``, ``_layout.c``), or None for
-#: the pure-Python layout; tests set it to None to run the reference.
+#: The C workload kernel (``_layout.c``: ``chain`` lays out a pointer
+#: chase, ``Emitter`` is ``TraceBuilder.emit``), or None for the
+#: pure-Python layout and emit; tests set it to None to run the
+#: references.
 _kernel = load_source(f"{__package__}._layout", LAYOUT_SOURCE,
-                      "pure-Python layout")
+                      "pure-Python layout and emit",
+                      lambda module: module.setup(MicroOp, UopType))
 
 
 def layout_implementation() -> str:
-    """Which chain layout runs: ``"C <source hash>"`` or ``"python"``."""
+    """Which workload build runs, chain layout and trace emission
+    together: ``"C <source hash>"`` or ``"python"``."""
     return "python" if _kernel is None else f"C {source_hash(LAYOUT_SOURCE)}"
 
 

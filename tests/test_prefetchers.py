@@ -1,9 +1,13 @@
 """Unit tests for the stream, GHB, and Markov prefetchers and FDP."""
 
+from repro.analysis.parallel import (RunJob, build_job_config,
+                                     build_job_workload)
 from repro.prefetch import (CompositePrefetcher, GHBPrefetcher,
                             MarkovPrefetcher, NullPrefetcher,
                             StreamPrefetcher, build_prefetcher)
-from repro.prefetch.base import FDPThrottle
+from repro.prefetch.base import FDPThrottle, PrefetchStats
+from repro.sim.runner import run_built
+from repro.sim.system import System
 from repro.uarch.params import CACHE_LINE_BYTES as LINE
 from repro.uarch.params import PrefetchConfig
 
@@ -133,6 +137,18 @@ def test_composite_merges_candidates():
     predicted = feed(pf, [100, 101, 102, 103])
     assert predicted   # at least one component fires
     assert pf.name == "stream+ghb"
+
+
+def test_composite_owns_the_counts_of_its_parts():
+    job = RunJob(("mix", "H1"), 2000, warmup_instrs=500,
+                 prefetcher="markov+stream")
+    system = System(build_job_config(job), build_job_workload(job))
+    system.warmup(job.warmup_instrs)
+    stats = run_built(system).stats
+    composite = system.hierarchy.prefetcher
+    assert isinstance(composite, CompositePrefetcher)
+    assert composite.stats.issued == stats.prefetches_issued > 0
+    assert all(part.stats == PrefetchStats() for part in composite.parts)
 
 
 def test_build_prefetcher_kinds():

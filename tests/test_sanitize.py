@@ -262,9 +262,11 @@ def test_fork_identity_gate_checks_the_overridden_machine(monkeypatch):
     assert len(machines) == 8 and set(machines) == {("mesh", "hermes")}
 
 
-def test_fork_identity_warms_emc_off_parents_whatever_the_job(monkeypatch):
-    """The inert overrides are inert only while the EMC is off, so the
-    gate warms EMC-off, prefetcher-none machines for any job."""
+def test_fork_identity_part_one_holds_the_jobs_own_machine(monkeypatch):
+    """Part 1 (the live identity) warms the job as given, EMC and
+    prefetcher included; the inert overrides are inert only while the
+    EMC is off, so parts 2 and 3 warm EMC-off, prefetcher-none
+    machines."""
     from repro.lint.sanitize import sanitize_fork_identity
     from repro.sim.system import System
     warmed = []
@@ -278,9 +280,10 @@ def test_fork_identity_warms_emc_off_parents_whatever_the_job(monkeypatch):
     report = sanitize_fork_identity(h4(300, emc=True, prefetcher="stream",
                                        warmup_instrs=100))
     assert report.deterministic, report.format()
-    assert "emc=" not in report.label and "prefetcher=" not in report.label
-    # Three warmed parents and the inert part's from-scratch machine.
-    assert warmed == [(False, "none")] * 4
+    assert "prefetcher=stream emc=True" in report.label
+    # The identity part's parent, then the inert part's parent and its
+    # from-scratch machine, then the aggressive part's parent.
+    assert warmed == [(True, "stream")] + [(False, "none")] * 3
 
 
 def test_eight_core_mesh_job_passes_determinism_and_roundtrip():
